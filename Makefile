@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check ci ci-gate ci-heavy vet obliviouslint lint-sarif report-check \
-	build test race fmt-check \
+	build test bench-build race fmt-check \
 	fuzz-short fuzz-long leakcheck soak-short soak-long plan-sim benchdiff \
 	benchdiff-report bench bench-baseline bench-all
 
@@ -22,7 +22,7 @@ check: vet obliviouslint build test race
 # must be compared against a fresh run before that target gets a chance
 # to paper over any drift.
 ci: ci-gate ci-heavy
-ci-gate: fmt-check vet report-check obliviouslint build test
+ci-gate: fmt-check vet report-check obliviouslint build test bench-build
 ci-heavy: race fuzz-short leakcheck soak-short plan-sim bench benchdiff
 
 # vet layers the strict in-repo analyzers (shadow, unusedresult) on top of
@@ -64,6 +64,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-build compiles and tests the repo's benchmark against this tree.
+# bench/ is a nested module (own go.mod, replace secemb => ../), so the
+# root build and test above never see it, and an API change here could
+# break it unnoticed. ≈4 s.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/obs ./internal/serving \

@@ -181,7 +181,6 @@ func main() {
 // analytic priors); with -plan-assert the per-shard split is a CI gate.
 // The -plan serving path in cmd/secembd runs the same loop on a timer.
 func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
-	reg := obs.NewRegistry()
 	rows, dim := maxInt(cfg.Cardinalities), cfg.EmbDim
 	if rows < 1<<15 {
 		// Big-table regime: a tiny miniature would (correctly) pin every
@@ -197,10 +196,8 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 	}
 	const table = "demo"
 	const nShards = 2
-	build := func(shard int, tech core.Technique) (core.Generator, error) {
-		return core.New(tech, rows, dim, core.Options{
-			Seed: seed, Obs: reg, Shard: planner.ShardLabel(table, shard),
-		})
+	build := func(_ int, tech core.Technique) (core.Generator, error) {
+		return core.New(tech, rows, dim, core.Options{Seed: seed})
 	}
 	sws := make([]*planner.Swappable, nShards)
 	shards := make([][]*planner.Swappable, nShards)
@@ -213,7 +210,6 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 		shards[i] = []*planner.Swappable{sws[i]}
 	}
 	pl := planner.New(planner.Config{
-		Reg:        reg,
 		Hysteresis: 0.05,
 		MinDwell:   time.Millisecond, // demo: surface every crossover immediately
 	})
@@ -224,7 +220,7 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 		panic(err)
 	}
 	if planFile != "" {
-		m, installed, err := profile.InstallCostModelFile(planFile, reg)
+		m, installed, err := profile.InstallCostModelFile(planFile, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "-plan-file:", err)
 			os.Exit(2)
@@ -364,9 +360,11 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 	fmt.Println("technique        per-request req/s   coalesced req/s   speedup")
 	for _, name := range techniques {
 		name = strings.TrimSpace(name)
-		pool := serving.NewPool(newBackends(name), load.clients)
+		pool := serving.NewGroup(newBackends(name), serving.GroupConfig{
+			Shards: 1, QueueDepth: load.clients, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
+		})
 		perReq := drive(func(_ uint64, r *backends.DLRMRequest) serving.Response {
-			return pool.Do(context.Background(), r)
+			return pool.Do(context.Background(), 0, r)
 		})
 		pool.Close()
 

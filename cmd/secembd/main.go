@@ -166,20 +166,9 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 	if err != nil {
 		return nil, nil, err
 	}
-	// Backend i lands on shard i % shards (the group's round-robin
-	// assignment); the generator must know its shard label up front so its
-	// core_generate_* latencies feed that shard's own EWMA stream.
-	effShards := c.shards
-	if effShards == 0 {
-		effShards = c.nBackends
-	}
 	bes := make([]serving.Backend, c.nBackends)
 	for i := range bes {
-		shardLabel := ""
-		if c.plan {
-			shardLabel = planner.ShardLabel(planTable, i%effShards)
-		}
-		gen, err := buildGenerator(c, reg, shardLabel)
+		gen, err := buildGenerator(c, reg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -189,16 +178,12 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 			bes[i] = backends.NewEmbedding(gen, c.maxBatch)
 		}
 	}
-	opts := []serving.Option{}
-	if reg != nil {
-		opts = append(opts, serving.WithObserver(reg))
-	}
 	group := serving.NewGroup(bes, serving.GroupConfig{
 		Shards:     c.shards,
 		QueueDepth: c.queueDepth,
 		Coalesce:   serving.CoalesceConfig{MaxWait: c.maxWait},
 		ShedWait:   c.shedWait,
-	}, opts...)
+	}, serving.WithObserver(reg))
 	if !c.plan {
 		return group, nil, nil
 	}
@@ -219,11 +204,8 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 	pl := planner.New(planner.Config{Interval: c.planEvery, Reg: reg})
 	if err := pl.Manage(planner.Table{
 		Name: planTable, Rows: c.rows, Dim: c.dim, Initial: initial,
-		Build: func(shard int, tech core.Technique) (core.Generator, error) {
-			return core.New(tech, c.rows, c.dim, core.Options{
-				Seed: c.seed, Int8: c.int8, Obs: reg,
-				Shard: planner.ShardLabel(planTable, shard),
-			})
+		Build: func(_ int, tech core.Technique) (core.Generator, error) {
+			return core.New(tech, c.rows, c.dim, core.Options{Seed: c.seed, Int8: c.int8, Obs: reg})
 		},
 		Shards: shardSws,
 	}); err != nil {
@@ -295,8 +277,8 @@ func setupTuning(c *config, reg *obs.Registry, stdout io.Writer) error {
 	return nil
 }
 
-func buildGenerator(c *config, reg *obs.Registry, shardLabel string) (core.Generator, error) {
-	opts := core.Options{Seed: c.seed, Int8: c.int8, Obs: reg, Shard: shardLabel}
+func buildGenerator(c *config, reg *obs.Registry) (core.Generator, error) {
+	opts := core.Options{Seed: c.seed, Int8: c.int8, Obs: reg}
 	if c.technique == "dual" {
 		dheGen, err := core.New(core.DHE, c.rows, c.dim, opts)
 		if err != nil {
@@ -342,6 +324,59 @@ func resolveServeTLS(c *config, stdout io.Writer) (*tls.Config, error) {
 	return wire.LoadServerTLS(c.tlsCert, c.tlsKey)
 }
 
+// startServer assembles the front door both modes run — serving group
+// (planner-managed under -plan) and wire server, all publishing into reg —
+// and listens on listen. sc carries what differs per mode (Key,
+// RequireToken, TLS); the rest comes from c. It returns the bound address,
+// the group (for its stats) and the drain: stop the planner (persisting
+// -plan-file), answer 503 for grace, close the listener, finish in-flight
+// requests and drain the group's queues.
+func startServer(c *config, reg *obs.Registry, listen string, sc wire.ServerConfig,
+	stdout, stderr io.Writer) (string, *serving.Group, func(grace time.Duration) error, error) {
+	// Publish the installed kernel config (tensor_tune_* gauges) and the
+	// pool/tune metrics into this server's registry.
+	tensor.SetObserver(reg)
+	group, pl, err := buildGroup(c, reg, stdout)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	if pl != nil {
+		fmt.Fprintf(stdout, "secembd: planner managing table (initial %s, re-plan every %v)\n",
+			c.technique, c.planEvery)
+	}
+	sc.Group, sc.Dim, sc.MaxBatch = group, c.dim, c.maxBatch
+	sc.ConnStreams, sc.Timeout, sc.Reg = c.connStr, c.timeout, reg
+	srv := wire.NewServer(sc)
+	addr, err := srv.Listen(listen)
+	if err != nil {
+		if pl != nil {
+			pl.Stop()
+		}
+		group.Close()
+		return "", nil, nil, err
+	}
+	drain := func(grace time.Duration) error {
+		if pl != nil {
+			pl.Stop() // no swaps mid-drain; in-flight Generates finish untouched
+			if c.planFile != "" {
+				// Persist the fitted cost model so the next start predicts from
+				// today's observed curves instead of the analytic priors.
+				if serr := profile.SaveCostModelFile(c.planFile, pl.ExportCostModel()); serr != nil {
+					fmt.Fprintln(stderr, "secembd: -plan-file save:", serr)
+				} else {
+					fmt.Fprintf(stdout, "secembd: planner cost model saved to %s\n", c.planFile)
+				}
+			}
+		}
+		srv.StartDrain()
+		time.Sleep(grace)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		return srv.DrainAll(ctx)
+	}
+	return addr, group, drain, nil
+}
+
 func runServe(c *config, stdout, stderr io.Writer) int {
 	key, require, err := resolveKey(c, stdout)
 	if err != nil {
@@ -358,30 +393,8 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "secembd:", terr)
 		return 2
 	}
-	// Publish the installed kernel config (tensor_tune_* gauges) and the
-	// pool/tune metrics into this server's registry.
-	tensor.SetObserver(reg)
-	group, pl, err := buildGroup(c, reg, stdout)
-	if err != nil {
-		fmt.Fprintln(stderr, "secembd:", err)
-		return 2
-	}
-	if pl != nil {
-		fmt.Fprintf(stdout, "secembd: planner managing table (initial %s, re-plan every %v)\n",
-			c.technique, c.planEvery)
-	}
-	srv := wire.NewServer(wire.ServerConfig{
-		Group:        group,
-		Dim:          c.dim,
-		MaxBatch:     c.maxBatch,
-		Key:          key,
-		RequireToken: require,
-		TLS:          tlsCfg,
-		ConnStreams:  c.connStr,
-		Timeout:      c.timeout,
-		Reg:          reg,
-	})
-	addr, err := srv.Listen(c.addr)
+	addr, group, drain, err := startServer(c, reg, c.addr,
+		wire.ServerConfig{Key: key, RequireToken: require, TLS: tlsCfg}, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "secembd:", err)
 		return 2
@@ -397,23 +410,7 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintf(stdout, "secembd: draining (grace %v)\n", c.drainGrace)
-	if pl != nil {
-		pl.Stop() // no swaps mid-drain; in-flight Generates finish untouched
-		if c.planFile != "" {
-			// Persist the fitted cost model so the next start predicts from
-			// today's observed curves instead of the analytic priors.
-			if serr := profile.SaveCostModelFile(c.planFile, pl.ExportCostModel()); serr != nil {
-				fmt.Fprintln(stderr, "secembd: -plan-file save:", serr)
-			} else {
-				fmt.Fprintf(stdout, "secembd: planner cost model saved to %s\n", c.planFile)
-			}
-		}
-	}
-	srv.StartDrain()
-	time.Sleep(c.drainGrace)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.DrainAll(ctx); err != nil {
+	if err := drain(c.drainGrace); err != nil {
 		fmt.Fprintln(stderr, "secembd: drain:", err)
 		return 1
 	}
@@ -439,7 +436,7 @@ func runSoak(c *config, stdout, stderr io.Writer) int {
 	if c.useTLS && target != "" {
 		clientTLS = &tls.Config{InsecureSkipVerify: c.tlsInsecure}
 	}
-	var cleanup func()
+	var drain func(time.Duration) error
 	if target == "" {
 		// Self-hosted soak: spin the full serve stack in-process so the
 		// run exercises the real network path end to end; with -tls that
@@ -453,35 +450,13 @@ func runSoak(c *config, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-		group, pl, err := buildGroup(c, nil, stdout)
+		addr, _, d, err := startServer(c, obs.NewRegistry(), "127.0.0.1:0",
+			wire.ServerConfig{Key: key, RequireToken: c.tokenKey != "", TLS: serverTLS}, stdout, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "secembd:", err)
 			return 2
 		}
-		srv := wire.NewServer(wire.ServerConfig{
-			Group:        group,
-			Dim:          c.dim,
-			MaxBatch:     c.maxBatch,
-			Key:          key,
-			RequireToken: c.tokenKey != "",
-			TLS:          serverTLS,
-			ConnStreams:  c.connStr,
-			Timeout:      c.timeout,
-		})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(stderr, "secembd:", err)
-			return 2
-		}
-		target = addr
-		cleanup = func() {
-			if pl != nil {
-				pl.Stop()
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			_ = srv.DrainAll(ctx)
-		}
+		target, drain = addr, d
 		fmt.Fprintf(stdout, "secembd: self-hosted %s %dx%d on %s\n", c.technique, c.rows, c.dim, addr)
 	}
 
@@ -497,8 +472,8 @@ func runSoak(c *config, stdout, stderr io.Writer) int {
 		Seed:     c.seed,
 		TLS:      clientTLS,
 	})
-	if cleanup != nil {
-		cleanup()
+	if drain != nil {
+		_ = drain(0) // the load is over: a drain timeout changes no result the gate reads
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "secembd:", err)

@@ -3,9 +3,9 @@
 // layered serving stack — generic backends, cross-request micro-batching,
 // sharded replica groups — and reports latency percentiles against an SLA
 // (the deployment shape of the paper's co-location study, §IV-C2,
-// Fig. 13). It serves the same stream twice: once per-request (the
-// baseline Pool) and once coalesced, showing the batch-amortization the
-// paper's Figure 5 promises arriving end-to-end.
+// Fig. 13). It serves the same stream twice: once per-request (one
+// shard, coalescing off) and once coalesced, showing the batch-amortization
+// the paper's Figure 5 promises arriving end-to-end.
 //
 //	go run ./examples/serve [-shards 3] [-coalesce 16] [-wait 2ms]
 //	                        [-metrics] [-metrics-addr :0]
@@ -114,9 +114,11 @@ func main() {
 	}
 
 	// Baseline: one request per backend execution.
-	pool := serving.NewPool(newBackends(30), 2*replicas)
+	pool := serving.NewGroup(newBackends(30), serving.GroupConfig{
+		Shards: 1, QueueDepth: 2 * replicas, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
+	})
 	drive(func(_ uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response {
-		return pool.Do(context.Background(), &backends.DLRMRequest{Dense: dense, Sparse: sparse})
+		return pool.Do(context.Background(), 0, &backends.DLRMRequest{Dense: dense, Sparse: sparse})
 	})
 	base := pool.Stats()
 	pool.Close()

@@ -141,14 +141,6 @@ type Options struct {
 	// so every Generate is counted and timed (per-technique families).
 	Obs *obs.Registry
 
-	// Shard, when non-empty, additionally labels the generate aggregates
-	// with a shard dimension (core_generate_*{tech,shard}) so per-shard
-	// consumers — the planner's shard-granular sampler — can window one
-	// shard's traffic separately from the table-wide totals. The label is
-	// deployment topology (e.g. planner.ShardLabel's "table/index"), never
-	// anything derived from ids.
-	Shard string
-
 	// Table supplies the backing weights for the storage techniques
 	// (Lookup/LinearScan/PathORAM/CircuitORAM) when constructing through
 	// New. nil → a Gaussian table is initialized from Seed.

@@ -34,11 +34,6 @@ func unwrapGenerator(g Generator) Generator {
 //	core_generate_ids_total{tech}     ids embedded
 //	core_generate_ns{tech}            per-batch latency histogram
 //
-// With a shard label the same families are additionally written with a
-// {tech,shard} dimension, so per-shard consumers (the planner's sampler)
-// can window one shard's traffic while the table-wide totals keep feeding
-// dashboards unchanged. The shard metrics are nil (no-op) otherwise.
-//
 // ORAM-backed generators additionally account enclave-boundary work
 // (ocalls, EPC bucket traffic, modeled nanoseconds) through an
 // enclave.Meter, reproducing the per-window accounting the paper uses to
@@ -51,27 +46,12 @@ type instrumentedGen struct {
 	lat   *obs.Histogram
 	stats *oram.Stats // live controller counters; nil when not ORAM-backed
 	meter *enclave.Meter
-
-	// Shard-labeled mirrors of gens/ids/lat; nil without a shard label.
-	shardGens *obs.Counter
-	shardIDs  *obs.Counter
-	shardLat  *obs.Histogram
 }
 
 // Instrument wraps g so every Generate call is counted and timed in reg.
 // Construction through New with Options.Obs set applies this
 // automatically. A nil registry returns g unchanged.
 func Instrument(g Generator, reg *obs.Registry) Generator {
-	return InstrumentShard(g, reg, "")
-}
-
-// InstrumentShard is Instrument with a shard dimension: alongside the
-// per-technique totals, every Generate also feeds
-// core_generate_*{tech,shard} so one shard's latency and batch-size
-// aggregates are separable. Construction through New with both Options.Obs
-// and Options.Shard set applies this automatically. The label names a
-// public deployment slot, never request data.
-func InstrumentShard(g Generator, reg *obs.Registry, shard string) Generator {
 	if reg == nil {
 		return g
 	}
@@ -82,11 +62,6 @@ func InstrumentShard(g Generator, reg *obs.Registry, shard string) Generator {
 		errs: reg.Counter("core_generate_errors_total", obs.LabelTech, tech),
 		ids:  reg.Counter("core_generate_ids_total", obs.LabelTech, tech),
 		lat:  reg.Histogram("core_generate_ns", obs.LabelTech, tech),
-	}
-	if shard != "" {
-		ig.shardGens = reg.Counter("core_generate_total", obs.LabelTech, tech, obs.LabelShard, shard)
-		ig.shardIDs = reg.Counter("core_generate_ids_total", obs.LabelTech, tech, obs.LabelShard, shard)
-		ig.shardLat = reg.Histogram("core_generate_ns", obs.LabelTech, tech, obs.LabelShard, shard)
 	}
 	if s, ok := ORAMStats(g); ok {
 		ig.stats = s
@@ -107,15 +82,12 @@ func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	out, err := i.g.Generate(ids)
 	elapsed := time.Since(start)
 	i.lat.ObserveDuration(elapsed)
-	i.shardLat.ObserveDuration(elapsed)
 	i.gens.Inc()
-	i.shardGens.Inc()
 	if err != nil {
 		i.errs.Inc()
 		return nil, err
 	}
 	i.ids.Add(int64(len(ids)))
-	i.shardIDs.Add(int64(len(ids)))
 	if i.stats != nil {
 		i.meter.Record(enclave.Delta(*i.stats, before))
 	}

@@ -77,7 +77,7 @@ func New(tech Technique, rows, dim int, opts Options) (Generator, error) {
 		return nil, fmt.Errorf("core: unknown technique %v", tech)
 	}
 	if opts.Obs != nil {
-		g = InstrumentShard(g, opts.Obs, opts.Shard)
+		g = Instrument(g, opts.Obs)
 	}
 	return g, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +11,6 @@ import (
 //
 //	/metrics       text snapshot (the WriteText format)
 //	/metrics.json  JSON snapshot
-//	/spans         recent completed spans, JSON
 //	/debug/pprof/  Go's standard profiling endpoints
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -23,16 +21,6 @@ func Handler(r *Registry) http.Handler {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		spans := r.RecentSpans()
-		if spans == nil {
-			spans = []SpanRecord{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(spans)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

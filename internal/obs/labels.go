@@ -2,16 +2,13 @@ package obs
 
 // Canonical label keys for the metric dimensions shared across layers.
 // Instrumentation in core, serving and planner agrees on these names so a
-// family emitted in one layer can be sampled in another without string
-// drift: the planner reads the shard-labeled core_generate_* aggregates
-// core.Instrument writes, keyed by exactly these labels.
+// dashboard can join families across layers.
 const (
 	// LabelTech labels a metric with the embedding technique key
 	// (core.Technique.Key(): "scanb", "circuit", "dhe", …).
 	LabelTech = "tech"
-	// LabelShard labels a metric with the serving shard the sample came
-	// from. Core instrumentation uses the planner's "table/index" shard
-	// label; the serving dispatch layer uses the bare shard index.
+	// LabelShard labels a metric with the bare index of the serving shard
+	// the sample came from.
 	LabelShard = "shard"
 	// LabelTable labels a metric with the managed table name.
 	LabelTable = "table"

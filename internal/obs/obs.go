@@ -1,8 +1,6 @@
 // Package obs is a dependency-free observability layer for the secure
 // embedding serving stack: atomic counters, gauges and fixed-bucket latency
-// histograms, grouped into labeled metric families inside a Registry, plus
-// a lightweight span API for tracing a request through
-// serving.Pool → dlrm.Pipeline → core.Generator → enclave cost model.
+// histograms, grouped into labeled metric families inside a Registry.
 //
 // Design rules, in the spirit of memtrace.Tracer:
 //
@@ -78,11 +76,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	spanMu   sync.Mutex
-	spanLog  []SpanRecord // ring buffer of completed spans
-	spanNext int
-	spanSeen uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -91,7 +84,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		spanLog:  make([]SpanRecord, spanLogSize),
 	}
 }
 

@@ -52,7 +52,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(1)
-	r.StartSpan("s").Child("c").End()
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
@@ -226,57 +225,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpans(t *testing.T) {
-	r := NewRegistry()
-	root := r.StartSpan("serving.predict")
-	child := root.Child("dlrm")
-	grand := child.Child("embed")
-	if grand.Path() != "serving.predict/dlrm/embed" {
-		t.Fatalf("path=%q", grand.Path())
-	}
-	grand.End()
-	child.End()
-	if d := root.End(); d <= 0 {
-		t.Fatalf("span duration %v", d)
-	}
-	spans := r.RecentSpans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	// Oldest first, with monotonically increasing sequence numbers.
-	if spans[0].Name != "serving.predict/dlrm/embed" || spans[2].Name != "serving.predict" {
-		t.Fatalf("span order wrong: %+v", spans)
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i].Seq <= spans[i-1].Seq {
-			t.Fatal("sequence numbers must increase")
-		}
-	}
-	// Span durations also land in the span_ns histogram family.
-	if r.Histogram("span_ns", "span", "serving.predict").Count() != 1 {
-		t.Fatal("span histogram not recorded")
-	}
-}
-
-func TestSpanRingBounded(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < spanLogSize+20; i++ {
-		r.StartSpan("s").End()
-	}
-	spans := r.RecentSpans()
-	if len(spans) != spanLogSize {
-		t.Fatalf("ring returned %d records, want %d", len(spans), spanLogSize)
-	}
-	if spans[len(spans)-1].Seq != uint64(spanLogSize+20) {
-		t.Fatalf("newest seq %d, want %d", spans[len(spans)-1].Seq, spanLogSize+20)
-	}
-}
-
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core_generate_total", "tech", "dhe").Add(9)
 	r.Histogram("core_generate_ns", "tech", "dhe").Observe(1 << 20)
-	r.StartSpan("req").End()
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 
@@ -295,9 +247,6 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if code, body := get("/metrics.json"); code != 200 || !strings.Contains(body, `"histograms"`) {
 		t.Fatalf("/metrics.json: code=%d body=%q", code, body)
-	}
-	if code, body := get("/spans"); code != 200 || !strings.Contains(body, `"req"`) {
-		t.Fatalf("/spans: code=%d body=%q", code, body)
 	}
 	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("/debug/pprof/cmdline: code=%d", code)

@@ -10,7 +10,7 @@ import (
 // technique at the table's current operating point (its public shape and
 // the aggregate batch size the serving layer is currently producing), then
 // pick the cheapest. Until a technique has been observed, an analytic
-// prior stands in; once core.Instrument has timed real batches, the
+// prior stands in; once the swap point has timed real batches, the
 // observed EWMA (rescaled to the target batch size) overrides the prior.
 // This is the paper's §IV-C offline profiling turned into an online refit:
 // the measured curves replace the model exactly where measurements exist.

@@ -4,9 +4,10 @@
 // fixed at deployment, the planner keeps re-fitting the scan/ORAM/DHE
 // crossover model from live signals — table shape, the aggregate batch
 // sizes the serving layer is actually producing, and per-technique latency
-// EWMAs sampled from internal/obs — and hot-swaps a table's generator
-// behind the serving backends when the model says another technique is now
-// cheaper. Production tables drift in size and skew; the planner follows.
+// EWMAs sampled at the swap points themselves — and hot-swaps a table's
+// generator behind the serving backends when the model says another
+// technique is now cheaper. Production tables drift in size and skew; the
+// planner follows.
 //
 // Plans are shard-granular (v2). Under consistent routing
 // (serving.RouteShard) each shard of a table sees its own key population
@@ -24,8 +25,8 @@
 // and candidate set are deployment configuration; the shard label names a
 // replica group (topology, fixed at deployment); batch-size aggregates
 // and latencies are observable by the adversary already and are recorded
-// by instrumentation that never sees an id (core.InstrumentShard counts
-// and clocks batches, nothing else). Technique selection and swap *timing*
+// at one point that never looks at an id (Swappable.Generate counts and
+// clocks batches, nothing else). Technique selection and swap *timing*
 // therefore leak nothing about individual ids — per shard exactly as per
 // table, because a request's shard is a function of its public routing
 // key, never of the ids inside it. The invariant is enforced two ways:
@@ -61,9 +62,9 @@ func DefaultCandidates() []core.Technique {
 	return []core.Technique{core.LinearScanBatched, core.CircuitORAM, core.DHE}
 }
 
-// ShardLabel renders the canonical shard label for a managed table's
-// shard: the string generators built for that shard must carry as
-// core.Options.Shard so their latencies feed the shard's own EWMA stream.
+// ShardLabel renders the canonical label of a managed table's shard: the
+// key of the shard's EWMA streams in the persisted cost model
+// (profile.CostEntry.Shard).
 func ShardLabel(table string, shard int) string {
 	return table + "/" + strconv.Itoa(shard)
 }
@@ -86,12 +87,9 @@ type Config struct {
 	Alpha float64
 	// Candidates is the technique menu (nil → DefaultCandidates).
 	Candidates []core.Technique
-	// Reg receives the planner_* metrics and is the registry the sampler
-	// reads core_generate_* aggregates from. The managed generators must
-	// be instrumented into the same registry (core.Options.Obs) — with
-	// core.Options.Shard set to the shard's ShardLabel — for per-shard
-	// observed signals to flow; without it the planner still works, from
-	// analytic priors alone.
+	// Reg receives the planner_* metrics. It is export only: the planner
+	// observes traffic at its own swap points, so a nil registry plans
+	// exactly like a non-nil one.
 	Reg *obs.Registry
 }
 
@@ -124,10 +122,9 @@ type Table struct {
 	Rows, Dim int
 	// Build constructs one fresh replica representation of tech for the
 	// given shard index. It runs off the serving path (prepare phase), so
-	// it may be slow; serving continues on the incumbent meanwhile. Build
-	// generators with the planner's registry and the shard's label
-	// (core.Options{Obs: reg, Shard: ShardLabel(name, shard)}) so their
-	// latencies feed that shard's next re-plan.
+	// it may be slow; serving continues on the incumbent meanwhile. The
+	// planner measures the result at the swap point it installs it behind,
+	// so Build owes it no instrumentation.
 	Build func(shard int, tech core.Technique) (core.Generator, error)
 	// Shards is the shard→replica assignment: Shards[i] holds the swap
 	// points of shard i's replicas (serving.Group.ShardBackends exposes
@@ -153,6 +150,8 @@ type shardState struct {
 	gActive    *obs.Gauge
 	gMeanBatch *obs.Gauge
 	cReplan    *obs.Counter
+	gPredicted []*obs.Gauge                    // parallel to Config.Candidates
+	cSwapTech  map[core.Technique]*obs.Counter // filled on first swap to each technique
 }
 
 // managedTable is the planner's per-table state: shared shape plus one
@@ -208,7 +207,7 @@ func New(cfg Config) *Planner {
 	cfg = cfg.withDefaults()
 	return &Planner{
 		cfg:        cfg,
-		sampler:    newSampler(cfg.Reg, cfg.Alpha),
+		sampler:    newSampler(cfg.Alpha),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		mReplan:    cfg.Reg.Counter("planner_replan_total"),
@@ -241,6 +240,11 @@ func (p *Planner) Manage(t Table) error {
 			gActive:    p.cfg.Reg.Gauge("planner_active_technique", obs.LabelTable, t.Name, obs.LabelShard, shard),
 			gMeanBatch: p.cfg.Reg.Gauge("planner_mean_batch_milli", obs.LabelTable, t.Name, obs.LabelShard, shard),
 			cReplan:    p.cfg.Reg.Counter("planner_replan_total", obs.LabelTable, t.Name, obs.LabelShard, shard),
+			cSwapTech:  map[core.Technique]*obs.Counter{},
+		}
+		for _, tech := range p.cfg.Candidates {
+			ss.gPredicted = append(ss.gPredicted, p.cfg.Reg.Gauge("planner_predicted_perid_ns",
+				obs.LabelTable, t.Name, obs.LabelShard, shard, obs.LabelTech, tech.Key()))
 		}
 		ss.gActive.Set(int64(t.Initial))
 		mt.shards = append(mt.shards, ss)
@@ -287,16 +291,20 @@ func (p *Planner) ReplanNow() []Decision {
 	// Sample under the planner lock: the sampler is single-threaded, and
 	// one coherent window per pass keeps every shard's decision reading
 	// the same snapshot.
+	type slot struct {
+		t    *managedTable
+		ss   *shardState
+		sigs map[core.Technique]Signal
+	}
+	var slots []slot
 	p.mu.Lock()
-	tables := append([]*managedTable(nil), p.tables...)
-	sigs := map[string]map[core.Technique]Signal{}
-	for _, t := range tables {
+	for _, t := range p.tables {
 		for _, ss := range t.shards {
-			m := make(map[core.Technique]Signal, len(p.cfg.Candidates))
+			sigs := make(map[core.Technique]Signal, len(p.cfg.Candidates))
 			for _, tech := range p.cfg.Candidates {
-				m[tech] = p.sampler.sample(tech, ss.label)
+				sigs[tech] = p.sampler.sample(tech, ss.label, ss.replicas)
 			}
-			sigs[ss.label] = m
+			slots = append(slots, slot{t, ss, sigs})
 		}
 	}
 	p.mu.Unlock()
@@ -304,23 +312,13 @@ func (p *Planner) ReplanNow() []Decision {
 	// Decide + swap, one goroutine per shard: different shards of one
 	// table (and of different tables) drift independently, so their
 	// prepare→install→drain lifecycles run concurrently.
-	type slot struct {
-		t  *managedTable
-		ss *shardState
-	}
-	var slots []slot
-	for _, t := range tables {
-		for _, ss := range t.shards {
-			slots = append(slots, slot{t, ss})
-		}
-	}
 	decisions := make([]Decision, len(slots))
 	var wg sync.WaitGroup
 	for i, s := range slots {
 		wg.Add(1)
 		go func(i int, s slot) {
 			defer wg.Done()
-			decisions[i] = p.replanShard(s.t, s.ss, sigs[s.ss.label])
+			decisions[i] = p.replanShard(s.t, s.ss, s.sigs)
 		}(i, s)
 	}
 	wg.Wait()
@@ -352,13 +350,11 @@ func (p *Planner) replanShard(t *managedTable, ss *shardState, sigs map[core.Tec
 		Observed:  cur.Observed(),
 		PerIDNs:   make(map[core.Technique]float64, len(p.cfg.Candidates)),
 	}
-	shard := strconv.Itoa(ss.idx)
 	best, bestCost := ss.current, predictPerID(ss.current, t.Rows, t.Dim, batch, cur)
-	for _, tech := range p.cfg.Candidates {
+	for i, tech := range p.cfg.Candidates {
 		cost := predictPerID(tech, t.Rows, t.Dim, batch, sigs[tech])
 		d.PerIDNs[tech] = cost
-		p.cfg.Reg.Gauge("planner_predicted_perid_ns",
-			obs.LabelTable, t.Name, obs.LabelShard, shard, obs.LabelTech, tech.Key()).Set(int64(cost))
+		ss.gPredicted[i].Set(int64(cost))
 		if cost < bestCost {
 			best, bestCost = tech, cost
 		}
@@ -492,8 +488,13 @@ func (p *Planner) swapShard(t *managedTable, ss *shardState, tech core.Technique
 	ss.lastSwap = time.Now()
 	ss.gActive.Set(int64(tech))
 	p.mSwap.Inc()
-	p.cfg.Reg.Counter("planner_swap_tech_total",
-		obs.LabelTable, t.Name, obs.LabelShard, strconv.Itoa(ss.idx), obs.LabelTech, tech.Key()).Inc()
+	c, ok := ss.cSwapTech[tech]
+	if !ok {
+		c = p.cfg.Reg.Counter("planner_swap_tech_total",
+			obs.LabelTable, t.Name, obs.LabelShard, strconv.Itoa(ss.idx), obs.LabelTech, tech.Key())
+		ss.cSwapTech[tech] = c
+	}
+	c.Inc()
 	return nil
 }
 

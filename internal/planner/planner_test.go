@@ -11,10 +11,20 @@ import (
 	"secemb/internal/profile"
 )
 
-func buildFor(rows, dim int, seed int64, reg *obs.Registry) func(int, core.Technique) (core.Generator, error) {
+func buildFor(rows, dim int, seed int64) func(int, core.Technique) (core.Generator, error) {
 	return func(_ int, tech core.Technique) (core.Generator, error) {
-		return core.New(tech, rows, dim, core.Options{Seed: seed, Threads: 1, Obs: reg})
+		return core.New(tech, rows, dim, core.Options{Seed: seed, Threads: 1})
 	}
+}
+
+// scanSwappable is a swap point serving a small batched scan.
+func scanSwappable(t *testing.T, rows, dim int) *Swappable {
+	t.Helper()
+	g, err := buildFor(rows, dim, 1)(0, core.LinearScanBatched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSwappable(g)
 }
 
 // oneShard wraps a single replica as the one-shard Table.Shards shape most
@@ -22,7 +32,7 @@ func buildFor(rows, dim int, seed int64, reg *obs.Registry) func(int, core.Techn
 func oneShard(sw *Swappable) [][]*Swappable { return [][]*Swappable{{sw}} }
 
 func TestSwappableInstallSwitchesGenerator(t *testing.T) {
-	build := buildFor(64, 8, 1, nil)
+	build := buildFor(64, 8, 1)
 	scan, err := build(0, core.LinearScanBatched)
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +66,18 @@ func TestSwappableInstallSwitchesGenerator(t *testing.T) {
 	if sw.Swaps() != 1 {
 		t.Fatalf("Swaps() = %d, want 1", sw.Swaps())
 	}
+	// Each batch was recorded against the technique that served it, and the
+	// swap reset nothing.
+	for _, tech := range []core.Technique{core.LinearScanBatched, core.DHE} {
+		if c := sw.servedBy(tech); c.calls.Load() != 1 || c.ids.Load() != 2 || c.ns.Load() <= 0 {
+			t.Fatalf("%s served %d calls/%d ids/%d ns, want 1/2/>0",
+				tech.Key(), c.calls.Load(), c.ids.Load(), c.ns.Load())
+		}
+	}
 }
 
 func TestSwappableCarriesThreadsAcrossInstall(t *testing.T) {
-	build := buildFor(64, 8, 1, nil)
+	build := buildFor(64, 8, 1)
 	g1, _ := build(0, core.LinearScanBatched)
 	sw := NewSwappable(g1)
 	sw.SetThreads(1)
@@ -97,26 +115,25 @@ func TestAnalyticModelRegimes(t *testing.T) {
 	}
 }
 
-// observe simulates one served batch on one shard's stream in the registry
-// aggregates the sampler reads — the planner's signals are exactly these
-// public numbers. An empty shard writes the unlabeled (table-wide) stream.
-func observe(reg *obs.Registry, tech core.Technique, shard string, batch int, lat time.Duration) {
-	labels := metricLabels(tech, shard)
-	reg.Counter("core_generate_total", labels...).Inc()
-	reg.Counter("core_generate_ids_total", labels...).Add(int64(batch))
-	reg.Histogram("core_generate_ns", labels...).ObserveDuration(lat)
+// observe records one served batch of tech at a swap point exactly as
+// Swappable.Generate does, with a latency the test dictates — the planner's
+// signals are these public numbers and nothing else.
+func observe(sw *Swappable, tech core.Technique, batch int, lat time.Duration) {
+	sw.servedBy(tech).record(batch, lat)
 }
 
 func TestSamplerWindowsAndEWMA(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newSampler(reg, 0.5)
+	// Two replicas of one shard: the stream is their sum.
+	replicas := []*Swappable{scanSwappable(t, 64, 8), scanSwappable(t, 64, 8)}
+	s := newSampler(0.5)
+	shard := ShardLabel("t", 0)
 
-	if sig := s.sample(core.DHE, ""); sig.Observed() {
+	if sig := s.sample(core.DHE, shard, replicas); sig.Observed() {
 		t.Fatalf("idle technique reports Observed: %+v", sig)
 	}
-	observe(reg, core.DHE, "", 8, 2*time.Millisecond)
-	observe(reg, core.DHE, "", 8, 2*time.Millisecond)
-	sig := s.sample(core.DHE, "")
+	observe(replicas[0], core.DHE, 8, 2*time.Millisecond)
+	observe(replicas[1], core.DHE, 8, 2*time.Millisecond)
+	sig := s.sample(core.DHE, shard, replicas)
 	if sig.Batches != 2 || sig.IDs != 16 {
 		t.Fatalf("window deltas = %d batches/%d ids, want 2/16", sig.Batches, sig.IDs)
 	}
@@ -127,28 +144,32 @@ func TestSamplerWindowsAndEWMA(t *testing.T) {
 		t.Fatalf("first EWMA = %g, want seed 2e6", sig.EWMANs)
 	}
 	// A faster window pulls the EWMA halfway (alpha 0.5).
-	observe(reg, core.DHE, "", 8, 1*time.Millisecond)
-	sig = s.sample(core.DHE, "")
+	observe(replicas[0], core.DHE, 8, 1*time.Millisecond)
+	sig = s.sample(core.DHE, shard, replicas)
 	if sig.EWMANs != 1.5e6 {
 		t.Fatalf("EWMA after 1ms window = %g, want 1.5e6", sig.EWMANs)
 	}
 	// An idle window leaves the EWMA standing.
-	sig = s.sample(core.DHE, "")
+	sig = s.sample(core.DHE, shard, replicas)
 	if sig.Batches != 0 || sig.EWMANs != 1.5e6 {
 		t.Fatalf("idle window mutated signal: %+v", sig)
+	}
+	// Another technique's traffic at the same swap points is another stream.
+	if sig := s.sample(core.LinearScanBatched, shard, replicas); sig.Observed() {
+		t.Fatalf("scanb stream picked up DHE traffic: %+v", sig)
 	}
 }
 
 // TestSamplerKeysStreamsPerShard pins the v2 invariant: the same technique
 // on different shards is two independent EWMA streams.
 func TestSamplerKeysStreamsPerShard(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newSampler(reg, 1)
+	s := newSampler(1)
 	s0, s1 := ShardLabel("t", 0), ShardLabel("t", 1)
-	observe(reg, core.DHE, s0, 4, 8*time.Millisecond)
-	observe(reg, core.DHE, s1, 64, 1*time.Millisecond)
-	sig0 := s.sample(core.DHE, s0)
-	sig1 := s.sample(core.DHE, s1)
+	r0, r1 := []*Swappable{scanSwappable(t, 64, 8)}, []*Swappable{scanSwappable(t, 64, 8)}
+	observe(r0[0], core.DHE, 4, 8*time.Millisecond)
+	observe(r1[0], core.DHE, 64, 1*time.Millisecond)
+	sig0 := s.sample(core.DHE, s0, r0)
+	sig1 := s.sample(core.DHE, s1, r1)
 	if sig0.EWMANs != 8e6 || sig0.EWMABatch != 4 {
 		t.Fatalf("shard 0 signal = %+v, want 8e6ns @ batch 4", sig0)
 	}
@@ -157,46 +178,44 @@ func TestSamplerKeysStreamsPerShard(t *testing.T) {
 	}
 }
 
-// TestSamplerClampsOnCounterReset: a rebuilt generator on a fresh registry
-// restarts its aggregates, so the sampler's next raw delta goes negative.
-// The window must clamp to idle — a negative window would poison the EWMA
-// with negative latencies — and the following window must be clean.
-func TestSamplerClampsOnCounterReset(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newSampler(reg, 0.5)
-	shard := ShardLabel("t", 0)
-	observe(reg, core.DHE, shard, 8, 2*time.Millisecond)
-	sig := s.sample(core.DHE, shard)
-	if sig.EWMANs != 2e6 {
-		t.Fatalf("seed EWMA = %g, want 2e6", sig.EWMANs)
+// TestNilRegistryPlannerObservesTraffic: the planner measures at its own
+// swap points, so one built without a registry (the self-hosted
+// `secembd -soak -plan`, the leakcheck target) sees exactly what one with a
+// registry sees. Real Generate traffic on shard 1 only must surface as an
+// observed incumbent at the driven batch size there, and leave idle shard 0
+// on the analytic prior.
+func TestNilRegistryPlannerObservesTraffic(t *testing.T) {
+	const rows, dim, batch = 64, 8, 5
+	sws := []*Swappable{scanSwappable(t, rows, dim), scanSwappable(t, rows, dim)}
+	p := New(Config{})
+	if err := p.Manage(Table{
+		Name: "t", Rows: rows, Dim: dim, Build: buildFor(rows, dim, 1),
+		Shards:  [][]*Swappable{{sws[0]}, {sws[1]}},
+		Initial: core.LinearScanBatched,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// Simulate the reset: the aggregates fall below the sampler's anchors
-	// (a fresh registry restarts them at zero and re-accumulates less than
-	// the old total).
-	labels := metricLabels(core.DHE, shard)
-	reg.Counter("core_generate_total", labels...).Add(-1)
-	reg.Counter("core_generate_ids_total", labels...).Add(-8)
-	reg.Histogram("core_generate_ns", labels...).Observe(-2 * int64(time.Millisecond))
-	sig = s.sample(core.DHE, shard)
-	if sig.Batches != 0 || sig.IDs != 0 || sig.MeanNs != 0 {
-		t.Fatalf("reset window not clamped to idle: %+v", sig)
+	for i := 0; i < 3; i++ {
+		if _, err := sws[1].Generate([]uint64{1, 2, 3, 4, 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sig.EWMANs != 2e6 || sig.EWMABatch != 8 {
-		t.Fatalf("reset window mutated EWMAs: %+v", sig)
+	byShard := map[int]Decision{}
+	for _, d := range p.ReplanNow() {
+		byShard[d.Shard] = d
 	}
-	// The anchors re-set on the clamped read, so the next real window folds
-	// in cleanly.
-	observe(reg, core.DHE, shard, 8, 1*time.Millisecond)
-	sig = s.sample(core.DHE, shard)
-	if sig.Batches != 1 || sig.EWMANs != 1.5e6 {
-		t.Fatalf("post-reset window = %+v, want 1 batch pulling EWMA to 1.5e6", sig)
+	if d := byShard[1]; !d.Observed || d.MeanBatch != batch {
+		t.Fatalf("shard 1 decision = %+v, want observed incumbent at mean batch %d", d, batch)
+	}
+	if d := byShard[0]; d.Observed {
+		t.Fatalf("idle shard 0 decision = %+v, want analytic prior (not observed)", d)
 	}
 }
 
 func TestPlannerSwapsOnObservedCrossover(t *testing.T) {
 	reg := obs.NewRegistry()
 	rows, dim := 512, 16
-	build := buildFor(rows, dim, 1, reg)
+	build := buildFor(rows, dim, 1)
 	scan, err := build(0, core.LinearScanBatched)
 	if err != nil {
 		t.Fatal(err)
@@ -214,11 +233,10 @@ func TestPlannerSwapsOnObservedCrossover(t *testing.T) {
 	// Feed observed signals that invert the analytic prior for this tiny
 	// table: the scan measured catastrophically slow, DHE fast at the same
 	// batch size. The model must follow the measurements.
-	shard := ShardLabel("t", 0)
 	for i := 0; i < 4; i++ {
-		observe(reg, core.LinearScanBatched, shard, 8, 80*time.Millisecond)
-		observe(reg, core.DHE, shard, 8, 100*time.Microsecond)
-		observe(reg, core.CircuitORAM, shard, 8, 50*time.Millisecond)
+		observe(sw, core.LinearScanBatched, 8, 80*time.Millisecond)
+		observe(sw, core.DHE, 8, 100*time.Microsecond)
+		observe(sw, core.CircuitORAM, 8, 50*time.Millisecond)
 	}
 	ds := p.ReplanNow()
 	if len(ds) != 1 {
@@ -249,7 +267,7 @@ func TestPlannerSwapsOnObservedCrossover(t *testing.T) {
 func TestPlannerShardsDivergeAndSwapIndependently(t *testing.T) {
 	reg := obs.NewRegistry()
 	rows, dim := 512, 16
-	build := buildFor(rows, dim, 1, reg)
+	build := buildFor(rows, dim, 1)
 	sws := make([]*Swappable, 2)
 	for i := range sws {
 		g, err := build(i, core.LinearScanBatched)
@@ -269,11 +287,10 @@ func TestPlannerShardsDivergeAndSwapIndependently(t *testing.T) {
 
 	// Shard 0's scan measured catastrophically slow with DHE fast; shard 1's
 	// scan measured fast. One pass must swap shard 0 and keep shard 1.
-	s0, s1 := ShardLabel("t", 0), ShardLabel("t", 1)
 	for i := 0; i < 4; i++ {
-		observe(reg, core.LinearScanBatched, s0, 8, 80*time.Millisecond)
-		observe(reg, core.DHE, s0, 8, 100*time.Microsecond)
-		observe(reg, core.LinearScanBatched, s1, 8, 50*time.Microsecond)
+		observe(sws[0], core.LinearScanBatched, 8, 80*time.Millisecond)
+		observe(sws[0], core.DHE, 8, 100*time.Microsecond)
+		observe(sws[1], core.LinearScanBatched, 8, 50*time.Microsecond)
 	}
 	ds := p.ReplanNow()
 	if len(ds) != 2 {
@@ -315,7 +332,7 @@ func TestPlannerShardsDivergeAndSwapIndependently(t *testing.T) {
 
 func TestForceSwapShardLeavesSiblings(t *testing.T) {
 	reg := obs.NewRegistry()
-	build := buildFor(256, 8, 1, reg)
+	build := buildFor(256, 8, 1)
 	sws := make([]*Swappable, 2)
 	for i := range sws {
 		g, _ := build(i, core.LinearScanBatched)
@@ -349,7 +366,7 @@ func TestForceSwapShardLeavesSiblings(t *testing.T) {
 func TestPlannerHysteresisHoldsIncumbent(t *testing.T) {
 	reg := obs.NewRegistry()
 	rows, dim := 512, 16
-	build := buildFor(rows, dim, 1, reg)
+	build := buildFor(rows, dim, 1)
 	scan, _ := build(0, core.LinearScanBatched)
 	sw := NewSwappable(scan)
 	p := New(Config{Reg: reg, MinDwell: time.Nanosecond, Hysteresis: 0.5, Alpha: 1})
@@ -360,10 +377,9 @@ func TestPlannerHysteresisHoldsIncumbent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DHE measured only marginally faster: inside the 50% hysteresis band.
-	shard := ShardLabel("t", 0)
-	observe(reg, core.LinearScanBatched, shard, 8, 1000*time.Microsecond)
-	observe(reg, core.DHE, shard, 8, 900*time.Microsecond)
-	observe(reg, core.CircuitORAM, shard, 8, 5000*time.Microsecond)
+	observe(sw, core.LinearScanBatched, 8, 1000*time.Microsecond)
+	observe(sw, core.DHE, 8, 900*time.Microsecond)
+	observe(sw, core.CircuitORAM, 8, 5000*time.Microsecond)
 	d := p.ReplanNow()[0]
 	if d.Swapped {
 		t.Fatalf("swapped inside hysteresis band: %+v", d)
@@ -376,7 +392,7 @@ func TestPlannerHysteresisHoldsIncumbent(t *testing.T) {
 func TestPlannerDwellBlocksBackToBackSwaps(t *testing.T) {
 	reg := obs.NewRegistry()
 	rows, dim := 512, 16
-	build := buildFor(rows, dim, 1, reg)
+	build := buildFor(rows, dim, 1)
 	scan, _ := build(0, core.LinearScanBatched)
 	sw := NewSwappable(scan)
 	p := New(Config{Reg: reg, MinDwell: time.Hour, Hysteresis: 0.01, Alpha: 1})
@@ -386,10 +402,9 @@ func TestPlannerDwellBlocksBackToBackSwaps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	shard := ShardLabel("t", 0)
-	observe(reg, core.LinearScanBatched, shard, 8, 80*time.Millisecond)
-	observe(reg, core.DHE, shard, 8, 100*time.Microsecond)
-	observe(reg, core.CircuitORAM, shard, 8, 50*time.Millisecond)
+	observe(sw, core.LinearScanBatched, 8, 80*time.Millisecond)
+	observe(sw, core.DHE, 8, 100*time.Microsecond)
+	observe(sw, core.CircuitORAM, 8, 50*time.Millisecond)
 	d := p.ReplanNow()[0]
 	if d.Swapped || d.Reason != "dwell" {
 		t.Fatalf("decision = %+v, want dwell hold (tables were registered just now)", d)
@@ -398,7 +413,7 @@ func TestPlannerDwellBlocksBackToBackSwaps(t *testing.T) {
 
 func TestForceSwapBypassesModel(t *testing.T) {
 	reg := obs.NewRegistry()
-	build := buildFor(256, 8, 1, reg)
+	build := buildFor(256, 8, 1)
 	scan, _ := build(0, core.LinearScanBatched)
 	sw := NewSwappable(scan)
 	p := New(Config{Reg: reg})
@@ -424,7 +439,7 @@ func TestForceSwapBypassesModel(t *testing.T) {
 
 func TestSwapBuildFailureKeepsIncumbent(t *testing.T) {
 	reg := obs.NewRegistry()
-	goodBuild := buildFor(256, 8, 1, reg)
+	goodBuild := buildFor(256, 8, 1)
 	scan, _ := goodBuild(0, core.LinearScanBatched)
 	sw := NewSwappable(scan)
 	p := New(Config{Reg: reg})
@@ -453,7 +468,7 @@ func TestSwapBuildFailureKeepsIncumbent(t *testing.T) {
 
 func TestStartStopLoop(t *testing.T) {
 	reg := obs.NewRegistry()
-	build := buildFor(128, 8, 1, reg)
+	build := buildFor(128, 8, 1)
 	scan, _ := build(0, core.LinearScanBatched)
 	sw := NewSwappable(scan)
 	p := New(Config{Reg: reg, Interval: time.Millisecond})
@@ -488,21 +503,18 @@ func TestStartStopLoop(t *testing.T) {
 // the observing planner would make) instead of the analytic priors.
 func TestCostModelRoundTripSkipsWarmup(t *testing.T) {
 	rows, dim := 512, 16
-	shard := ShardLabel("t", 0)
 
 	// First life: observe the prior-inverting signals and export.
-	regA := obs.NewRegistry()
-	pA := New(Config{Reg: regA, MinDwell: time.Hour, Alpha: 1})
-	buildA := buildFor(rows, dim, 1, regA)
-	scanA, _ := buildA(0, core.LinearScanBatched)
+	pA := New(Config{MinDwell: time.Hour, Alpha: 1})
+	swA := scanSwappable(t, rows, dim)
 	if err := pA.Manage(Table{
-		Name: "t", Rows: rows, Dim: dim, Build: buildA,
-		Shards: oneShard(NewSwappable(scanA)), Initial: core.LinearScanBatched,
+		Name: "t", Rows: rows, Dim: dim, Build: buildFor(rows, dim, 1),
+		Shards: oneShard(swA), Initial: core.LinearScanBatched,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	observe(regA, core.LinearScanBatched, shard, 8, 80*time.Millisecond)
-	observe(regA, core.DHE, shard, 8, 100*time.Microsecond)
+	observe(swA, core.LinearScanBatched, 8, 80*time.Millisecond)
+	observe(swA, core.DHE, 8, 100*time.Microsecond)
 	pA.ReplanNow() // folds the window into the sampler EWMAs (dwell blocks the swap)
 
 	m := pA.ExportCostModel()
@@ -514,14 +526,14 @@ func TestCostModelRoundTripSkipsWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: a fresh planner + registry with zero traffic. Unseeded, its
+	// Restart: a fresh planner with zero traffic. Unseeded, its
 	// first decision runs on analytic priors (Observed=false, no swap for
 	// this tiny table); seeded from the file, the first decision predicts
 	// from the persisted EWMAs and swaps immediately.
 	fresh := func(seeded bool) Decision {
 		reg := obs.NewRegistry()
 		p := New(Config{Reg: reg, MinDwell: time.Nanosecond, Hysteresis: 0.1, Alpha: 1})
-		build := buildFor(rows, dim, 1, reg)
+		build := buildFor(rows, dim, 1)
 		scan, _ := build(0, core.LinearScanBatched)
 		if err := p.Manage(Table{
 			Name: "t", Rows: rows, Dim: dim, Build: build,

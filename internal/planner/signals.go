@@ -1,20 +1,17 @@
 package planner
 
-import (
-	"secemb/internal/core"
-	"secemb/internal/obs"
-)
+import "secemb/internal/core"
 
 // Signal is one technique's observed service window on one shard:
-// aggregate counts and latencies sampled from the obs registry between two
-// planner passes.
+// aggregate counts and latencies sampled from the shard's swap points
+// between two planner passes.
 //
 // Every field is public in the threat model (§V-B): batch *sizes* and
 // *latencies* are observable by the adversary anyway, and none of them is
-// derived from individual ids — the instrumentation they come from
-// (core.InstrumentShard) records counts and clocks only. The planner never
-// sees an id, and the shard label is deployment topology (which replica
-// group a generator serves), not request data.
+// derived from individual ids — Swappable.Generate, the one place they are
+// recorded, adds len(ids) and a clock difference and nothing else. The
+// planner never sees an id, and the shard label is deployment topology
+// (which replica group a generator serves), not request data.
 type Signal struct {
 	// Batches and IDs are the window's Generate calls and total ids served.
 	Batches int64
@@ -36,21 +33,17 @@ type Signal struct {
 // Observed reports whether the technique has ever been measured.
 func (s Signal) Observed() bool { return s.EWMANs > 0 }
 
-// sampleKey identifies one EWMA stream: a technique on a shard. The empty
-// shard label is the table-wide aggregate stream (single-shard tables and
-// pre-v2 callers).
+// sampleKey identifies one EWMA stream: a technique on a shard (the
+// shard's ShardLabel).
 type sampleKey struct {
 	tech  core.Technique
 	shard string
 }
 
-// sampler turns the monotonically increasing per-(technique, shard)
-// aggregates of core.InstrumentShard (core_generate_total /
-// core_generate_ids_total / core_generate_ns) into windowed deltas and
-// EWMAs. One sampler belongs to one planner; callers serialize access
-// (the planner samples under its own lock).
+// sampler turns the monotone per-technique totals of a shard's swap points
+// into windowed deltas and EWMAs. One sampler belongs to one planner;
+// callers serialize access (the planner samples under its own lock).
 type sampler struct {
-	reg   *obs.Registry
 	alpha float64
 	state map[sampleKey]*sampleState
 }
@@ -60,44 +53,35 @@ type sampleState struct {
 	sig               Signal
 }
 
-func newSampler(reg *obs.Registry, alpha float64) *sampler {
-	return &sampler{reg: reg, alpha: alpha, state: map[sampleKey]*sampleState{}}
+func newSampler(alpha float64) *sampler {
+	return &sampler{alpha: alpha, state: map[sampleKey]*sampleState{}}
 }
 
-// metricLabels renders the label set one (technique, shard) stream reads.
-func metricLabels(tech core.Technique, shard string) []string {
-	if shard == "" {
-		return []string{obs.LabelTech, tech.Key()}
-	}
-	return []string{obs.LabelTech, tech.Key(), obs.LabelShard, shard}
-}
-
-// sample reads the (technique, shard) aggregates, folds the delta since
-// the last call into the EWMA, and returns the up-to-date signal.
-func (s *sampler) sample(tech core.Technique, shard string) Signal {
+func (s *sampler) stream(tech core.Technique, shard string) *sampleState {
 	k := sampleKey{tech: tech, shard: shard}
 	st, ok := s.state[k]
 	if !ok {
 		st = &sampleState{}
 		s.state[k] = st
 	}
-	labels := metricLabels(tech, shard)
-	calls := s.reg.Counter("core_generate_total", labels...).Value()
-	ids := s.reg.Counter("core_generate_ids_total", labels...).Value()
-	sumNs := s.reg.Histogram("core_generate_ns", labels...).Sum()
+	return st
+}
 
+// sample sums tech's totals over the shard's replicas, folds the delta
+// since the last call into the EWMA, and returns the up-to-date signal.
+func (s *sampler) sample(tech core.Technique, shard string, replicas []*Swappable) Signal {
+	st := s.stream(tech, shard)
+	var calls, ids, sumNs int64
+	for _, sw := range replicas {
+		c := sw.servedBy(tech)
+		calls += c.calls.Load()
+		ids += c.ids.Load()
+		sumNs += c.ns.Load()
+	}
 	dCalls := calls - st.calls
 	dIDs := ids - st.ids
 	dSum := sumNs - st.sumNs
 	st.calls, st.ids, st.sumNs = calls, ids, sumNs
-	// Counters can move backwards across a hot-swap: a rebuilt generator on
-	// a fresh registry restarts its aggregates at zero, so the raw delta
-	// goes negative. A negative window is meaningless (and would poison the
-	// EWMA with negative latencies), so clamp it to idle — the absolute
-	// readings above already re-anchored, and the next window is clean.
-	if dCalls < 0 || dIDs < 0 || dSum < 0 {
-		dCalls, dIDs, dSum = 0, 0, 0
-	}
 
 	sig := st.sig
 	sig.Batches, sig.IDs, sig.MeanBatch, sig.MeanNs = dCalls, dIDs, 0, 0
@@ -123,20 +107,7 @@ func (s *sampler) seed(tech core.Technique, shard string, ewmaNs, ewmaBatch floa
 	if ewmaNs <= 0 {
 		return
 	}
-	k := sampleKey{tech: tech, shard: shard}
-	st, ok := s.state[k]
-	if !ok {
-		st = &sampleState{}
-		s.state[k] = st
-	}
+	st := s.stream(tech, shard)
 	st.sig.EWMANs = ewmaNs
 	st.sig.EWMABatch = ewmaBatch
-}
-
-// signal reads a stream's current signal without sampling a new window.
-func (s *sampler) signal(tech core.Technique, shard string) Signal {
-	if st, ok := s.state[sampleKey{tech: tech, shard: shard}]; ok {
-		return st.sig
-	}
-	return Signal{}
 }

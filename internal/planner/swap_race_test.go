@@ -38,7 +38,8 @@ func (g *retireGuard) Generate(ids []uint64) (*tensor.Matrix, error) {
 // dropped/errored requests, and zero reads of a drained (retired)
 // generator. Run under -race (the Makefile race target covers this
 // package) it additionally proves the install path is data-race-free
-// against in-flight Generates.
+// against in-flight Generates and against the sampler reading the swap
+// points' counters mid-fire.
 func TestSwapUnderFire(t *testing.T) {
 	const (
 		rows, dim = 256, 16
@@ -139,6 +140,7 @@ func TestSwapUnderFire(t *testing.T) {
 			g.retired.Store(true)
 		}
 		time.Sleep(5 * time.Millisecond) // let traffic flow on the new generation
+		p.ReplanNow()                    // the sampler reads the swap points' counters while Generates write them
 	}
 	close(stop)
 	wg.Wait()

@@ -3,16 +3,32 @@ package planner
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"secemb/internal/core"
 	"secemb/internal/tensor"
 )
 
+// served is one technique's lifetime service totals at one swap point:
+// batches, ids and elapsed nanoseconds. Counts and clocks only — the
+// planner's whole view of traffic — and monotone, because the swap point
+// owns them and never resets them.
+type served struct {
+	calls, ids, ns atomic.Int64
+}
+
+func (c *served) record(batch int, elapsed time.Duration) {
+	c.calls.Add(1)
+	c.ids.Add(int64(batch))
+	c.ns.Add(int64(elapsed))
+}
+
 // genBox is the unit of atomic installation: one immutable holder per
 // installed generator, so a single pointer swap switches every subsequent
-// Generate to the new representation.
+// Generate to the new representation and to its technique's counters.
 type genBox struct {
-	gen core.Generator
+	gen    core.Generator
+	served *served
 }
 
 // Swappable is the hot-swap point the planner installs behind a serving
@@ -34,11 +50,18 @@ type genBox struct {
 // keeps the inner generator single-threaded. The drain barrier is a
 // read-write lock rather than a bare atomic so that Install's hand-back
 // guarantee holds even for callers outside the serving stack.
+//
+// Swappable is also where the planner measures: every Generate is counted
+// and timed against the installed technique, and the sampler windows those
+// totals per shard.
 type Swappable struct {
 	mu      sync.RWMutex // readers: Generate/SetThreads; writer: Install's drain barrier
 	cur     atomic.Pointer[genBox]
 	threads atomic.Int64 // last SetThreads value; < 0 when never set
 	swaps   atomic.Int64
+
+	byTechMu sync.Mutex // guards the map, not the counters in it
+	byTech   map[core.Technique]*served
 }
 
 // NewSwappable wraps the initial generator. The planner (or tests) install
@@ -48,23 +71,47 @@ func NewSwappable(initial core.Generator) *Swappable {
 	if initial == nil {
 		panic("planner: NewSwappable needs a non-nil initial generator")
 	}
-	s := &Swappable{}
+	s := &Swappable{byTech: map[core.Technique]*served{}}
 	s.threads.Store(-1)
-	s.cur.Store(&genBox{gen: initial})
+	s.cur.Store(s.box(initial))
 	return s
 }
 
-// Generate forwards the batch to the currently installed generator. The
-// read-lock spans the call so Install's drain barrier can wait out
-// in-flight batches; the generator pointer itself is read with one atomic
-// load, so steady-state overhead is a lock-free RLock plus a pointer read.
+// servedBy returns tech's counters at this swap point, creating them on
+// first use.
+func (s *Swappable) servedBy(tech core.Technique) *served {
+	s.byTechMu.Lock()
+	defer s.byTechMu.Unlock()
+	c, ok := s.byTech[tech]
+	if !ok {
+		c = &served{}
+		s.byTech[tech] = c
+	}
+	return c
+}
+
+func (s *Swappable) box(g core.Generator) *genBox {
+	return &genBox{gen: g, served: s.servedBy(g.Technique())}
+}
+
+// Generate forwards the batch to the currently installed generator and
+// records it — one call, len(ids) ids, the elapsed time — against the
+// installed technique. The read-lock spans the call so Install's drain
+// barrier can wait out in-flight batches; the generator pointer itself is
+// read with one atomic load, so steady-state overhead is a lock-free RLock,
+// a pointer read, two clock reads and three atomic adds. What is recorded
+// depends on the batch's size and duration, never on an id.
 //
 // secemb:secret ids
 // secemb:audit planner
 func (s *Swappable) Generate(ids []uint64) (*tensor.Matrix, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cur.Load().gen.Generate(ids)
+	box := s.cur.Load()
+	start := time.Now()
+	out, err := box.gen.Generate(ids)
+	box.served.record(len(ids), time.Since(start))
+	return out, err
 }
 
 // Install atomically publishes g as the serving generator and returns the
@@ -80,7 +127,7 @@ func (s *Swappable) Install(g core.Generator) core.Generator {
 	if t := s.threads.Load(); t >= 0 {
 		g.SetThreads(int(t))
 	}
-	old := s.cur.Swap(&genBox{gen: g})
+	old := s.cur.Swap(s.box(g))
 	// Drain barrier: every in-flight Generate that loaded old holds the
 	// read lock; acquiring the write lock waits them all out. Generates
 	// admitted after the pointer swap run on g and are unaffected.

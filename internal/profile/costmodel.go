@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
 
 	"secemb/internal/obs"
 )
@@ -24,8 +22,7 @@ import (
 
 // CostEntry is one fitted EWMA stream: a technique observed on a shard.
 type CostEntry struct {
-	// Shard is the planner's shard label ("table/index"; "" for the
-	// table-wide aggregate stream).
+	// Shard is the planner's shard label ("table/index").
 	Shard string `json:"shard"`
 	// Tech is the technique key (core.Technique.Key()).
 	Tech string `json:"tech"`
@@ -38,35 +35,17 @@ type CostEntry struct {
 // CostModel is the serialized planner state plus the machine fingerprint
 // it was measured on.
 type CostModel struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
+	Fingerprint
 
 	Entries []CostEntry `json:"entries"`
 }
 
 // NewCostModel stamps entries with this machine's fingerprint.
 func NewCostModel(entries []CostEntry) CostModel {
-	return CostModel{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Entries:    entries,
-	}
+	return CostModel{Fingerprint: currentFingerprint(), Entries: entries}
 }
 
-// Matches reports whether the recorded fingerprint describes the running
-// machine.
-func (m CostModel) Matches() bool {
-	return m.GOMAXPROCS == runtime.GOMAXPROCS(0) && m.NumCPU == runtime.NumCPU()
-}
-
-// SaveCostModel writes the model as JSON.
-func SaveCostModel(w io.Writer, m CostModel) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// LoadCostModel reads a model written by SaveCostModel, validating that
+// LoadCostModel reads a model written by SaveCostModelFile, validating that
 // every entry is a usable observation.
 func LoadCostModel(r io.Reader) (CostModel, error) {
 	var m CostModel
@@ -85,47 +64,17 @@ func LoadCostModel(r io.Reader) (CostModel, error) {
 	return m, nil
 }
 
-// SaveCostModelFile / LoadCostModelFile are path conveniences.
-func SaveCostModelFile(path string, m CostModel) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveCostModel(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// SaveCostModelFile writes the model to path as JSON.
+func SaveCostModelFile(path string, m CostModel) error { return saveJSONFile(path, m) }
 
 // LoadCostModelFile reads a cost model from disk.
-func LoadCostModelFile(path string) (CostModel, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return CostModel{}, err
-	}
-	defer f.Close()
-	return LoadCostModel(f)
-}
+func LoadCostModelFile(path string) (CostModel, error) { return loadFile(path, LoadCostModel) }
 
 // InstallCostModelFile loads path and returns the model when its
 // fingerprint matches this machine; installed reports whether it did. Like
 // InstallTuneFile, a missing file is not an error and a fingerprint
-// mismatch skips (the planner warms from analytic priors instead) — but
-// the skip is logged and counted
-// (profile_install_skipped_total{kind="costmodel"} in reg; reg may be nil)
-// so operators can tell a stale model from a loaded one.
+// mismatch skips (the planner warms from analytic priors instead), logged
+// and counted under kind="costmodel". reg may be nil.
 func InstallCostModelFile(path string, reg *obs.Registry) (m CostModel, installed bool, err error) {
-	m, err = LoadCostModelFile(path)
-	if os.IsNotExist(err) {
-		return CostModel{}, false, nil
-	}
-	if err != nil {
-		return CostModel{}, false, err
-	}
-	if !m.Matches() {
-		logInstallSkip(reg, "costmodel", path, m.GOMAXPROCS, m.NumCPU)
-		return CostModel{}, false, nil
-	}
-	return m, true, nil
+	return installFile(path, "costmodel", reg, LoadCostModel)
 }

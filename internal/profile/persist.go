@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Persistence for the threshold database: profiling "is done once per
@@ -18,16 +17,16 @@ type dbJSON struct {
 	Thresholds map[string]int `json:"thresholds"` // "batch=B,threads=T" → size
 }
 
-// Save writes the DB as JSON.
-func (db *DB) Save(w io.Writer) error {
+func (db *DB) encoded() dbJSON {
 	out := dbJSON{Dim: db.Dim, Kind: db.Kind.String(), Thresholds: map[string]int{}}
 	for cfg, thr := range db.Thresholds {
 		out.Thresholds[cfg.String()] = thr
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
 }
+
+// Save writes the DB as JSON.
+func (db *DB) Save(w io.Writer) error { return writeJSON(w, db.encoded()) }
 
 // LoadDB reads a DB written by Save.
 func LoadDB(r io.Reader) (*DB, error) {
@@ -54,25 +53,8 @@ func LoadDB(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
-// SaveFile / LoadFile are path conveniences.
-func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// SaveFile writes the DB to path as JSON.
+func (db *DB) SaveFile(path string) error { return saveJSONFile(path, db.encoded()) }
 
 // LoadFile reads a threshold DB from disk.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadDB(f)
-}
+func LoadFile(path string) (*DB, error) { return loadFile(path, LoadDB) }

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"os"
-	"runtime"
 
 	"secemb/internal/obs"
 	"secemb/internal/tensor"
@@ -17,15 +14,13 @@ import (
 // core count and cache geometry, not on the model or any secret, so a
 // deployment can pin a tuned config to disk and skip the startup probe on
 // subsequent runs. The file records the machine shape it was tuned on and
-// Load rejects a config recorded on different hardware — falling back to
-// re-tuning is always safe.
+// InstallTuneFile skips a config recorded on different hardware — falling
+// back to re-tuning is always safe.
 
 // MachineTune is the serialized kernel configuration plus the machine
 // fingerprint it was measured on.
 type MachineTune struct {
-	// GOMAXPROCS and NumCPU identify the machine shape the probe saw.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
+	Fingerprint
 
 	Tune tensor.TuneConfig `json:"tune"`
 }
@@ -33,27 +28,10 @@ type MachineTune struct {
 // CurrentMachineTune captures the installed kernel config with this
 // machine's fingerprint.
 func CurrentMachineTune() MachineTune {
-	return MachineTune{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Tune:       tensor.CurrentTune(),
-	}
+	return MachineTune{Fingerprint: currentFingerprint(), Tune: tensor.CurrentTune()}
 }
 
-// Matches reports whether the recorded fingerprint describes the running
-// machine.
-func (m MachineTune) Matches() bool {
-	return m.GOMAXPROCS == runtime.GOMAXPROCS(0) && m.NumCPU == runtime.NumCPU()
-}
-
-// SaveTune writes the machine tune as JSON.
-func SaveTune(w io.Writer, m MachineTune) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// LoadTune reads a machine tune written by SaveTune.
+// LoadTune reads a machine tune written by SaveTuneFile.
 func LoadTune(r io.Reader) (MachineTune, error) {
 	var m MachineTune
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
@@ -67,56 +45,21 @@ func LoadTune(r io.Reader) (MachineTune, error) {
 	return m, nil
 }
 
-// SaveTuneFile / LoadTuneFile are path conveniences.
-func SaveTuneFile(path string, m MachineTune) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveTune(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// SaveTuneFile writes the machine tune to path as JSON.
+func SaveTuneFile(path string, m MachineTune) error { return saveJSONFile(path, m) }
 
 // LoadTuneFile reads a machine tune from disk.
-func LoadTuneFile(path string) (MachineTune, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return MachineTune{}, err
-	}
-	defer f.Close()
-	return LoadTune(f)
-}
+func LoadTuneFile(path string) (MachineTune, error) { return loadFile(path, LoadTune) }
 
 // InstallTuneFile loads path and installs its config when the fingerprint
 // matches this machine; installed reports whether it did. A missing or
 // mismatched file is not an error — the caller should autotune instead —
-// but a fingerprint skip is never silent: it is logged and counted
-// (profile_install_skipped_total{kind="tune"} in reg) so an operator can
-// tell a stale tune file from a loaded one. reg may be nil.
+// and a mismatch is logged and counted (kind="tune"; see installFile). reg
+// may be nil.
 func InstallTuneFile(path string, reg *obs.Registry) (installed bool, err error) {
-	m, err := LoadTuneFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
+	m, installed, err := installFile(path, "tune", reg, LoadTune)
+	if installed {
+		tensor.SetTune(m.Tune)
 	}
-	if err != nil {
-		return false, err
-	}
-	if !m.Matches() {
-		logInstallSkip(reg, "tune", path, m.GOMAXPROCS, m.NumCPU)
-		return false, nil
-	}
-	tensor.SetTune(m.Tune)
-	return true, nil
-}
-
-// logInstallSkip records one fingerprint-mismatch skip of a persisted
-// profile artifact: a log line for operators and a labeled counter so
-// dashboards can alert on a fleet quietly re-probing every start.
-func logInstallSkip(reg *obs.Registry, kind, path string, recordedProcs, recordedCPUs int) {
-	log.Printf("profile: skipping %s file %s: machine fingerprint mismatch (recorded GOMAXPROCS=%d NumCPU=%d, running GOMAXPROCS=%d NumCPU=%d)",
-		kind, path, recordedProcs, recordedCPUs, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	reg.Counter("profile_install_skipped_total", "kind", kind, "reason", "fingerprint").Inc()
+	return installed, err
 }

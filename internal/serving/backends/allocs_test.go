@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"secemb/internal/core"
-	"secemb/internal/serving"
 )
 
 // TestDLRMPoolSteadyStateAllocs is the end-to-end allocation-regression
@@ -16,18 +15,18 @@ import (
 // tensors.
 func TestDLRMPoolSteadyStateAllocs(t *testing.T) {
 	reps, cfg := newReplicas(t, 1, core.DHE)
-	pool := serving.NewPool(dlrmBackends(reps, 0), 2)
+	pool := perRequestGroup(dlrmBackends(reps, 0), 2)
 	defer pool.Close()
 	dense, sparse := sampleRequest(cfg, 7)
 	req := &DLRMRequest{Dense: dense, Sparse: sparse}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // warm task pool + workspaces
-		if r := pool.Do(ctx, req); r.Err != nil {
+		if r := pool.Do(ctx, 0, req); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
 	allocs := testing.AllocsPerRun(25, func() {
-		if r := pool.Do(ctx, req); r.Err != nil {
+		if r := pool.Do(ctx, 0, req); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	})

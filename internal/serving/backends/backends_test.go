@@ -51,16 +51,26 @@ func dlrmBackends(reps []*dlrm.Pipeline, maxBatch int) []serving.Backend {
 	return out
 }
 
+// perRequestGroup is the per-request baseline: one shard, coalescing
+// disabled, one request per backend execution — the deployment shape the
+// paper's co-location study measures (§IV-C2) and the control arm every
+// coalescing benchmark compares against.
+func perRequestGroup(bes []serving.Backend, queueDepth int) *serving.Group {
+	return serving.NewGroup(bes, serving.GroupConfig{
+		Shards: 1, QueueDepth: queueDepth, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
+	})
+}
+
 func TestDLRMPoolServesCorrectly(t *testing.T) {
 	reps, cfg := newReplicas(t, 2, core.LinearScan)
-	pool := serving.NewPool(dlrmBackends(reps, 0), 4)
+	pool := perRequestGroup(dlrmBackends(reps, 0), 4)
 	defer pool.Close()
 	dense, sparse := sampleRequest(cfg, 3)
 	want, err := reps[0].Predict(dense, sparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := pool.Do(context.Background(), &DLRMRequest{Dense: dense, Sparse: sparse})
+	resp := pool.Do(context.Background(), 0, &DLRMRequest{Dense: dense, Sparse: sparse})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -116,12 +126,12 @@ func TestDLRMMalformedPayloadFailsIndividually(t *testing.T) {
 
 func TestDLRMPoolSurvivesOutOfRangeIDs(t *testing.T) {
 	reps, cfg := newReplicas(t, 1, core.LinearScan)
-	pool := serving.NewPool(dlrmBackends(reps, 0), 2)
+	pool := perRequestGroup(dlrmBackends(reps, 0), 2)
 	defer pool.Close()
 
 	dense, sparse := sampleRequest(cfg, 9)
 	sparse[1][0] = 99999 // far beyond the 70-row table
-	resp := pool.Do(context.Background(), &DLRMRequest{Dense: dense, Sparse: sparse})
+	resp := pool.Do(context.Background(), 0, &DLRMRequest{Dense: dense, Sparse: sparse})
 	if resp.Err == nil {
 		t.Fatal("out-of-range id must produce an error response, not a crash")
 	}
@@ -129,7 +139,7 @@ func TestDLRMPoolSurvivesOutOfRangeIDs(t *testing.T) {
 		t.Fatalf("error = %v, want ErrIDOutOfRange in the chain", resp.Err)
 	}
 	dense2, sparse2 := sampleRequest(cfg, 10)
-	if r := pool.Do(context.Background(), &DLRMRequest{Dense: dense2, Sparse: sparse2}); r.Err != nil {
+	if r := pool.Do(context.Background(), 0, &DLRMRequest{Dense: dense2, Sparse: sparse2}); r.Err != nil {
 		t.Fatalf("valid request after bad one failed: %v", r.Err)
 	}
 	s := pool.Stats()

@@ -77,10 +77,10 @@ func wave(b *testing.B, do func(key uint64, ids []uint64) serving.Response) {
 // gates both entries in BENCH_hotpath.json against regression.
 func BenchmarkServe64SingleRowClients(b *testing.B) {
 	b.Run("per-request", func(b *testing.B) {
-		pool := serving.NewPool(dualBackends(b), benchClients)
+		pool := perRequestGroup(dualBackends(b), benchClients)
 		defer pool.Close()
 		wave(b, func(_ uint64, ids []uint64) serving.Response {
-			return pool.Do(context.Background(), ids)
+			return pool.Do(context.Background(), 0, ids)
 		})
 	})
 

@@ -91,7 +91,7 @@ type shard struct {
 	backends []Backend  // replicas assigned to this shard, in worker order
 }
 
-// Option configures a Group (or Pool) at construction.
+// Option configures a Group at construction.
 type Option func(*Group)
 
 // WithObserver registers the group's metrics in reg:

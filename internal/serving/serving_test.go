@@ -70,22 +70,22 @@ func (b *fakeBackend) batchSizes() []int {
 	return append([]int(nil), b.batches...)
 }
 
-func TestPoolServesCorrectly(t *testing.T) {
+func TestPerRequestGroupServesCorrectly(t *testing.T) {
 	be := &fakeBackend{maxBatch: 4}
-	pool := NewPool([]Backend{be}, 4)
-	defer pool.Close()
-	resp := pool.Do(context.Background(), "payload-7")
+	g := NewGroup([]Backend{be}, GroupConfig{Shards: 1, QueueDepth: 4, Coalesce: CoalesceConfig{MaxBatch: 1}})
+	defer g.Close()
+	resp := g.Do(context.Background(), 0, "payload-7")
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
 	if resp.Value != "payload-7" {
 		t.Fatalf("Value = %v, want payload-7", resp.Value)
 	}
-	// Pool is the per-request baseline: coalescing must stay disabled even
-	// though the backend accepts batches.
+	// MaxBatch 1 is the per-request baseline: coalescing must stay disabled
+	// even though the backend accepts batches.
 	for _, n := range be.batchSizes() {
 		if n != 1 {
-			t.Fatalf("per-request pool fused a batch of %d", n)
+			t.Fatalf("per-request group fused a batch of %d", n)
 		}
 	}
 }
@@ -280,7 +280,7 @@ func TestGroupValidation(t *testing.T) {
 	mustPanic("shards > backends", func() {
 		NewGroup([]Backend{&fakeBackend{}}, GroupConfig{Shards: 2})
 	})
-	mustPanic("empty pool", func() { NewPool(nil, 1) })
+	mustPanic("no backends", func() { NewGroup(nil, GroupConfig{Shards: 1}) })
 }
 
 func TestCloseDrainsAdmittedRequests(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,7 +91,10 @@ func NewClient(cfg ClientConfig) *Client {
 	tr := &http.Transport{}
 	if cfg.TLS != nil {
 		protos.SetHTTP2(true)
-		tr.TLSClientConfig = cfg.TLS
+		// The transport edits its config's NextProtos in place on first use,
+		// and callers (RunSoak) hand one config to many clients.
+		tr.TLSClientConfig = cfg.TLS.Clone()
+		tr.TLSClientConfig.NextProtos = slices.Clone(cfg.TLS.NextProtos)
 		scheme = "https://"
 	} else {
 		protos.SetUnencryptedHTTP2(true)

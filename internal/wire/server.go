@@ -56,7 +56,7 @@ type ServerConfig struct {
 	// included). 0 → no server-imposed deadline.
 	Timeout time.Duration
 	// Reg receives the wire metrics and is exposed on the same mux
-	// (/metrics, /metrics.json, /spans, /debug/pprof/). nil → metrics
+	// (/metrics, /metrics.json, /debug/pprof/). nil → metrics
 	// endpoints disabled, counters no-ops.
 	Reg *obs.Registry
 }

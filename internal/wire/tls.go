@@ -14,15 +14,16 @@ import (
 )
 
 // alpnProtos is the ALPN order the front door offers under TLS: HTTP/2
-// first, HTTP/1.1 fallback.
-var alpnProtos = []string{"h2", "http/1.1"}
+// first, HTTP/1.1 fallback. A fresh slice per config: net/http edits a
+// config's NextProtos in place.
+func alpnProtos() []string { return []string{"h2", "http/1.1"} }
 
 // serverTLS clones cfg for serving, ensuring the ALPN list advertises h2
 // so clients negotiate HTTP/2 over TLS.
 func serverTLS(cfg *tls.Config) *tls.Config {
 	c := cfg.Clone()
 	if len(c.NextProtos) == 0 {
-		c.NextProtos = alpnProtos
+		c.NextProtos = alpnProtos()
 	}
 	return c
 }
@@ -34,7 +35,7 @@ func LoadServerTLS(certFile, keyFile string) (*tls.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: load TLS keypair: %w", err)
 	}
-	return &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: alpnProtos}, nil
+	return &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: alpnProtos()}, nil
 }
 
 // SelfSignedTLS mints an ephemeral ECDSA P-256 certificate for loopback
@@ -71,8 +72,8 @@ func SelfSignedTLS() (server, client *tls.Config, err error) {
 	pool.AddCert(leaf)
 	server = &tls.Config{
 		Certificates: []tls.Certificate{{Certificate: [][]byte{der}, PrivateKey: key, Leaf: leaf}},
-		NextProtos:   alpnProtos,
+		NextProtos:   alpnProtos(),
 	}
-	client = &tls.Config{RootCAs: pool, NextProtos: alpnProtos}
+	client = &tls.Config{RootCAs: pool, NextProtos: alpnProtos()}
 	return server, client, nil
 }
