@@ -3,9 +3,9 @@ package core
 import (
 	"time"
 
-	"secemb/internal/enclave"
 	"secemb/internal/obs"
 	"secemb/internal/oram"
+	"secemb/internal/perf"
 	"secemb/internal/tensor"
 )
 
@@ -34,10 +34,10 @@ func unwrapGenerator(g Generator) Generator {
 //	core_generate_ids_total{tech}     ids embedded
 //	core_generate_ns{tech}            per-batch latency histogram
 //
-// ORAM-backed generators additionally account enclave-boundary work
-// (ocalls, EPC bucket traffic, modeled nanoseconds) through an
-// enclave.Meter, reproducing the per-window accounting the paper uses to
-// compare the ZeroTrace deployment variants (Figure 10).
+// ORAM-backed generators additionally account controller work (EPC
+// bucket traffic, modeled nanoseconds) through a perf.Meter, reproducing
+// the per-window accounting the paper uses to compare the ZeroTrace
+// deployment variants (Figure 10).
 type instrumentedGen struct {
 	g     Generator
 	gens  *obs.Counter
@@ -45,7 +45,7 @@ type instrumentedGen struct {
 	ids   *obs.Counter
 	lat   *obs.Histogram
 	stats *oram.Stats // live controller counters; nil when not ORAM-backed
-	meter *enclave.Meter
+	meter *perf.Meter
 }
 
 // Instrument wraps g so every Generate call is counted and timed in reg.
@@ -65,7 +65,7 @@ func Instrument(g Generator, reg *obs.Registry) Generator {
 	}
 	if s, ok := ORAMStats(g); ok {
 		ig.stats = s
-		ig.meter = enclave.NewMeter(enclave.ZTGramineOpt, reg)
+		ig.meter = perf.NewMeter(perf.ZTGramineOpt, reg)
 	}
 	return ig
 }
@@ -89,7 +89,7 @@ func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	}
 	i.ids.Add(int64(len(ids)))
 	if i.stats != nil {
-		i.meter.Record(enclave.Delta(*i.stats, before))
+		i.meter.Record(perf.Delta(*i.stats, before))
 	}
 	return out, nil
 }

@@ -33,6 +33,23 @@ type Config struct {
 	Gaussian bool
 }
 
+// layerDims is the decoder's layer widths, [K, Hidden..., Dim].
+func (c Config) layerDims() []int {
+	return append(append([]int{c.K}, c.Hidden...), c.Dim)
+}
+
+// DecoderParams counts the FC decoder's parameters without building it.
+// One id costs 2×weights FLOPs (what a built DHE.FLOPs reports); the
+// float32 footprint is 4×(weights+biases) bytes plus the hash parameters.
+func (c Config) DecoderParams() (weights, biases int64) {
+	dims := c.layerDims()
+	for i := 0; i+1 < len(dims); i++ {
+		weights += int64(dims[i]) * int64(dims[i+1])
+		biases += int64(dims[i+1])
+	}
+	return weights, biases
+}
+
 // DHE is one deep-hash-embedding generator: encoder + FC decoder.
 type DHE struct {
 	Enc     *hashenc.Encoder         // uniform encoding (nil when Gaussian)
@@ -69,9 +86,8 @@ func New(cfg Config, rng *rand.Rand) *DHE {
 	if cfg.K <= 0 || cfg.Dim <= 0 {
 		panic("dhe: K and Dim must be positive")
 	}
-	dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
 	d := &DHE{
-		Decoder: nn.MLP(dims, false, rng),
+		Decoder: nn.MLP(cfg.layerDims(), false, rng),
 		K:       cfg.K,
 		Dim:     cfg.Dim,
 	}

@@ -113,6 +113,25 @@ func TestFLOPs(t *testing.T) {
 	}
 }
 
+// TestDecoderParamsMatchBuiltDHE: the analytic count the cost model and
+// the footprint tables read must describe the decoder New builds.
+func TestDecoderParamsMatchBuiltDHE(t *testing.T) {
+	for _, cfg := range []Config{
+		{K: 32, Hidden: []int{24}, Dim: 8, Seed: 1},
+		UniformConfig(16, 1),
+		VariedConfig(16, 1000, 1),
+	} {
+		d := New(cfg, rand.New(rand.NewSource(1)))
+		w, b := cfg.DecoderParams()
+		if d.FLOPs() != 2*w {
+			t.Fatalf("%+v: built FLOPs %d != 2×weights %d", cfg, d.FLOPs(), 2*w)
+		}
+		if want := 4*(w+b) + int64(cfg.K)*16; d.NumBytes() != want {
+			t.Fatalf("%+v: built NumBytes %d != analytic %d", cfg, d.NumBytes(), want)
+		}
+	}
+}
+
 func TestUniformConfig(t *testing.T) {
 	c := UniformConfig(16, 1)
 	if c.K != 1024 || len(c.Hidden) != 2 || c.Hidden[0] != 512 || c.Hidden[1] != 256 || c.Dim != 16 {

@@ -167,43 +167,18 @@ func Fig6(quick bool) Report {
 	return r
 }
 
-// ModelThreshold finds the table size where DHE Uniform overtakes the
-// linear scan under the platform model, by bisection over [10, 1e8].
+// ModelThreshold is the table size where DHE Uniform overtakes the linear
+// scan under the platform model.
 func ModelThreshold(dim, batch, threads int) int {
-	p := perf.IceLake(threads)
-	cfg := dhe.UniformConfig(dim, 1)
-	d := p.DHENs(cfg, batch)
-	lo, hi := 10.0, 1e8
-	if p.ScanNs(int(lo), dim, batch) > d {
-		return int(lo)
-	}
-	if p.ScanNs(int(hi), dim, batch) < d {
-		return int(hi)
-	}
-	for i := 0; i < 60; i++ {
-		mid := math.Sqrt(lo * hi)
-		if p.ScanNs(int(mid), dim, batch) < d {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return int(math.Round(math.Sqrt(lo * hi)))
+	uniform := func(int) dhe.Config { return dhe.UniformConfig(dim, 1) }
+	return perf.IceLake(threads).Threshold(dim, batch, uniform, true)
 }
 
-// ModelThresholdVaried finds the crossing of the scan against the
-// size-scaled (Varied) DHE — both costs depend on n, so walk a log grid
-// and return the first size where Varied DHE wins.
+// ModelThresholdVaried is the crossing of the scan against the size-scaled
+// (Varied) DHE, at the model's grid resolution.
 func ModelThresholdVaried(dim, batch, threads int) int {
-	p := perf.IceLake(threads)
-	prev := 10
-	for n := 10; n <= 100_000_000; n = n * 5 / 4 {
-		if p.DHENs(dhe.VariedConfig(dim, n, 1), batch) < p.ScanNs(n, dim, batch) {
-			return (n + prev) / 2
-		}
-		prev = n
-	}
-	return 100_000_000
+	varied := func(rows int) dhe.Config { return dhe.VariedConfig(dim, rows, 1) }
+	return perf.IceLake(threads).Threshold(dim, batch, varied, false)
 }
 
 // Fig7 classifies the Criteo tables against the threshold range of all

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"secemb/internal/colo"
 	"secemb/internal/data"
 	"secemb/internal/dhe"
-	"secemb/internal/enclave"
 	"secemb/internal/oram"
 	"secemb/internal/perf"
 )
@@ -14,8 +12,8 @@ import (
 // Fig10 reproduces the ZeroTrace optimization study (Figure 10): Path and
 // Circuit ORAM single-lookup latency under the three deployment variants.
 // The ORAM controllers are *actually executed* (this repository's
-// implementations) to collect their work counters; the enclave cost model
-// prices those counters per variant.
+// implementations) to collect their work counters; perf's variant price
+// table prices those counters.
 func Fig10(quick bool) Report {
 	sizes := []int{1 << 12, 1 << 14, 1 << 16}
 	if quick {
@@ -28,7 +26,7 @@ func Fig10(quick bool) Report {
 		Title:   "Single-lookup latency of ORAM deployment variants (dim 64, model-priced from executed controllers)",
 		Headers: []string{"scheme", "table size", "ZT-Original (ms)", "ZT-Gramine (ms)", "ZT-Gramine-Opt (ms)"},
 	}
-	variants := []enclave.Variant{enclave.ZTOriginal, enclave.ZTGramine, enclave.ZTGramineOpt}
+	variants := []perf.Variant{perf.ZTOriginal, perf.ZTGramine, perf.ZTGramineOpt}
 	for _, scheme := range []string{"Path", "Circuit"} {
 		for _, n := range sizes {
 			var cells []string
@@ -48,7 +46,7 @@ func Fig10(quick bool) Report {
 				for i := 0; i < accesses; i++ {
 					o.Read(uint64(i % n))
 				}
-				ns := enclave.ModelFor(v).EstimateNs(enclave.Delta(*o.Stats(), before)) / accesses
+				ns := v.Prices().EstimateNs(perf.Delta(*o.Stats(), before)) / accesses
 				cells = append(cells, ms(ns))
 			}
 			r.AddRow(scheme, fmt.Sprintf("%d", n), cells[0], cells[1], cells[2])
@@ -66,23 +64,20 @@ func Fig8(quick bool) Report {
 	if quick {
 		counts = []int{1, 24}
 	}
-	sys := colo.IceLakeSystem()
+	sys := perf.IceLakeSystem()
 	const rows, dim, batch = 1_000_000, 64, 32
-	dheLoad := dheColoLoad(rows, dim, batch, sys.Platform)
+	scan := sys.Platform.ScanCost(rows, dim, batch)
+	dheU := sys.Platform.DHECost(dhe.UniformConfig(dim, 1), batch)
 	r := Report{
 		ID:      "fig8",
 		Title:   "Latency inflation under co-location (1e6-row table, dim 64, batch 32)",
 		Headers: []string{"replicas", "linear scan (ms)", "scan inflation", "DHE (ms)", "DHE inflation"},
 	}
-	scanSolo := sys.Solo(colo.ScanLoad(rows, dim, batch))
-	dheSolo := sys.Solo(dheLoad)
 	for _, n := range counts {
-		scans := replicate(colo.ScanLoad(rows, dim, batch), n)
-		dhes := replicate(dheLoad, n)
-		sLat := sys.MeanLatency(scans)
-		dLat := sys.MeanLatency(dhes)
-		r.AddRow(fmt.Sprintf("%d", n), ms(sLat), fmt.Sprintf("%.2fx", sLat/scanSolo),
-			ms(dLat), fmt.Sprintf("%.2fx", dLat/dheSolo))
+		sLat := sys.MeanLatency(perf.Replicas(scan, n))
+		dLat := sys.MeanLatency(perf.Replicas(dheU, n))
+		r.AddRow(fmt.Sprintf("%d", n), ms(sLat), fmt.Sprintf("%.2fx", sLat/sys.Solo(scan)),
+			ms(dLat), fmt.Sprintf("%.2fx", dLat/sys.Solo(dheU)))
 	}
 	r.AddNote("paper Figure 8: memory-bound scans inflate with co-location; compute-bound DHE barely moves")
 	return r
@@ -97,8 +92,9 @@ func Fig9(quick bool) Report {
 		sizes = []int{1000, 10_000}
 		splits = []int{0, 24}
 	}
-	sys := colo.IceLakeSystem()
+	sys := perf.IceLakeSystem()
 	const dim, batch = 64, 32
+	dheU := sys.Platform.DHECost(dhe.UniformConfig(dim, 1), batch)
 	r := Report{
 		ID:    "fig9",
 		Title: "Mean latency (ms) for N=24 co-located replicas vs number allocated to DHE",
@@ -114,14 +110,8 @@ func Fig9(quick bool) Report {
 		cells := []string{fmt.Sprintf("%d", rows)}
 		best, bestSplit := -1.0, 0
 		for _, nDHE := range splits {
-			loads := make([]colo.Load, 0, 24)
-			for i := 0; i < 24; i++ {
-				if i < nDHE {
-					loads = append(loads, dheColoLoad(rows, dim, batch, sys.Platform))
-				} else {
-					loads = append(loads, colo.ScanLoad(rows, dim, batch))
-				}
-			}
+			loads := append(perf.Replicas(dheU, nDHE),
+				perf.Replicas(sys.Platform.ScanCost(rows, dim, batch), 24-nDHE)...)
 			lat := sys.MeanLatency(loads)
 			cells = append(cells, ms(lat))
 			if best < 0 || lat < best {
@@ -138,7 +128,7 @@ func Fig9(quick bool) Report {
 // Fig13 reproduces the latency-throughput study (Figure 13): co-located
 // DHE-Varied vs Hybrid-Varied Terabyte models against a 20 ms SLA.
 func Fig13(quick bool) Report {
-	sys := colo.IceLakeSystem()
+	sys := perf.IceLakeSystem()
 	const batch = 32
 	counts := []int{1, 4, 8, 16, 24, 28}
 	if quick {
@@ -164,57 +154,22 @@ func Fig13(quick bool) Report {
 	return r
 }
 
-// --- shared co-location loads ---
-
-func replicate(l colo.Load, n int) []colo.Load {
-	out := make([]colo.Load, n)
-	for i := range out {
-		out[i] = l
-	}
-	return out
-}
-
-// dheColoLoad converts a Uniform DHE feature into a co-location load.
-func dheColoLoad(rows, dim, batch int, p perf.Platform) colo.Load {
-	cfg := dhe.UniformConfig(dim, 1)
-	var weights, flops float64
-	dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
-	for i := 0; i+1 < len(dims); i++ {
-		weights += float64(dims[i]) * float64(dims[i+1])
-		flops += 2 * float64(dims[i]) * float64(dims[i+1])
-	}
-	return colo.DHELoad(weights, flops, batch, p)
-}
-
 // terabyteLoads builds whole-model loads (all 26 features + MLPs) for the
 // all-DHE-Varied and Hybrid-Varied Terabyte models.
-func terabyteLoads(p perf.Platform, batch int) (dheV, hybridV colo.Load) {
+func terabyteLoads(p perf.Platform, batch int) (dheV, hybridV perf.Cost) {
 	// The hybrid pairs the scan with the *Varied* DHE, so the relevant
 	// threshold is the scan/Varied crossing (see Fig. 11).
 	thr := ModelThresholdVaried(64, batch, 1)
 	cards := data.TerabyteCardinalities
-	mlp := mlpNs(p, 13, 64, []int{512, 256}, []int{512, 512, 256}, len(cards), batch)
-	dheV.ComputeNs = mlp
-	hybridV.ComputeNs = mlp
+	mlp := perf.Cost{ComputeNs: mlpNs(p, 13, 64, []int{512, 256}, []int{512, 512, 256}, len(cards), batch)}
+	dheV, hybridV = mlp, mlp
 	for _, n := range cards {
-		cfg := dhe.VariedConfig(64, n, 1)
-		var weights, flops float64
-		dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
-		for i := 0; i+1 < len(dims); i++ {
-			weights += float64(dims[i]) * float64(dims[i+1])
-			flops += 2 * float64(dims[i]) * float64(dims[i+1])
-		}
-		dl := colo.DHELoad(weights, flops, batch, p)
-		dheV.ComputeNs += dl.ComputeNs
-		dheV.MemWords += dl.MemWords
+		feature := p.DHECost(dhe.VariedConfig(64, n, 1), batch)
+		dheV = dheV.Plus(feature)
 		if n <= thr {
-			sl := colo.ScanLoad(n, 64, batch)
-			hybridV.ComputeNs += sl.ComputeNs
-			hybridV.MemWords += sl.MemWords
-		} else {
-			hybridV.ComputeNs += dl.ComputeNs
-			hybridV.MemWords += dl.MemWords
+			feature = p.ScanCost(n, 64, batch)
 		}
+		hybridV = hybridV.Plus(feature)
 	}
 	return dheV, hybridV
 }

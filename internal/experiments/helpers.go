@@ -9,12 +9,8 @@ import (
 // dheBytes is the parameter footprint of a DHE architecture: hash
 // parameters (16 B each) plus decoder weights and biases (float32).
 func dheBytes(cfg dhe.Config) int64 {
-	dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
-	var words int64
-	for i := 0; i+1 < len(dims); i++ {
-		words += int64(dims[i])*int64(dims[i+1]) + int64(dims[i+1])
-	}
-	return words*4 + int64(cfg.K)*16
+	weights, biases := cfg.DecoderParams()
+	return (weights+biases)*4 + int64(cfg.K)*16
 }
 
 // circuitBytes / pathBytes are the analytic tree-ORAM footprints.

@@ -60,6 +60,19 @@ func (g *Gauge) Add(delta int64) {
 	}
 }
 
+// SetMax raises the gauge to v if v is larger: a high-water mark that
+// concurrent writers cannot lower. Nil-safe.
+func (g *Gauge) SetMax(v int64) {
+	if g == nil {
+		return
+	}
+	for cur := g.v.Load(); v > cur; cur = g.v.Load() {
+		if g.v.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // Value returns the current value. Nil-safe (0).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -10,15 +10,15 @@ func FootprintBytes(n, words, z, stashSize, recursionCutoff int) int64 {
 	if z == 0 {
 		z = DefaultZ
 	}
-	leaves := nextPow2((n + z - 1) / z)
+	leaves := 1 << Levels(n, z)
 	slots := int64(2*leaves-1) * int64(z)
 	total := slots * int64(12+4*words)               // tree
 	total += int64(stashSize) * int64(12+4*words)    // stash
 	if recursionCutoff < 0 || n <= recursionCutoff { // flat posmap
 		return total + int64(n)*4
 	}
-	blocks := (n + chi - 1) / chi
-	return total + FootprintBytes(blocks, chi, z, stashSize, recursionCutoff)
+	blocks := (n + Chi - 1) / Chi
+	return total + FootprintBytes(blocks, Chi, z, stashSize, recursionCutoff)
 }
 
 // PathFootprintBytes is FootprintBytes with Path ORAM defaults.

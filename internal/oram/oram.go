@@ -23,6 +23,7 @@ package oram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"secemb/internal/memtrace"
@@ -31,10 +32,10 @@ import (
 // DummyID marks an empty slot. Real block IDs must be below DummyID.
 const DummyID = ^uint64(0)
 
-// chi is the position-map packing factor: each recursive posmap block holds
-// chi leaf positions ("pos-map tree reduction at each recursion level is
+// Chi is the position-map packing factor: each recursive posmap block holds
+// Chi leaf positions ("pos-map tree reduction at each recursion level is
 // 16×", §V-A1).
-const chi = 16
+const Chi = 16
 
 // Trace region suffixes. Every ORAM structure publishes its accesses under
 // a region named <prefix><suffix>, where the prefix is Config.Region plus a
@@ -57,7 +58,7 @@ const (
 )
 
 // Stats counts the work an ORAM controller performs. The enclave cost
-// model (internal/enclave) converts these counts into deployment-dependent
+// model (internal/perf) converts these counts into deployment-dependent
 // latency estimates (Figure 10); benchmarks also measure wall-clock
 // directly.
 type Stats struct {
@@ -163,6 +164,15 @@ func nextPow2(v int) int {
 		p <<= 1
 	}
 	return p
+}
+
+// Levels is the tree geometry every sizing in this repository shares: an
+// n-block ORAM with z-slot buckets has 2^Levels leaves (the smallest power
+// of two ≥ ⌈n/z⌉), so a root-to-leaf path visits Levels+1 buckets. The
+// built trees, FootprintBytes and the analytic cost model (internal/perf)
+// all size from it.
+func Levels(n, z int) int {
+	return bits.Len(uint(nextPow2((n+z-1)/z))) - 1
 }
 
 // bitReverse reverses the low `bits` bits of v — the reverse-lexicographic

@@ -46,9 +46,9 @@ func newFlatPosMap(init []uint32, tracer *memtrace.Tracer, region string, stats 
 func (p *flatPosMap) Swap(id uint64, newLeaf uint32) uint32 {
 	p.stats.PosmapScans += int64(len(p.leaves))
 	p.stats.CmovOps += int64(len(p.leaves))
-	// Trace at chi-entry "block" granularity: what a cache-line attacker
+	// Trace at Chi-entry "block" granularity: what a cache-line attacker
 	// would see of a packed uint32 array.
-	p.tracer.TouchRange(p.region+RegionSuffixPosmap, 0, int64((len(p.leaves)+chi-1)/chi), memtrace.Read)
+	p.tracer.TouchRange(p.region+RegionSuffixPosmap, 0, int64((len(p.leaves)+Chi-1)/Chi), memtrace.Read)
 	var old uint64
 	for i := range p.leaves {
 		m := oblivious.Eq(uint64(i), id)
@@ -63,7 +63,7 @@ func (p *flatPosMap) NumBytes() int64 { return int64(len(p.leaves)) * 4 }
 func (p *flatPosMap) Depth() int      { return 0 }
 
 // oramPosMap stores the position map in a smaller ORAM whose blocks each
-// pack chi leaves — one recursion level. The inner ORAM's own position map
+// pack Chi leaves — one recursion level. The inner ORAM's own position map
 // recurses further until it fits under the cutoff.
 type oramPosMap struct {
 	inner ORAM
@@ -82,13 +82,13 @@ func newPosMap(init []uint32, cutoff int, rng *rand.Rand,
 	if cutoff < 0 || n <= cutoff {
 		return newFlatPosMap(init, tracer, region, stats)
 	}
-	// Pack chi leaves per inner block.
-	blocks := (n + chi - 1) / chi
+	// Pack Chi leaves per inner block.
+	blocks := (n + Chi - 1) / Chi
 	payloads := make([][]uint32, blocks)
 	for b := 0; b < blocks; b++ {
-		words := make([]uint32, chi)
-		for j := 0; j < chi; j++ {
-			idx := b*chi + j
+		words := make([]uint32, Chi)
+		for j := 0; j < Chi; j++ {
+			idx := b*Chi + j
 			if idx < n {
 				words[j] = init[idx]
 			}
@@ -97,7 +97,7 @@ func newPosMap(init []uint32, cutoff int, rng *rand.Rand,
 	}
 	cfg := Config{
 		NumBlocks:       blocks,
-		BlockWords:      chi,
+		BlockWords:      Chi,
 		RecursionCutoff: cutoff,
 		Tracer:          tracer,
 		Region:          region,
@@ -110,11 +110,11 @@ func newPosMap(init []uint32, cutoff int, rng *rand.Rand,
 //
 // secemb:secret id
 func (p *oramPosMap) Swap(id uint64, newLeaf uint32) uint32 {
-	blockID := id / chi
-	slot := id % chi
+	blockID := id / Chi
+	slot := id % Chi
 	var old uint64
 	p.inner.Update(blockID, func(words []uint32) {
-		for j := 0; j < chi; j++ {
+		for j := 0; j < Chi; j++ {
 			m := oblivious.Eq(uint64(j), slot)
 			old = oblivious.Select64(m, uint64(words[j]), old)
 			words[j] = uint32(oblivious.Select64(m, uint64(newLeaf), uint64(words[j])))

@@ -112,7 +112,7 @@ func TestPosmapScanCoversWholeMap(t *testing.T) {
 	tracer.Reset()
 	o.Read(3)
 	blocks := tracer.Snapshot().Blocks("o.posmap")
-	wantBlocks := (n + chi - 1) / chi
+	wantBlocks := (n + Chi - 1) / Chi
 	if len(blocks) != wantBlocks {
 		t.Fatalf("posmap scan touched %d blocks, want %d", len(blocks), wantBlocks)
 	}

@@ -31,11 +31,8 @@ type tree struct {
 // and the source of Table VI's >3× ORAM memory blow-up once recursive
 // position maps are added.
 func newTree(n, z, words int, tracer *memtrace.Tracer, region string, stats *Stats) *tree {
-	leaves := nextPow2((n + z - 1) / z)
-	levels := 0
-	for 1<<levels < leaves {
-		levels++
-	}
+	levels := Levels(n, z)
+	leaves := 1 << levels
 	buckets := 2*leaves - 1
 	t := &tree{
 		levels: levels,

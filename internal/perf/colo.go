@@ -1,22 +1,19 @@
-// Package colo models co-located DLRM inference (§IV-C2, Figures 8, 9,
-// 13): many single-threaded model replicas sharing one socket's cores and
-// memory bandwidth. Each replica's work splits into a compute part (runs
-// on its own core, unaffected by neighbors while replicas ≤ cores) and a
-// memory-traffic part (contends for the shared DRAM channels once the
-// aggregate demand exceeds the socket bandwidth).
+package perf
+
+import "math"
+
+// Co-located inference (§IV-C2, Figures 8, 9, 13): many single-threaded
+// model replicas sharing one socket's cores and memory bandwidth. A
+// replica's Cost already splits into a compute part (runs on its own core,
+// unaffected by neighbors while replicas ≤ cores) and a memory-traffic
+// part (contends for the shared DRAM channels once the aggregate demand
+// exceeds the socket bandwidth).
 //
 // This reproduces the paper's observations: memory-bound linear scans
 // inflate quickly under co-location while compute-bound DHE replicas
 // barely notice each other; the all-scan vs all-DHE crossover under 24-way
 // co-location stays near the single-model threshold; and latency-bounded
 // throughput favors the hybrid allocation.
-package colo
-
-import (
-	"math"
-
-	"secemb/internal/perf"
-)
 
 // System describes the shared socket.
 type System struct {
@@ -24,7 +21,7 @@ type System struct {
 	// MemBandwidthWordsPerNs is the aggregate DRAM bandwidth available to
 	// all replicas (Table III: 8×DDR4-3200 ≈ 200 GB/s ≈ 50 words/ns).
 	MemBandwidthWordsPerNs float64
-	Platform               perf.Platform
+	Platform               Platform
 }
 
 // IceLakeSystem is the paper's machine: 28 cores, ~200 GB/s.
@@ -32,26 +29,18 @@ func IceLakeSystem() System {
 	return System{
 		Cores:                  28,
 		MemBandwidthWordsPerNs: 50,
-		Platform:               perf.IceLake(1), // one thread per replica
+		Platform:               IceLake(1), // one thread per replica
 	}
 }
 
-// Load is one replica's per-batch resource demand.
-type Load struct {
-	ComputeNs float64 // core-private work
-	MemWords  float64 // words of shared-memory traffic
-}
-
 // Solo returns the replica's latency when running alone.
-func (s System) Solo(l Load) float64 {
-	return l.ComputeNs + l.MemWords*s.Platform.StreamWordNs
-}
+func (s System) Solo(c Cost) float64 { return s.Platform.Ns(c) }
 
 // Latency returns the per-replica latencies when all loads run
 // concurrently, one replica per core. Memory traffic inflates by the
 // ratio of aggregate demand to available bandwidth once saturated; if
 // there are more replicas than cores, compute time-slices too.
-func (s System) Latency(loads []Load) []float64 {
+func (s System) Latency(loads []Cost) []float64 {
 	out := make([]float64, len(loads))
 	if len(loads) == 0 {
 		return out
@@ -74,7 +63,7 @@ func (s System) Latency(loads []Load) []float64 {
 }
 
 // MeanLatency co-locates the loads and returns the average latency.
-func (s System) MeanLatency(loads []Load) float64 {
+func (s System) MeanLatency(loads []Cost) float64 {
 	lats := s.Latency(loads)
 	var sum float64
 	for _, v := range lats {
@@ -83,38 +72,27 @@ func (s System) MeanLatency(loads []Load) float64 {
 	return sum / float64(len(lats))
 }
 
-// ScanLoad is a linear-scan replica's demand for one batch: pure memory
-// streaming.
-func ScanLoad(rows, dim, batch int) Load {
-	words := float64(batch) * float64(rows) * float64(dim) * 1.5
-	return Load{ComputeNs: float64(batch) * 60, MemWords: words}
-}
-
-// DHELoad is a DHE replica's demand: dominated by compute, with the
-// weight traffic once per batch.
-func DHELoad(weights, flops float64, batch int, p perf.Platform) Load {
-	return Load{
-		ComputeNs: float64(batch) * flops * p.FlopNs,
-		MemWords:  weights * 0.5,
+// Replicas is n identical co-located replicas of one demand.
+func Replicas(c Cost, n int) []Cost {
+	out := make([]Cost, n)
+	for i := range out {
+		out[i] = c
 	}
+	return out
 }
 
 // Throughput returns inferences/second for n identical co-located
 // replicas with the given per-batch load: n × batch / latency(n)
 // (§IV-C2's throughput formula).
-func (s System) Throughput(l Load, n, batch int) (latencyNs float64, infPerSec float64) {
-	loads := make([]Load, n)
-	for i := range loads {
-		loads[i] = l
-	}
-	lat := s.MeanLatency(loads)
+func (s System) Throughput(l Cost, n, batch int) (latencyNs float64, infPerSec float64) {
+	lat := s.MeanLatency(Replicas(l, n))
 	return lat, float64(n) * float64(batch) / (lat / 1e9)
 }
 
 // MaxThroughputUnderSLA sweeps replica counts 1..maxN and returns the best
 // throughput whose latency stays at or below slaNs (Figure 13's
 // latency-bounded throughput with a 20 ms SLA).
-func (s System) MaxThroughputUnderSLA(l Load, batch, maxN int, slaNs float64) (bestN int, bestThroughput float64) {
+func (s System) MaxThroughputUnderSLA(l Cost, batch, maxN int, slaNs float64) (bestN int, bestThroughput float64) {
 	for n := 1; n <= maxN; n++ {
 		lat, tp := s.Throughput(l, n, batch)
 		if lat <= slaNs && tp > bestThroughput {

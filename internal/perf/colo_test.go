@@ -1,28 +1,16 @@
-package colo
+package perf
 
 import (
 	"testing"
 
 	"secemb/internal/dhe"
-	"secemb/internal/perf"
 )
-
-func dheLoadFor(n, dim, batch int, p perf.Platform) Load {
-	cfg := dhe.UniformConfig(dim, 1)
-	var weights, flops float64
-	dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
-	for i := 0; i+1 < len(dims); i++ {
-		weights += float64(dims[i]) * float64(dims[i+1])
-		flops += 2 * float64(dims[i]) * float64(dims[i+1])
-	}
-	return DHELoad(weights, flops, batch, p)
-}
 
 func TestSoloMatchesSingleLatency(t *testing.T) {
 	s := IceLakeSystem()
-	l := ScanLoad(10000, 64, 32)
+	l := s.Platform.ScanCost(10000, 64, 32)
 	solo := s.Solo(l)
-	co := s.Latency([]Load{l})
+	co := s.Latency([]Cost{l})
 	if len(co) != 1 || co[0] < solo || co[0] > solo*1.01 {
 		t.Fatalf("single replica must match solo: %v vs %v", co, solo)
 	}
@@ -32,15 +20,11 @@ func TestSoloMatchesSingleLatency(t *testing.T) {
 // replicas inflates latency much more than 24 compute-bound DHE replicas.
 func TestFig8ScanInflatesFasterThanDHE(t *testing.T) {
 	s := IceLakeSystem()
-	scan := ScanLoad(1_000_000, 64, 32)
-	dheL := dheLoadFor(1_000_000, 64, 32, s.Platform)
+	scan := s.Platform.ScanCost(1_000_000, 64, 32)
+	dheL := s.Platform.DHECost(dhe.UniformConfig(64, 1), 32)
 
-	inflate := func(l Load, n int) float64 {
-		loads := make([]Load, n)
-		for i := range loads {
-			loads[i] = l
-		}
-		return s.MeanLatency(loads) / s.Solo(l)
+	inflate := func(l Cost, n int) float64 {
+		return s.MeanLatency(Replicas(l, n)) / s.Solo(l)
 	}
 	scanInfl := inflate(scan, 24)
 	dheInfl := inflate(dheL, 24)
@@ -64,12 +48,12 @@ func TestFig8ScanInflatesFasterThanDHE(t *testing.T) {
 func TestFig9CrossoverNearSingleModelThreshold(t *testing.T) {
 	s := IceLakeSystem()
 	meanAll := func(rows, nDHE int) float64 {
-		loads := make([]Load, 24)
+		loads := make([]Cost, 24)
 		for i := range loads {
 			if i < nDHE {
-				loads[i] = dheLoadFor(rows, 64, 32, s.Platform)
+				loads[i] = s.Platform.DHECost(dhe.UniformConfig(64, 1), 32)
 			} else {
-				loads[i] = ScanLoad(rows, 64, 32)
+				loads[i] = s.Platform.ScanCost(rows, 64, 32)
 			}
 		}
 		return s.MeanLatency(loads)
@@ -100,7 +84,7 @@ func TestFig9CrossoverNearSingleModelThreshold(t *testing.T) {
 
 func TestThroughputScalesThenSaturates(t *testing.T) {
 	s := IceLakeSystem()
-	l := ScanLoad(50_000, 64, 32)
+	l := s.Platform.ScanCost(50_000, 64, 32)
 	_, tp1 := s.Throughput(l, 1, 32)
 	_, tp8 := s.Throughput(l, 8, 32)
 	if tp8 <= tp1 {
@@ -118,8 +102,8 @@ func TestThroughputScalesThenSaturates(t *testing.T) {
 // (all-DHE-like) one.
 func TestFig13SLABoundedThroughput(t *testing.T) {
 	s := IceLakeSystem()
-	heavy := dheLoadFor(1_000_000, 64, 32, s.Platform)
-	light := Load{ComputeNs: heavy.ComputeNs * 0.6, MemWords: heavy.MemWords * 0.8}
+	heavy := s.Platform.DHECost(dhe.UniformConfig(64, 1), 32)
+	light := Cost{ComputeNs: heavy.ComputeNs * 0.6, MemWords: heavy.MemWords * 0.8}
 	const sla = 20e6 // 20 ms
 	nH, tpH := s.MaxThroughputUnderSLA(heavy, 32, 28, sla)
 	nL, tpL := s.MaxThroughputUnderSLA(light, 32, 28, sla)

@@ -1,8 +1,10 @@
-package enclave
+package perf
 
 import (
+	"strings"
 	"testing"
 
+	"secemb/internal/obs"
 	"secemb/internal/oram"
 )
 
@@ -21,7 +23,7 @@ func measure(t *testing.T, mkORAM func(cfg oram.Config) oram.ORAM, v Variant, n 
 		o.Read(uint64(i % n))
 	}
 	d := Delta(*o.Stats(), before)
-	return ModelFor(v).EstimateNs(d) / accesses
+	return v.Prices().EstimateNs(d) / accesses
 }
 
 func TestVariantString(t *testing.T) {
@@ -61,7 +63,7 @@ func TestFig10Ordering(t *testing.T) {
 }
 
 func TestEstimateNsComponents(t *testing.T) {
-	m := CostModel{BucketAccessNs: 10, WordMoveNs: 1, StashSlotNs: 2, PosmapEntryNs: 3, CmovOverheadNs: 4, OcallNs: 100, CrossCopyWordNs: 5}
+	m := EnclavePrices{BucketAccessNs: 10, WordMoveNs: 1, StashSlotNs: 2, PosmapEntryNs: 3, CmovOverheadNs: 4, OcallNs: 100, CrossCopyWordNs: 5}
 	s := oram.Stats{BucketsRead: 1, BucketsWritten: 1, WordsMoved: 2, StashScans: 3, PosmapScans: 4, CmovOps: 5}
 	want := 2.0*10 + 2*1 + 3*2 + 4*3 + 5*4 + 2*100 + 2*5
 	if got := m.EstimateNs(s); got != want {
@@ -75,5 +77,42 @@ func TestDelta(t *testing.T) {
 	d := Delta(a, b)
 	if d.Accesses != 6 || d.BucketsRead != 70 || d.MaxStash != 7 {
 		t.Fatalf("Delta=%+v", d)
+	}
+}
+
+// TestMeterSharedAcrossReplicas: every replica of a table builds its own
+// Meter over the same registry metrics; counters add up, the stash gauge
+// keeps the largest high-water mark whichever replica reports last, and
+// the modeled nanoseconds are the variant's prices applied to the window.
+func TestMeterSharedAcrossReplicas(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, b := NewMeter(ZTGramineOpt, reg), NewMeter(ZTGramineOpt, reg)
+	big := oram.Stats{Accesses: 2, BucketsRead: 10, BucketsWritten: 10, WordsMoved: 100, StashScans: 40, CmovOps: 7, MaxStash: 9}
+	small := oram.Stats{Accesses: 1, BucketsRead: 5, BucketsWritten: 5, WordsMoved: 50, MaxStash: 3}
+	a.Record(big)
+	b.Record(small)
+	get := func(name string) int64 { return reg.Counter(name, "variant", "ZT-Gramine-Opt").Value() }
+	if get("enclave_accesses_total") != 3 || get("enclave_buckets_total") != 30 || get("enclave_words_total") != 150 {
+		t.Fatalf("counters do not add up across replicas: %d %d %d",
+			get("enclave_accesses_total"), get("enclave_buckets_total"), get("enclave_words_total"))
+	}
+	if got := reg.Gauge("enclave_stash_max", "variant", "ZT-Gramine-Opt").Value(); got != 9 {
+		t.Fatalf("enclave_stash_max=%d, want 9 (a later, smaller window must not lower it)", got)
+	}
+	pr := ZTGramineOpt.Prices()
+	if want := int64(pr.EstimateNs(big)) + int64(pr.EstimateNs(small)); get("enclave_est_ns_total") != want {
+		t.Fatalf("enclave_est_ns_total=%d, want %d", get("enclave_est_ns_total"), want)
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), "ocall") {
+		t.Fatalf("the always-zero ocall counter is back:\n%s", text.String())
+	}
+	var nilMeter *Meter
+	nilMeter.Record(big) // nil-safe
+	if NewMeter(ZTOriginal, nil) != nil {
+		t.Fatal("nil registry must yield the no-op meter")
 	}
 }

@@ -13,12 +13,22 @@
 // position-map scans — and prices them with constants calibrated to the
 // paper's hardware, reproducing the who-wins-where structure. The
 // calibration checkpoints are asserted in the tests.
+//
+// It is the only place the paper machine is priced. A technique's batch
+// demand is stated once, as a Cost; Platform.Ns evaluates it alone on the
+// socket (Figures 2, 4–7, 11, 12, 15, Tables VII, VIII) and System
+// evaluates the same Cost next to co-located replicas (colo.go: Figures 8,
+// 9, 13). The tree-ORAM formulas read internal/oram's defaults and
+// geometry rather than copies of them, and enclave.go prices the executed
+// controllers' work counters per ZeroTrace deployment variant (Figure 10
+// and the enclave_* metrics).
 package perf
 
 import (
 	"math"
 
 	"secemb/internal/dhe"
+	"secemb/internal/oram"
 )
 
 // Platform prices operation counts in nanoseconds.
@@ -71,56 +81,100 @@ func (p Platform) LookupNs(dim, batch int) float64 {
 	return float64(batch) * (p.QueryNs + float64(dim)*p.StreamWordNs*4)
 }
 
-// ScanNs prices the oblivious linear scan: every query streams the whole
-// table with a masked blend per row. ScanReuse captures the paper's
-// observation that concurrent scan threads share the table in cache
-// (§IV-C1: "linear scan improves its cache reuse of the table across
-// several queries in multiple threads, so the thresholds increase"), so
-// the scan scales better with threads than DHE's matmuls.
-func (p Platform) ScanNs(rows, dim, batch int) float64 {
-	words := float64(batch) * float64(rows) * float64(dim)
-	return words*p.StreamWordNs*1.5/p.ScanReuse + float64(batch)*p.QueryNs
+// Cost is one replica's resource demand for one batch, split the way the
+// socket shares it: ComputeNs runs on the replica's own core(s), MemWords
+// is float32 words of DRAM traffic that contend for the shared channels.
+type Cost struct {
+	ComputeNs float64
+	MemWords  float64
 }
 
-// DHENs prices a DHE batch: the decoder weights are touched once per
-// batch (on the Xeon's 42 MB LLC roughly half the traffic of even the
+// Plus sums two demands (a model is the sum of its features and MLPs).
+func (c Cost) Plus(d Cost) Cost {
+	return Cost{ComputeNs: c.ComputeNs + d.ComputeNs, MemWords: c.MemWords + d.MemWords}
+}
+
+// Ns is the latency of a demand running alone: compute plus its memory
+// traffic streamed at the platform's uncontended rate.
+func (p Platform) Ns(c Cost) float64 {
+	return c.ComputeNs + c.MemWords*p.StreamWordNs
+}
+
+// ScanCost is the oblivious linear scan's demand: every query streams the
+// whole table with a masked blend per row (1.5 words of traffic per table
+// word). ScanReuse captures the paper's observation that concurrent scan
+// threads share the table in cache (§IV-C1: "linear scan improves its
+// cache reuse of the table across several queries in multiple threads, so
+// the thresholds increase"), so the scan scales better with threads than
+// DHE's matmuls.
+func (p Platform) ScanCost(rows, dim, batch int) Cost {
+	words := float64(batch) * float64(rows) * float64(dim)
+	return Cost{
+		ComputeNs: float64(batch) * p.QueryNs,
+		MemWords:  words * 1.5 / p.ScanReuse,
+	}
+}
+
+// DHECost is a DHE batch's demand: the decoder weights are touched once
+// per batch (on the Xeon's 42 MB LLC roughly half the traffic of even the
 // biggest DHE decoder is cache-resident, hence the 0.5 residency factor)
 // plus the dense-matmul FLOPs for every query. The once-per-batch weight
 // term is what gives DHE its batch amortization (Figures 5, 12).
-func (p Platform) DHENs(cfg dhe.Config, batch int) float64 {
-	var weights, flops float64
-	dims := append(append([]int{cfg.K}, cfg.Hidden...), cfg.Dim)
-	for i := 0; i+1 < len(dims); i++ {
-		weights += float64(dims[i]) * float64(dims[i+1])
-		flops += 2 * float64(dims[i]) * float64(dims[i+1])
-	}
+func (p Platform) DHECost(cfg dhe.Config, batch int) Cost {
 	const llcResidency = 0.5
-	return weights*p.StreamWordNs*llcResidency + float64(batch)*(flops*p.FlopNs+p.QueryNs)
+	w, _ := cfg.DecoderParams()
+	weights := float64(w)
+	return Cost{
+		ComputeNs: float64(batch) * (2*weights*p.FlopNs + p.QueryNs),
+		MemWords:  weights * llcResidency,
+	}
 }
 
-// --- tree ORAM cost formulas (mirroring internal/oram's controllers) ---
-
-const (
-	oramZ            = 4
-	pathStash        = 150
-	circuitStash     = 10
-	pathCutoff       = 1 << 16
-	circuitCutoff    = 1 << 12
-	chi              = 16
-	posmapEntryNsMul = 0.5 // flat posmap scans are tight uint32 loops
-)
-
-func treeLevels(n int) int {
-	leaves := 1
-	for leaves < (n+oramZ-1)/oramZ {
-		leaves <<= 1
-	}
-	l := 0
-	for 1<<l < leaves {
-		l++
-	}
-	return l
+// ScanNs prices a linear-scan batch running alone.
+func (p Platform) ScanNs(rows, dim, batch int) float64 {
+	return p.Ns(p.ScanCost(rows, dim, batch))
 }
+
+// DHENs prices a DHE batch running alone.
+func (p Platform) DHENs(cfg dhe.Config, batch int) float64 {
+	return p.Ns(p.DHECost(cfg, batch))
+}
+
+// Threshold is Algorithm 3's profiled switching point under the model: the
+// table size in [10, 1e8] at which the DHE that cfg sizes for it becomes
+// cheaper than the linear scan. Both prices may move with the size (Varied
+// DHE), so the crossing is bracketed on a 5/4 log grid. exact then bisects
+// the bracket to the smallest winning size (the Uniform profile of Figures
+// 6 and 7); without it the bracket's midpoint is returned, the resolution
+// the Varied profile of Figures 11 and 13 was recorded at.
+func (p Platform) Threshold(dim, batch int, cfg func(rows int) dhe.Config, exact bool) int {
+	const minRows, maxRows = 10, 100_000_000
+	dheWins := func(n int) bool { return p.DHENs(cfg(n), batch) < p.ScanNs(n, dim, batch) }
+	lo := minRows
+	for hi := minRows; hi <= maxRows; lo, hi = hi, hi*5/4 {
+		if !dheWins(hi) {
+			continue
+		}
+		if !exact {
+			return (lo + hi) / 2
+		}
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; dheWins(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		return hi
+	}
+	return maxRows
+}
+
+// --- tree ORAM cost formulas (mirroring internal/oram's controllers,
+// sized by its defaults: Z, stash capacities, recursion cutoffs, Chi) ---
+
+// posmapEntryNsMul discounts flat posmap scans: tight uint32 loops.
+const posmapEntryNsMul = 0.5
 
 // posmapNs prices the position-map lookup for an n-block ORAM, recursing
 // per the scheme's cutoff.
@@ -128,8 +182,8 @@ func (p Platform) posmapNs(n, cutoff int, inner func(n, words int) float64) floa
 	if n <= cutoff {
 		return float64(n) * p.OramWordNs * posmapEntryNsMul
 	}
-	blocks := (n + chi - 1) / chi
-	return inner(blocks, chi)
+	blocks := (n + oram.Chi - 1) / oram.Chi
+	return inner(blocks, oram.Chi)
 }
 
 // PathAccessNs prices one Path ORAM access on an n-block tree with
@@ -137,14 +191,14 @@ func (p Platform) posmapNs(n, cutoff int, inner func(n, words int) float64) floa
 // oblivious stash scan per slot), serve, and write back greedily (a full
 // stash scan per slot).
 func (p Platform) PathAccessNs(n, words int) float64 {
-	L := treeLevels(n)
-	slots := float64((L + 1) * oramZ)
+	L := oram.Levels(n, oram.DefaultZ)
+	slots := float64((L + 1) * oram.DefaultZ)
 	buckets := 2 * float64(L+1)
-	stashScanWords := (slots*2 + 2) * pathStash * float64(words) // insert + extract + serve
+	stashScanWords := (slots*2 + 2) * oram.DefaultPathStash * float64(words) // insert + extract + serve
 	pathWords := 2 * slots * float64(words)
 	bucketBytes := 2 * slots * float64(4*words+12) // read + write-back traversal
 	ns := buckets*p.BucketNs + bucketBytes*p.BucketByteNs + (stashScanWords+pathWords)*p.OramWordNs
-	ns += p.posmapNs(n, pathCutoff, p.PathAccessNs)
+	ns += p.posmapNs(n, oram.DefaultPathRecursionCutoff, p.PathAccessNs)
 	return ns
 }
 
@@ -152,19 +206,19 @@ func (p Platform) PathAccessNs(n, words int) float64 {
 // only the target block (one masked copy per path slot), stash scans are
 // tiny, and two metadata-guided evictions move O(L) blocks.
 func (p Platform) CircuitAccessNs(n, words int) float64 {
-	L := treeLevels(n)
-	slots := float64((L + 1) * oramZ)
+	L := oram.Levels(n, oram.DefaultZ)
+	slots := float64((L + 1) * oram.DefaultZ)
 	buckets := 2 * float64(L+1)
 	readWords := slots * float64(words)
-	stashWords := 2 * circuitStash * float64(words)
+	stashWords := 2 * oram.DefaultCircuitStash * float64(words)
 	bucketBytes := float64(4*words+12) * slots
 	evictions := 2 * (2*float64(L+1)*p.BucketNs + // read+write each bucket
 		2*bucketBytes*p.BucketByteNs + // full-path copy + re-encryption
-		(slots+circuitStash)*p.OramWordNs*4 + // metadata scans
+		(slots+oram.DefaultCircuitStash)*p.OramWordNs*4 + // metadata scans
 		3*float64(words)*p.OramWordNs) // block movement
 	ns := buckets*p.BucketNs + 2*bucketBytes*p.BucketByteNs +
 		(readWords+stashWords)*p.OramWordNs + evictions
-	ns += p.posmapNs(n, circuitCutoff, p.CircuitAccessNs)
+	ns += p.posmapNs(n, oram.DefaultCircRecursionCutoff, p.CircuitAccessNs)
 	return ns
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"secemb/internal/dhe"
+	"secemb/internal/oram"
 )
 
 // The calibration checkpoints below pin the cost model to the paper's
@@ -132,12 +133,60 @@ func TestThreadScaling(t *testing.T) {
 	}
 }
 
+// TestTreeLevels: the path length the access formulas price is the one a
+// built controller walks.
 func TestTreeLevels(t *testing.T) {
-	if treeLevels(1024) != 8 { // 256 leaves
-		t.Fatalf("treeLevels(1024)=%d", treeLevels(1024))
+	levels := func(n int) int { return oram.Levels(n, oram.DefaultZ) }
+	if levels(1024) != 8 { // 256 leaves
+		t.Fatalf("levels(1024)=%d", levels(1024))
 	}
-	if treeLevels(4) != 0 {
-		t.Fatalf("treeLevels(4)=%d", treeLevels(4))
+	if levels(4) != 0 {
+		t.Fatalf("levels(4)=%d", levels(4))
+	}
+	for _, n := range []int{100, 4096, 65536} {
+		built := oram.NewCircuit(oram.Config{NumBlocks: n, BlockWords: 4, Seed: 1})
+		if got := built.TreeLevels(); levels(n) != got {
+			t.Fatalf("n=%d: model prices %d levels, built Circuit ORAM has %d", n, levels(n), got)
+		}
+	}
+}
+
+// TestSoloIsOneEvaluation: a technique has one demand, so its latency
+// alone on the socket is the same number whether the solo model or the
+// co-location model evaluates it.
+func TestSoloIsOneEvaluation(t *testing.T) {
+	p, sys := IceLake(1), IceLakeSystem()
+	const dim, batch = 64, 32
+	check := func(name string, ns float64, c Cost) {
+		t.Helper()
+		if solo := sys.Solo(c); solo != ns {
+			t.Fatalf("%s: Ns %v != co-location Solo %v (Δ %v)", name, ns, solo, ns-solo)
+		}
+		if co := sys.Latency([]Cost{c}); co[0] != ns {
+			t.Fatalf("%s: Ns %v != single-replica Latency %v", name, ns, co[0])
+		}
+	}
+	for _, rows := range []int{1000, 100_000, 10_000_000} {
+		check("scan", p.ScanNs(rows, dim, batch), p.ScanCost(rows, dim, batch))
+		varied := dhe.VariedConfig(dim, rows, 1)
+		check("dheV", p.DHENs(varied, batch), p.DHECost(varied, batch))
+	}
+	uniform := dhe.UniformConfig(dim, 1)
+	check("dheU", p.DHENs(uniform, batch), p.DHECost(uniform, batch))
+}
+
+// TestThresholdResolutions: the exact finder returns the smallest size at
+// which DHE wins; the grid finder lands within one 5/4 step of it.
+func TestThresholdResolutions(t *testing.T) {
+	p := IceLake(1)
+	uniform := func(int) dhe.Config { return dhe.UniformConfig(64, 1) }
+	n := p.Threshold(64, 32, uniform, true)
+	d := p.DHENs(uniform(n), 32)
+	if !(d < p.ScanNs(n, 64, 32)) || d < p.ScanNs(n-1, 64, 32) {
+		t.Fatalf("exact threshold %d is not the first size where DHE wins", n)
+	}
+	if g := p.Threshold(64, 32, uniform, false); g*4 > n*5 || g*5 < n*4 {
+		t.Fatalf("grid threshold %d more than one step from exact %d", g, n)
 	}
 }
 
@@ -145,8 +194,8 @@ func TestPosmapRecursionEngages(t *testing.T) {
 	p := IceLake(1)
 	// Circuit: above 2^12 blocks recursion replaces the flat scan; the
 	// posmap cost must stop growing linearly.
-	flat := p.posmapNs(1<<12, circuitCutoff, p.CircuitAccessNs)
-	rec := p.posmapNs(1<<20, circuitCutoff, p.CircuitAccessNs)
+	flat := p.posmapNs(1<<12, oram.DefaultCircRecursionCutoff, p.CircuitAccessNs)
+	rec := p.posmapNs(1<<20, oram.DefaultCircRecursionCutoff, p.CircuitAccessNs)
 	if rec > flat*100 {
 		t.Fatalf("recursive posmap cost %.0f grew linearly from %.0f", rec, flat)
 	}
@@ -155,22 +204,19 @@ func TestPosmapRecursionEngages(t *testing.T) {
 // TestFig6ThresholdDirection: the scan/DHE threshold must fall with batch
 // size and rise with thread count (Figure 6).
 func TestFig6ThresholdDirection(t *testing.T) {
-	threshold := func(batch, threads int) float64 {
-		p := IceLake(threads)
-		d := p.DHENs(dhe.UniformConfig(64, 1), batch)
-		// Invert ScanNs(n) = d analytically: words cost is linear in n.
-		perRow := float64(batch) * 64 * p.StreamWordNs * 1.5 / p.ScanReuse
-		return (d - float64(batch)*p.QueryNs) / perRow
+	threshold := func(batch, threads int) int {
+		uniform := func(int) dhe.Config { return dhe.UniformConfig(64, 1) }
+		return IceLake(threads).Threshold(64, batch, uniform, true)
 	}
 	if !(threshold(128, 1) < threshold(32, 1)) {
 		t.Fatal("threshold must fall as batch grows")
 	}
 	if !(threshold(32, 8) > threshold(32, 1)) {
-		t.Fatalf("threshold must rise with threads: t1=%.0f t8=%.0f",
+		t.Fatalf("threshold must rise with threads: t1=%d t8=%d",
 			threshold(32, 1), threshold(32, 8))
 	}
 	// Paper anchor: ≈3300 at batch 32, 1 thread (we accept 1.5k–6k).
 	if v := threshold(32, 1); v < 1500 || v > 6000 {
-		t.Fatalf("batch-32 threshold %.0f outside the paper's decade", v)
+		t.Fatalf("batch-32 threshold %d outside the paper's decade", v)
 	}
 }

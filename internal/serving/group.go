@@ -39,8 +39,7 @@ type GroupConfig struct {
 	// ShedWait arms degraded-mode load shedding: when a shard's queue is
 	// saturated, Do blocks at most this long for space before dropping
 	// the request with ErrQueueFull. 0 keeps classic backpressure — Do
-	// blocks until space or the request's own deadline (TryDo always
-	// sheds immediately).
+	// blocks until space or the request's own deadline.
 	ShedWait time.Duration
 }
 
@@ -68,8 +67,7 @@ type Group struct {
 	wg      sync.WaitGroup
 	started time.Time
 
-	statsCap int
-	reg      *obs.Registry
+	reg *obs.Registry
 
 	// Metrics; all nil without WithObserver, and nil metrics are no-ops.
 	mQueueDepth   *obs.Gauge
@@ -121,12 +119,6 @@ func WithObserver(reg *obs.Registry) Option {
 	}
 }
 
-// WithStatsCapacity sizes the latency sampling reservoir behind Stats()
-// (default 4096 samples).
-func WithStatsCapacity(n int) Option {
-	return func(g *Group) { g.statsCap = n }
-}
-
 func batchSizeBuckets() []int64 {
 	bounds := make([]int64, 0, 12)
 	for b := int64(1); b <= 2048; b *= 2 {
@@ -156,7 +148,7 @@ func NewGroup(backends []Backend, cfg GroupConfig, opts ...Option) *Group {
 	for _, o := range opts {
 		o(g)
 	}
-	g.res = newReservoir(g.statsCap, 1)
+	g.res = newReservoir(defaultReservoirCap, 1)
 
 	perShard := (len(backends) + cfg.Shards - 1) / cfg.Shards
 	maxBatch := 1
@@ -246,17 +238,7 @@ func (g *Group) Shards() int { return len(g.shards) }
 // overload instead of unbounded queueing.
 func (g *Group) Do(ctx context.Context, key uint64, payload any) Response {
 	t := newTask(ctx, key, payload)
-	if r, ok := g.enqueue(t, true); !ok {
-		return r
-	}
-	return t.wait(t.ctx)
-}
-
-// TryDo is the non-blocking variant: a saturated shard sheds immediately
-// with ErrQueueFull.
-func (g *Group) TryDo(ctx context.Context, key uint64, payload any) Response {
-	t := newTask(ctx, key, payload)
-	if r, ok := g.enqueue(t, false); !ok {
+	if r, ok := g.enqueue(t); !ok {
 		return r
 	}
 	return t.wait(t.ctx)
@@ -265,7 +247,7 @@ func (g *Group) TryDo(ctx context.Context, key uint64, payload any) Response {
 // enqueue routes t to its shard and admits it. The caller keeps waiting
 // on the task only when ok is true; otherwise the returned Response is
 // final and the task has been recycled.
-func (g *Group) enqueue(t *task, block bool) (Response, bool) {
+func (g *Group) enqueue(t *task) (Response, bool) {
 	t.shard = g.ShardOf(t.key)
 	s := g.shards[t.shard]
 	// Hold the lifecycle read-lock across the send so Close cannot close
@@ -280,45 +262,37 @@ func (g *Group) enqueue(t *task, block bool) (Response, bool) {
 	t.enqueued = time.Now()
 	select {
 	case s.queue <- t:
-		s.depth.Add(1)
-		g.mQueueDepth.Add(1)
-		g.lifecycle.RUnlock()
-		return Response{}, true
+		return g.admit(s)
 	default:
 	}
-	if !block {
-		return g.shedTask(t), false
-	}
+	// Saturated. Without ShedWait the grace channel stays nil and never
+	// fires: the send waits for space or the caller's own context.
+	var grace <-chan time.Time
 	if g.shedWait > 0 {
 		timer := time.NewTimer(g.shedWait)
 		defer timer.Stop()
-		select {
-		case s.queue <- t:
-			s.depth.Add(1)
-			g.mQueueDepth.Add(1)
-			g.lifecycle.RUnlock()
-			return Response{}, true
-		case <-t.ctx.Done():
-			g.lifecycle.RUnlock()
-			err, shard := t.ctx.Err(), t.shard
-			recycle(t)
-			return Response{Err: err, Shard: shard}, false
-		case <-timer.C:
-			return g.shedTask(t), false
-		}
+		grace = timer.C
 	}
 	select {
 	case s.queue <- t:
-		s.depth.Add(1)
-		g.mQueueDepth.Add(1)
-		g.lifecycle.RUnlock()
-		return Response{}, true
+		return g.admit(s)
 	case <-t.ctx.Done():
 		g.lifecycle.RUnlock()
 		err, shard := t.ctx.Err(), t.shard
 		recycle(t)
 		return Response{Err: err, Shard: shard}, false
+	case <-grace:
+		return g.shedTask(t), false
 	}
+}
+
+// admit accounts a task its shard's queue accepted. Called with the
+// lifecycle read-lock held; releases it.
+func (g *Group) admit(s *shard) (Response, bool) {
+	s.depth.Add(1)
+	g.mQueueDepth.Add(1)
+	g.lifecycle.RUnlock()
+	return Response{}, true
 }
 
 // shedTask drops a request in degraded mode: the shard stayed saturated,
