@@ -2,8 +2,7 @@ GO ?= go
 
 .PHONY: check ci ci-gate ci-heavy vet obliviouslint lint-sarif report-check \
 	build test bench-build race fmt-check \
-	fuzz-short fuzz-long leakcheck soak-short soak-long plan-sim benchdiff \
-	benchdiff-report bench bench-baseline bench-all
+	fuzz-short fuzz-long leakcheck soak-short soak-long plan-sim bench bench-all
 
 check: vet obliviouslint build test race
 
@@ -23,7 +22,7 @@ check: vet obliviouslint build test race
 # to paper over any drift.
 ci: ci-gate ci-heavy
 ci-gate: fmt-check vet report-check obliviouslint build test bench-build
-ci-heavy: race fuzz-short leakcheck soak-short plan-sim bench benchdiff
+ci-heavy: race fuzz-short leakcheck soak-short plan-sim bench
 
 # vet layers the strict in-repo analyzers (shadow, unusedresult) on top of
 # the stock go vet suite.
@@ -133,43 +132,15 @@ soak-long:
 plan-sim:
 	$(GO) run ./cmd/dlrmbench -plan -plan-assert -autotune off -seed 1
 
-# benchdiff gates BENCH_hotpath.json: ns/op regression vs the
-# committed baseline, or any allocation on a zero-alloc path, fails.
-# The CI limit is 25%, above the tool's 15% default: repeated captures
-# of identical code on this shared 1-CPU host spread ±15–25% ns/op
-# (CPU steal), so 15% false-positives on noise. Real hot-path
-# regressions we care about (a dropped unroll, an accidental float
-# fallback, an alloc) show up far above 25% — and the zero-alloc gate
-# is exact regardless.
-benchdiff:
-	$(GO) run ./cmd/benchdiff -file BENCH_hotpath.json -max-regress 0.25
-
-# benchdiff-report is the baseline-refresh annotation pass: same gate, but
-# advisory (exit 0) and rendered to markdown for the PR comment the
-# bench-baseline workflow posts.
-benchdiff-report:
-	$(GO) run ./cmd/benchdiff -file BENCH_hotpath.json -max-regress 0.25 \
-		-advisory -md benchdiff_report.md
-
-# bench refreshes the "current" section of BENCH_hotpath.json from the
-# hot-path benchmarks (benchfmt keeps the best rep per benchmark).
-# bench-baseline records the same run under the "baseline" label — run it
-# once before an optimization so before/after land in the same committed
-# artifact. Many short reps instead of few long ones: on a shared 1-CPU
-# host, multi-second CPU-steal stalls poison whole reps, and the min over
-# six 0.5s reps rides them out where min-of-three 1s reps cannot (same
-# total runtime).
-BENCH_PKGS = ./internal/tensor ./internal/dhe ./internal/core ./internal/serving/backends
-BENCH_FLAGS = -bench=. -benchmem -run='^$$' -count=6 -benchtime=0.5s
-
-# SECEMB_AUTOTUNE=1 makes each bench package's TestMain run the startup
-# kernel autotuner first, so recorded numbers reflect the tuned
-# production configuration.
+# bench runs the per-layer probes of the repo's benchmark (bench/README.md)
+# and prints their metrics; it exits non-zero if a probe errors. Report-only:
+# nothing is committed and there is no tolerance to tune. Timing regressions
+# are judged by the paired-run protocol in bench/README.md, allocation
+# regressions by the exact AllocsPerRun tests `make test` runs.
 bench:
-	SECEMB_AUTOTUNE=1 $(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) | $(GO) run ./cmd/benchfmt -out BENCH_hotpath.json -label current
+	bash bench/run.sh -mode probe
 
-bench-baseline:
-	SECEMB_AUTOTUNE=1 $(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) | $(GO) run ./cmd/benchfmt -out BENCH_hotpath.json -label baseline
-
+# bench-all runs every Benchmark* function once, including the per-figure
+# reproductions in the root package.
 bench-all:
-	SECEMB_AUTOTUNE=1 $(GO) test -bench=. -benchmem ./...
+	$(GO) test -bench=. -benchmem ./...

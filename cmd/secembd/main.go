@@ -145,10 +145,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return 2
 	}
+	if err := c.validate(); err != nil {
+		fmt.Fprintln(stderr, "secembd:", err)
+		return 2
+	}
 	if c.soak {
 		return runSoak(c, stdout, stderr)
 	}
 	return runServe(c, stdout, stderr)
+}
+
+// validate rejects the flag values the serving and wire constructors treat
+// as programmer errors (they panic), so an operator typo is a usage error.
+// Rows, dim and technique are checked by core.New, which returns an error.
+func (c *config) validate() error {
+	shards := c.shards
+	if shards == 0 {
+		shards = c.nBackends
+	}
+	switch {
+	case c.nBackends < 1:
+		return fmt.Errorf("-backends must be at least 1, got %d", c.nBackends)
+	case c.shards < 0 || c.shards > c.nBackends:
+		return fmt.Errorf("-shards must be between 0 and -backends (%d), got %d", c.nBackends, c.shards)
+	case shards > 256:
+		return fmt.Errorf("%d shards exceed the wire shard field's cap of 256; group the backends with -shards", shards)
+	case c.maxBatch < 1:
+		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
+	}
+	return nil
 }
 
 // planTable names the single managed table secembd serves.

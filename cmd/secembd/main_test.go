@@ -22,9 +22,17 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-no-such-flag"},
 		{"-autotune", "maybe"},
 		{"-tls-cert", "cert.pem"},
+		{"-backends", "0"},
+		{"-shards", "9", "-backends", "2"},
+		{"-backends", "300"},
+		{"-max-batch", "0"},
 	} {
-		if code, _, stderr := runCLI(args...); code != 2 {
+		code, _, stderr := runCLI(args...)
+		if code != 2 {
 			t.Errorf("run(%q) = %d, want 2 (stderr: %s)", args, code, stderr)
+		}
+		if strings.Contains(stderr, "goroutine ") {
+			t.Errorf("run(%q) dumped a stack trace: %s", args, stderr)
 		}
 	}
 }

@@ -1,5 +1,6 @@
 // Sidechannel: the full attack-and-defense story of §III and Table II.
-// First the cache attack recovers a victim's embedding index; then the
+// First the cache attack recovers a victim's embedding index, alone and
+// combined with the page-fault and DRAM row-buffer channels; then the
 // trace instrumentation quantifies, in bits, how much each generation
 // technique leaks about the query.
 //
@@ -31,7 +32,20 @@ func main() {
 			flat = false
 		}
 	}
-	fmt.Printf("same attack against the linear scan: latency profile flat = %v → nothing to recover\n\n", flat)
+	fmt.Printf("same attack against the linear scan: latency profile flat = %v → nothing to recover\n", flat)
+
+	// §III-A2: the page-fault channel narrows the index to one page, then a
+	// focused cache attack pinpoints the row — recovery on a table far
+	// larger than the 25 sets above could monitor.
+	const secret = 1033
+	large := &cache.Victim{Base: 0, NumRows: 4096, LinesPerRow: 4, Cache: cache.New(cache.DefaultConfig())}
+	fmt.Printf("combined page-fault + cache attack on a %d-row table (%d rows/page): victim queried index %d → recovered %d\n",
+		large.NumRows, large.RowsPerPage(), secret, cache.NewCombinedAttack(large).Recover(secret, 10))
+	// The DRAM row-buffer channel is coarser: it localizes, not pinpoints.
+	rb := cache.NewRowBufferAttack(large, cache.NewDRAM(cache.DefaultDRAMConfig()))
+	lo, hi := rb.Recover(secret)
+	fmt.Printf("DRAM row-buffer channel (%d table rows per DRAM row): victim queried index %d → localized to window [%d, %d)\n\n",
+		rb.RowsPerDRAMRow(), secret, lo, hi)
 
 	fmt.Println("== Part 2: leakage in bits, measured on the access traces (Table II) ==")
 	const rows, dim, secrets = 64, 8, 16

@@ -67,20 +67,26 @@ func TestScanBatchedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDHEGenSteadyStateAllocs covers the core-layer half of the
-// zero-allocation acceptance: dheGen routes Generate through a private
-// inference clone, so repeated calls must not allocate fresh layer outputs.
+// zero-allocation invariant: dheGen routes Generate through a private
+// inference clone that owns every layer output, so after the sizing call
+// a Generate allocates nothing, at batch 1 and at batch 64.
 func TestDHEGenSteadyStateAllocs(t *testing.T) {
 	d := smallCoreDHE(24)
 	g := MustNew(DHE, 1000, d.Dim, Options{DHE: d})
-	ids := []uint64{5, 10, 15, 20}
-	mustGen(t, g, ids) // size the inference workspace
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := g.Generate(ids); err != nil {
-			t.Fatal(err)
+	for _, batch := range []int{1, 64} {
+		ids := make([]uint64, batch)
+		for i := range ids {
+			ids[i] = uint64(i * 7)
 		}
-	})
-	if allocs > 8 {
-		t.Fatalf("steady-state dheGen allocates %.0f objects per call", allocs)
+		mustGen(t, g, ids) // size the inference workspace
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := g.Generate(ids); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state dheGen allocates %.0f objects per batch-%d call", allocs, batch)
+		}
 	}
 }
 

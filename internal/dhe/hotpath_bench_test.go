@@ -11,8 +11,7 @@ import (
 // generation on the paper's Uniform DLRM architecture (Table IV: k=1024,
 // 512-256-dim decoder) with the int8 SWAR decoder serving (the production
 // default); the uniform-f32 variants keep the float32 path measured so the
-// speedup stays visible in one report. Results feed BENCH_hotpath.json via
-// `make bench`.
+// speedup stays visible in one report.
 func BenchmarkDHEGenerate(b *testing.B) {
 	run := func(name string, batch int, int8 bool) {
 		b.Run(fmt.Sprintf("%s/batch%d", name, batch), func(b *testing.B) {

@@ -108,6 +108,6 @@ func ExtQuantization(quick bool) Report {
 			fmt.Sprintf("%.4f", drift))
 	}
 	r.AddNote("quantized decoders keep the dense, input-independent data flow — same side-channel argument")
-	r.AddNote("packed lanes trade half the flat-int8 compression for a ~3x faster scalar kernel (BENCH_hotpath.json)")
+	r.AddNote("packed lanes trade half the flat-int8 compression for a ~3x faster scalar kernel (bench probes tensor.matmul_quant_256_us vs tensor.matmul_f32_256_us)")
 	return r
 }

@@ -20,10 +20,10 @@ import (
 // for the counterexample this invariant forbids).
 
 // Analytic prior constants, calibrated to this repository's measured
-// orderings (BENCH_hotpath.json, internal/profile): the absolute numbers
-// only matter until the first observation window replaces them, but their
-// *orderings* reproduce the paper's regimes — scan wins small tables,
-// ORAM wins big-table/small-batch, DHE wins big-table/large-batch.
+// orderings (the core.* probes of bench/, internal/profile): the absolute
+// numbers only matter until the first observation window replaces them,
+// but their *orderings* reproduce the paper's regimes — scan wins small
+// tables, ORAM wins big-table/small-batch, DHE wins big-table/large-batch.
 const (
 	// scanPerElemNs: one masked compare+blend per table element per id.
 	scanPerElemNs = 0.5

@@ -69,12 +69,11 @@ func wave(b *testing.B, do func(key uint64, ids []uint64) serving.Response) {
 	}
 }
 
-// BenchmarkServe64SingleRowClients records the serving-stack acceptance
+// BenchmarkServe64SingleRowClients measures the serving-stack acceptance
 // number: one op is a wave of 64 concurrent single-id requests on the
 // DHE-backed Dual backend, so requests/sec = 64 / (ns_per_op × 1e-9).
 // The coalesced variant must sustain at least twice the per-request
-// baseline's requests/sec (its ns/op at most half); cmd/benchdiff then
-// gates both entries in BENCH_hotpath.json against regression.
+// baseline's requests/sec (its ns/op at most half).
 func BenchmarkServe64SingleRowClients(b *testing.B) {
 	b.Run("per-request", func(b *testing.B) {
 		pool := perRequestGroup(dualBackends(b), benchClients)

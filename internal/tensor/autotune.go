@@ -86,8 +86,7 @@ const tuneBudget = 100 * time.Millisecond
 // the serving-dominant matmul shape, picks the inline-fallback threshold
 // by racing the pool against single-threaded dispatch on small batches,
 // installs the winner via SetTune, and returns it. Call once at startup
-// (cmd/secembd does, and `make bench` does before recording) — repeated
-// calls re-probe and overwrite.
+// (cmd/secembd does) — repeated calls re-probe and overwrite.
 func Autotune() TuneConfig {
 	deadline := time.Now().Add(tuneBudget)
 	procs := runtime.GOMAXPROCS(0)
