@@ -74,7 +74,7 @@ bench-build:
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/obs ./internal/serving \
 		./internal/serving/backends ./internal/core ./internal/dlrm ./internal/wire \
-		./internal/leakcheck ./internal/planner
+		./internal/leakcheck ./internal/planner ./cmd/secembd
 
 # fmt-check fails (listing offenders) when any file needs gofmt.
 fmt-check:

@@ -53,14 +53,13 @@ func TestScanBatchedSteadyStateAllocs(t *testing.T) {
 	tbl := testTable(256, 16, 23)
 	g := newStorage(LinearScanBatched, tbl, Options{})
 	ids := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	mustGen(t, g, ids) // prime the size-class pool
+	mustGen(t, g, ids) // size the output slab
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := g.Generate(ids); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Steady state recycles the output slab through bufpool; only pool
-	// bookkeeping and the occasional GC-emptied class may allocate.
+	// Steady state reuses the generator's own output slab.
 	if allocs > 4 {
 		t.Fatalf("steady-state batched scan allocates %.0f objects per call", allocs)
 	}
@@ -111,35 +110,6 @@ func TestDHEGenDoesNotDisturbTraining(t *testing.T) {
 	}
 	if u != d {
 		t.Fatal("Underlying no longer returns the wrapped trainable DHE")
-	}
-}
-
-func TestBufPoolClassesAndRecycling(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 64, 65, 1 << 12} {
-		b := grabBuf(n)
-		if len(b) != n {
-			t.Fatalf("grabBuf(%d) len=%d", n, len(b))
-		}
-		if cap(b) != 1<<bufClass(n) {
-			t.Fatalf("grabBuf(%d) cap=%d, want size-class %d", n, cap(b), 1<<bufClass(n))
-		}
-		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("grabBuf(%d) returned dirty memory at %d", n, i)
-			}
-		}
-		b[0] = 42
-		releaseBuf(b)
-		// The recycled slab must come back zeroed for any size in its class.
-		if c := grabBuf(n); c[0] != 0 {
-			t.Fatalf("recycled buffer not zeroed for n=%d", n)
-		}
-	}
-	releaseBuf(nil) // must be a no-op
-	// Foreign capacities (not produced by grabBuf) are rejected, not pooled.
-	releaseBuf(make([]float32, 3, 7))
-	if b := grabBuf(3); cap(b) != 4 {
-		t.Fatalf("foreign slab entered the pool: cap=%d", cap(b))
 	}
 }
 

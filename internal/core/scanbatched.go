@@ -23,9 +23,9 @@ type scanBatchedGen struct {
 	region  string
 	threads int
 
-	// out is the reusable output header; its Data slab cycles through the
-	// size-class buffer pool (see bufpool.go). The returned matrix is
-	// valid until this generator's next Generate.
+	// out is the reusable output: its Data slab grows on demand and is
+	// otherwise resliced and cleared. The returned matrix is valid until
+	// this generator's next Generate.
 	out tensor.Matrix
 }
 
@@ -48,9 +48,14 @@ func (g *scanBatchedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	rows, width := g.table.Rows, g.table.Cols
-	releaseBuf(g.out.Data)
-	g.out = tensor.Matrix{Rows: len(ids), Cols: width, Data: grabBuf(len(ids) * width)}
 	out := &g.out
+	if need := len(ids) * width; cap(out.Data) < need {
+		out.Data = make([]float32, need)
+	} else {
+		out.Data = out.Data[:need]
+		clear(out.Data)
+	}
+	out.Rows, out.Cols = len(ids), width
 	// Partition the *batch* across workers; each worker makes one pass
 	// over the table for its queries (so with one worker, the whole batch
 	// shares a single pass).

@@ -340,11 +340,11 @@ func (d *DHE) ToTable(rows int) *tensor.Matrix {
 	// allocating rows/chunk fresh matrices. The clone shares weights, so
 	// the numbers are identical and d's training state is untouched. The
 	// clone — workspace slabs, encoder buffer, id scratch — is cached on
-	// the DHE and reused by later ToTable calls (the bufpool pattern from
-	// core: grow once, then steady-state materialization allocates only
-	// the returned table). Weight *values* may change between calls
-	// (training epochs); weight shapes cannot, so reuse stays sound —
-	// but a post-training EnableInt8 invalidates the cache below.
+	// the DHE and reused by later ToTable calls (grow once, then
+	// steady-state materialization allocates only the returned table).
+	// Weight *values* may change between calls (training epochs); weight
+	// shapes cannot, so reuse stays sound — but a post-training
+	// EnableInt8 invalidates the cache below.
 	// ToTable is not safe for concurrent calls on the same DHE.
 	gen := d
 	if !d.inference {

@@ -2,7 +2,6 @@ package llm
 
 import (
 	"fmt"
-	"time"
 
 	"secemb/internal/tensor"
 )
@@ -18,22 +17,24 @@ import (
 // token at a time. The fused batch size is public (request count), the
 // token ids inside it are not (§V-B).
 
-// validateFused checks that sessions are fusable: all single-sequence,
-// all on the same pipeline.
-func validateFused(sessions []*Session) (*Pipeline, error) {
+// fusedSeqs checks that sessions are fusable — all single-sequence, all on
+// the same pipeline — and lists sequence 0 of each.
+func fusedSeqs(sessions []*Session) (*Pipeline, []seq, error) {
 	if len(sessions) == 0 {
-		return nil, fmt.Errorf("llm: fused call needs at least one session")
+		return nil, nil, fmt.Errorf("llm: fused call needs at least one session")
 	}
 	p := sessions[0].p
+	seqs := make([]seq, len(sessions))
 	for i, s := range sessions {
 		if s.p != p {
-			return nil, fmt.Errorf("llm: session %d belongs to a different pipeline", i)
+			return nil, nil, fmt.Errorf("llm: session %d belongs to a different pipeline", i)
 		}
 		if len(s.lens) != 1 {
-			return nil, fmt.Errorf("llm: session %d has %d sequences; fused calls take single-sequence sessions", i, len(s.lens))
+			return nil, nil, fmt.Errorf("llm: session %d has %d sequences; fused calls take single-sequence sessions", i, len(s.lens))
 		}
+		seqs[i] = seq{s, 0}
 	}
-	return p, nil
+	return p, seqs, nil
 }
 
 // DecodeFused appends one token to every session and returns each
@@ -41,47 +42,11 @@ func validateFused(sessions []*Session) (*Pipeline, error) {
 // embedding-generation batch equals len(sessions) — the coalesced decode
 // batch — instead of 1 per caller.
 func DecodeFused(sessions []*Session, tokens []int) ([]*tensor.Matrix, error) {
-	start := time.Now()
-	p, err := validateFused(sessions)
+	p, seqs, err := fusedSeqs(sessions)
 	if err != nil {
 		return nil, err
 	}
-	if len(tokens) != len(sessions) {
-		return nil, fmt.Errorf("llm: %d tokens for %d sessions", len(tokens), len(sessions))
-	}
-	for i, s := range sessions {
-		if s.lens[0] == 0 {
-			return nil, fmt.Errorf("llm: session %d not prefilled", i)
-		}
-		if s.lens[0] >= p.Cfg.MaxSeq {
-			return nil, fmt.Errorf("llm: session %d exceeded MaxSeq %d", i, p.Cfg.MaxSeq)
-		}
-	}
-	ids := make([]uint64, len(tokens))
-	for i, t := range tokens {
-		ids[i] = uint64(t)
-	}
-	emb, err := p.Gen.Generate(ids) // ONE batched secure embedding generation
-	if err != nil {
-		return nil, fmt.Errorf("llm: fused decode embedding: %w", err)
-	}
-	outs := make([]*tensor.Matrix, len(sessions))
-	for i, s := range sessions {
-		x := tensor.SliceRows(emb, i, i+1)
-		row := x.Row(0)
-		pos := p.Pos.Row(s.lens[0])
-		for c := range row {
-			row[c] += pos[c]
-		}
-		hidden := p.forwardChunk(s, 0, x)
-		outs[i] = tensor.MatMulTransB(hidden, p.Head, 0)
-		s.lens[0]++
-	}
-	d := time.Since(start)
-	for _, s := range sessions {
-		s.DecodeTimes = append(s.DecodeTimes, d)
-	}
-	return outs, nil
+	return p.decode(seqs, tokens)
 }
 
 // PrefillFused processes one prompt per session and returns each
@@ -90,48 +55,9 @@ func DecodeFused(sessions []*Session, tokens []int) ([]*tensor.Matrix, error) {
 // (batch = Σ prompt lengths), exactly as a one-session batched Prefill
 // would, but across independently owned sessions.
 func PrefillFused(sessions []*Session, prompts [][]int) ([]*tensor.Matrix, error) {
-	start := time.Now()
-	p, err := validateFused(sessions)
+	p, seqs, err := fusedSeqs(sessions)
 	if err != nil {
 		return nil, err
 	}
-	if len(prompts) != len(sessions) {
-		return nil, fmt.Errorf("llm: %d prompts for %d sessions", len(prompts), len(sessions))
-	}
-	var ids []uint64
-	for i, toks := range prompts {
-		if sessions[i].lens[0] != 0 {
-			return nil, fmt.Errorf("llm: session %d already prefilled", i)
-		}
-		if len(toks) == 0 || len(toks) > p.Cfg.MaxSeq {
-			return nil, fmt.Errorf("llm: prompt %d length %d out of (0, %d]", i, len(toks), p.Cfg.MaxSeq)
-		}
-		for _, t := range toks {
-			ids = append(ids, uint64(t))
-		}
-	}
-	emb, err := p.Gen.Generate(ids)
-	if err != nil {
-		return nil, fmt.Errorf("llm: fused prefill embedding: %w", err)
-	}
-	outs := make([]*tensor.Matrix, len(sessions))
-	off := 0
-	for i, s := range sessions {
-		T := len(prompts[i])
-		x := tensor.SliceRows(emb, off, off+T)
-		off += T
-		for r := 0; r < T; r++ {
-			row := x.Row(r)
-			pos := p.Pos.Row(r)
-			for c := range row {
-				row[c] += pos[c]
-			}
-		}
-		hidden := p.forwardChunk(s, 0, x)
-		last := tensor.SliceRows(hidden, T-1, T)
-		outs[i] = tensor.MatMulTransB(last, p.Head, 0)
-		s.lens[0] = T
-		s.PrefillTime = time.Since(start)
-	}
-	return outs, nil
+	return p.prefill(seqs, prompts)
 }

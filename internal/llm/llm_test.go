@@ -383,3 +383,20 @@ func TestBatchedPrefillPerSequenceConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRejectsWithoutAdvancing: a Decode that must be refused (one
+// sequence already at MaxSeq) leaves every sequence where it was — nothing
+// is embedded and no cache or length moves before the whole call is valid.
+func TestDecodeRejectsWithoutAdvancing(t *testing.T) {
+	m := tinyModel(TableTok, 54)
+	w, _ := core.TableWeights(m.Tok)
+	p := FromModel(m, core.MustNew(core.Lookup, w.Rows, w.Cols, core.Options{Table: w}))
+	s := p.NewSession(2)
+	mustPrefill(t, s, [][]int{{1, 2}, make([]int, m.Cfg.MaxSeq)})
+	if _, err := s.Decode([]int{3, 4}); err == nil {
+		t.Fatal("decode past MaxSeq must error")
+	}
+	if s.lens[0] != 2 || s.lens[1] != m.Cfg.MaxSeq || len(s.DecodeTimes) != 0 {
+		t.Fatalf("rejected Decode advanced the session: lens=%v, %d decode times", s.lens, len(s.DecodeTimes))
+	}
+}

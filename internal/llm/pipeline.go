@@ -92,89 +92,142 @@ func (p *Pipeline) NewSession(batch int) *Session {
 	return s
 }
 
+// seq names one sequence of a session. Every entry point advances a list
+// of them: a batched call lists all sequences of one session, a fused call
+// (fused.go) sequence 0 of many sessions.
+type seq struct {
+	s *Session
+	b int
+}
+
+func (s *Session) seqs() []seq {
+	out := make([]seq, len(s.lens))
+	for b := range out {
+		out[b] = seq{s, b}
+	}
+	return out
+}
+
 // Prefill processes the prompt of every sequence and returns the logits of
 // each sequence's final position (batch×Vocab). The token embeddings of
 // *all* prompts are generated in a single Generate call, so the embedding
 // batch is Σ prompt lengths (e.g. 256×B for the paper's setup).
 func (s *Session) Prefill(prompts [][]int) (*tensor.Matrix, error) {
-	start := time.Now()
-	p := s.p
-	if len(prompts) != len(s.lens) {
-		return nil, fmt.Errorf("llm: %d prompts for %d-sequence session", len(prompts), len(s.lens))
-	}
-	var ids []uint64
-	for b, toks := range prompts {
-		if s.lens[b] != 0 {
-			return nil, fmt.Errorf("llm: Prefill on an already-prefilled session")
-		}
-		if len(toks) == 0 || len(toks) > p.Cfg.MaxSeq {
-			return nil, fmt.Errorf("llm: prompt length %d out of (0, %d]", len(toks), p.Cfg.MaxSeq)
-		}
-		for _, t := range toks {
-			ids = append(ids, uint64(t))
-		}
-	}
-	emb, err := p.Gen.Generate(ids) // ONE batched secure embedding generation
-	if err != nil {
-		return nil, fmt.Errorf("llm: prefill embedding: %w", err)
-	}
-	out := tensor.New(len(prompts), p.Cfg.Vocab)
-	off := 0
-	for b, toks := range prompts {
-		T := len(toks)
-		x := tensor.SliceRows(emb, off, off+T)
-		off += T
-		for i := 0; i < T; i++ {
-			row := x.Row(i)
-			pos := p.Pos.Row(i)
-			for c := range row {
-				row[c] += pos[c]
-			}
-		}
-		hidden := p.forwardChunk(s, b, x)
-		last := tensor.SliceRows(hidden, T-1, T)
-		logits := tensor.MatMulTransB(last, p.Head, 0)
-		copy(out.Row(b), logits.Row(0))
-		s.lens[b] = T
-	}
-	s.PrefillTime = time.Since(start)
-	return out, nil
+	return s.p.stack(s.p.prefill(s.seqs(), prompts))
 }
 
 // Decode appends one token per sequence and returns next-token logits
 // (batch×Vocab). The embedding-generation batch equals the request batch.
 func (s *Session) Decode(tokens []int) (*tensor.Matrix, error) {
+	return s.p.stack(s.p.decode(s.seqs(), tokens))
+}
+
+// stack gathers per-sequence 1×Vocab logits into one batch×Vocab matrix.
+func (p *Pipeline) stack(logits []*tensor.Matrix, err error) (*tensor.Matrix, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(len(logits), p.Cfg.Vocab)
+	for i, l := range logits {
+		copy(out.Row(i), l.Row(0))
+	}
+	return out, nil
+}
+
+// prefill runs prompts[i] through the fresh sequence seqs[i]. The call's
+// total time lands in PrefillTime of every session involved.
+func (p *Pipeline) prefill(seqs []seq, prompts [][]int) ([]*tensor.Matrix, error) {
 	start := time.Now()
-	p := s.p
-	if len(tokens) != len(s.lens) {
-		return nil, fmt.Errorf("llm: %d tokens for %d-sequence session", len(tokens), len(s.lens))
+	if len(prompts) != len(seqs) {
+		return nil, fmt.Errorf("llm: %d prompts for %d sequences", len(prompts), len(seqs))
 	}
-	ids := make([]uint64, len(tokens))
-	for i, t := range tokens {
-		ids[i] = uint64(t)
+	for i, toks := range prompts {
+		if q := seqs[i]; q.s.lens[q.b] != 0 {
+			return nil, fmt.Errorf("llm: sequence %d already prefilled", i)
+		}
+		if len(toks) == 0 || len(toks) > p.Cfg.MaxSeq {
+			return nil, fmt.Errorf("llm: prompt %d length %d out of (0, %d]", i, len(toks), p.Cfg.MaxSeq)
+		}
 	}
-	emb, err := p.Gen.Generate(ids)
+	out, err := p.advance(seqs, prompts)
+	if err != nil {
+		return nil, fmt.Errorf("llm: prefill embedding: %w", err)
+	}
+	d := time.Since(start)
+	for _, q := range seqs {
+		q.s.PrefillTime = d
+	}
+	return out, nil
+}
+
+// decode appends tokens[i] to the prefilled sequence seqs[i]. The call's
+// total time is appended to DecodeTimes of every session involved.
+func (p *Pipeline) decode(seqs []seq, tokens []int) ([]*tensor.Matrix, error) {
+	start := time.Now()
+	if len(tokens) != len(seqs) {
+		return nil, fmt.Errorf("llm: %d tokens for %d sequences", len(tokens), len(seqs))
+	}
+	chunks := make([][]int, len(tokens))
+	for i, q := range seqs {
+		if q.s.lens[q.b] == 0 {
+			return nil, fmt.Errorf("llm: sequence %d not prefilled", i)
+		}
+		if q.s.lens[q.b] >= p.Cfg.MaxSeq {
+			return nil, fmt.Errorf("llm: sequence %d exceeded MaxSeq %d", i, p.Cfg.MaxSeq)
+		}
+		chunks[i] = tokens[i : i+1]
+	}
+	out, err := p.advance(seqs, chunks)
 	if err != nil {
 		return nil, fmt.Errorf("llm: decode embedding: %w", err)
 	}
-	out := tensor.New(len(tokens), p.Cfg.Vocab)
-	for b := range tokens {
-		if s.lens[b] >= p.Cfg.MaxSeq {
-			return nil, fmt.Errorf("llm: sequence %d exceeded MaxSeq %d", b, p.Cfg.MaxSeq)
-		}
-		x := tensor.SliceRows(emb, b, b+1)
-		row := x.Row(0)
-		pos := p.Pos.Row(s.lens[b])
-		for c := range row {
-			row[c] += pos[c]
-		}
-		hidden := p.forwardChunk(s, b, x)
-		logits := tensor.MatMulTransB(hidden, p.Head, 0)
-		copy(out.Row(b), logits.Row(0))
-		s.lens[b]++
-	}
 	d := time.Since(start)
-	s.DecodeTimes = append(s.DecodeTimes, d)
+	for i, q := range seqs {
+		if i == 0 || q.s != seqs[i-1].s { // one session's sequences are adjacent
+			q.s.DecodeTimes = append(q.s.DecodeTimes, d)
+		}
+	}
+	return out, nil
+}
+
+// advance embeds every chunk's tokens in ONE secure Generate call (batch =
+// Σ chunk lengths), runs chunks[i] through seqs[i]'s caches from its
+// current length, and returns each sequence's final-position logits
+// (1×Vocab each). Callers validate first: the only error left is the
+// generator's, returned before any cache or length has moved.
+func (p *Pipeline) advance(seqs []seq, chunks [][]int) ([]*tensor.Matrix, error) {
+	n := 0
+	for _, toks := range chunks {
+		n += len(toks)
+	}
+	ids := make([]uint64, 0, n)
+	for _, toks := range chunks {
+		for _, t := range toks {
+			ids = append(ids, uint64(t))
+		}
+	}
+	emb, err := p.Gen.Generate(ids)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*tensor.Matrix, len(seqs))
+	off := 0
+	for i, q := range seqs {
+		T, prev := len(chunks[i]), q.s.lens[q.b]
+		x := tensor.SliceRows(emb, off, off+T)
+		off += T
+		for r := 0; r < T; r++ {
+			row := x.Row(r)
+			pos := p.Pos.Row(prev + r)
+			for c := range row {
+				row[c] += pos[c]
+			}
+		}
+		hidden := p.forwardChunk(q.s, q.b, x)
+		last := tensor.SliceRows(hidden, T-1, T)
+		out[i] = tensor.MatMulTransB(last, p.Head, 0)
+		q.s.lens[q.b] = prev + T
+	}
 	return out, nil
 }
 
@@ -271,58 +324,43 @@ func SampleNext(logits *tensor.Matrix, k int, temperature float64, rng *rand.Ran
 	return out
 }
 
-// GenerateSampled is Generate with top-k/temperature sampling instead of
-// greedy decoding.
-func (p *Pipeline) GenerateSampled(prompts [][]int, steps, k int, temperature float64, rng *rand.Rand) (*Session, [][]int, error) {
-	s := p.NewSession(len(prompts))
-	logits, err := s.Prefill(prompts)
-	if err != nil {
-		return nil, nil, err
-	}
-	outs := make([][]int, len(prompts))
-	next := SampleNext(logits, k, temperature, rng)
-	for i, t := range next {
-		outs[i] = append(outs[i], t)
-	}
-	for step := 1; step < steps; step++ {
-		logits, err = s.Decode(next)
-		if err != nil {
-			return nil, nil, err
-		}
-		next = SampleNext(logits, k, temperature, rng)
-		for i, t := range next {
-			outs[i] = append(outs[i], t)
-		}
-	}
-	return s, outs, nil
-}
-
 // Generate runs prefill plus `steps` greedy decode steps and returns the
 // generated tokens per sequence. Timing lands in the session fields
 // (TTFT = PrefillTime; TBT = mean of DecodeTimes), matching the metrics of
 // §VI-A3.
 func (p *Pipeline) Generate(prompts [][]int, steps int) (*Session, [][]int, error) {
+	return p.generate(prompts, steps, GreedyNext)
+}
+
+// GenerateSampled is Generate with top-k/temperature sampling instead of
+// greedy decoding.
+func (p *Pipeline) GenerateSampled(prompts [][]int, steps, k int, temperature float64, rng *rand.Rand) (*Session, [][]int, error) {
+	return p.generate(prompts, steps, func(logits *tensor.Matrix) []int {
+		return SampleNext(logits, k, temperature, rng)
+	})
+}
+
+// generate prefills, then alternates pick (logits → next token per
+// sequence) with Decode until each sequence has max(steps, 1) tokens.
+func (p *Pipeline) generate(prompts [][]int, steps int, pick func(*tensor.Matrix) []int) (*Session, [][]int, error) {
 	s := p.NewSession(len(prompts))
 	logits, err := s.Prefill(prompts)
 	if err != nil {
 		return nil, nil, err
 	}
 	outs := make([][]int, len(prompts))
-	next := GreedyNext(logits)
-	for i, t := range next {
-		outs[i] = append(outs[i], t)
-	}
-	for step := 1; step < steps; step++ {
-		logits, err = s.Decode(next)
-		if err != nil {
-			return nil, nil, err
-		}
-		next = GreedyNext(logits)
+	for step := 1; ; step++ {
+		next := pick(logits)
 		for i, t := range next {
 			outs[i] = append(outs[i], t)
 		}
+		if step >= steps {
+			return s, outs, nil
+		}
+		if logits, err = s.Decode(next); err != nil {
+			return nil, nil, err
+		}
 	}
-	return s, outs, nil
 }
 
 // MeanDecodeTime is the paper's TBT (time between tokens).

@@ -1,122 +1,33 @@
 package oram
 
 import (
-	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"secemb/internal/memtrace"
 	"secemb/internal/oblivious"
 )
 
-// CircuitORAM implements Circuit ORAM (§IV-A2): the read phase pulls only
-// the requested block off the fetched path (not the whole path, unlike
-// Path ORAM), and eviction runs as a single root→leaf pass guided by
-// metadata prepared in two cheap scans (prepare-deepest / prepare-target),
-// over two deterministically-chosen paths per access (reverse-
-// lexicographic order). The stash stays an order of magnitude smaller than
-// Path ORAM's (10 vs 150 in the paper's setup), which is why the paper
-// finds Circuit ORAM the fastest traditional oblivious baseline.
-type CircuitORAM struct {
-	cfg    Config
-	tree   *tree
-	stash  *stash
-	posmap PositionMap
-	rng    *rand.Rand
-	stats  *Stats
-	buf    []uint32
-	evictG uint32 // reverse-lexicographic eviction counter
-}
-
 // NewCircuit builds a Circuit ORAM over cfg.NumBlocks zero-initialized
 // blocks.
-func NewCircuit(cfg Config) *CircuitORAM {
-	cfg.fill(DefaultCircuitStash, DefaultCircRecursionCutoff)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return newCircuit(cfg, nil, rng, &Stats{}, 0)
-}
+func NewCircuit(cfg Config) *Controller { return build(schemeCircuit, cfg, nil) }
 
 // NewCircuitInit builds a Circuit ORAM with initial block payloads.
-func NewCircuitInit(cfg Config, init [][]uint32) *CircuitORAM {
-	cfg.fill(DefaultCircuitStash, DefaultCircRecursionCutoff)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return newCircuit(cfg, init, rng, &Stats{}, 0)
+func NewCircuitInit(cfg Config, init [][]uint32) *Controller {
+	return build(schemeCircuit, cfg, init)
 }
 
-func newCircuit(cfg Config, init [][]uint32, rng *rand.Rand, stats *Stats, level int) *CircuitORAM {
-	region := cfg.Region
-	if level > 0 {
-		region = fmt.Sprintf("%s.pm%d", cfg.Region, level)
-	}
-	t := newTree(cfg.NumBlocks, cfg.Z, cfg.BlockWords, cfg.Tracer, region, stats)
-	leafAssign := randLeaves(cfg.NumBlocks, t.leaves, rng)
-	payload := func(i int) []uint32 {
-		if init == nil {
-			return nil
-		}
-		return init[i]
-	}
-	leftover := t.bulkLoad(cfg.NumBlocks, leafAssign, payload)
-	st := newStash(cfg.StashSize, cfg.BlockWords, cfg.Tracer, region, stats)
-	zero := make([]uint32, cfg.BlockWords)
-	for _, blk := range leftover {
-		p := payload(blk)
-		if p == nil {
-			p = zero
-		}
-		st.insert(uint64(blk), leafAssign[blk], p)
-	}
-	o := &CircuitORAM{
-		cfg:   cfg,
-		tree:  t,
-		stash: st,
-		rng:   rng,
-		stats: stats,
-		buf:   make([]uint32, cfg.BlockWords),
-	}
-	o.posmap = newPosMap(leafAssign, cfg.RecursionCutoff, rng, cfg.Tracer, region, stats, level,
-		func(c Config, pinit [][]uint32, r *rand.Rand, lvl int) ORAM {
-			c.Z = cfg.Z
-			c.StashSize = cfg.StashSize
-			return newCircuit(c, pinit, r, stats, lvl+1)
-		})
-	return o
-}
-
-// Read returns a copy of block id.
+// circuitAccess is the Circuit ORAM protocol step (§IV-A2): the read
+// phase pulls only the requested block off the fetched path (not the whole
+// path, unlike Path ORAM), and eviction runs as a single root→leaf pass
+// guided by metadata prepared in two cheap scans (prepare-deepest /
+// prepare-target), over two deterministically-chosen paths per access
+// (reverse-lexicographic order). The stash stays an order of magnitude
+// smaller than Path ORAM's (10 vs 150 in the paper's setup), which is why
+// the paper finds Circuit ORAM the fastest traditional oblivious baseline.
 //
 // secemb:secret id
-func (o *CircuitORAM) Read(id uint64) []uint32 {
-	out := make([]uint32, o.cfg.BlockWords)
-	o.access(id, func(data []uint32) { copy(out, data) })
-	return out
-}
-
-// Write replaces block id.
-//
-// secemb:secret id data
-func (o *CircuitORAM) Write(id uint64, data []uint32) {
-	if len(data) != o.cfg.BlockWords {
-		panic(fmt.Sprintf("oram: write of %d words into %d-word blocks", len(data), o.cfg.BlockWords))
-	}
-	o.access(id, func(dst []uint32) { copy(dst, data) })
-}
-
-// Update applies fn to block id within one access.
-//
-// secemb:secret id
-func (o *CircuitORAM) Update(id uint64, fn func(data []uint32)) { o.access(id, fn) }
-
-// access is the Circuit ORAM protocol core.
-//
-// secemb:secret id
-func (o *CircuitORAM) access(id uint64, fn func(data []uint32)) {
-	checkID(id, o.cfg.NumBlocks)
-	o.stats.Accesses++
+func (o *Controller) circuitAccess(id uint64, oldLeaf, newLeaf uint32, fn func(data []uint32)) {
 	t := o.tree
-
-	newLeaf := uniformLeaf(o.rng, t.leaves)
-	oldLeaf := o.posmap.Swap(id, newLeaf)
 
 	// Read phase: scan the path, obliviously lifting only the requested
 	// block into the register buffer; every slot is read and re-written
@@ -161,7 +72,6 @@ func (o *CircuitORAM) access(id uint64, fn func(data []uint32)) {
 		o.evictOnce(bitReverse(o.evictG%uint32(t.leaves), t.levels))
 		o.evictG++
 	}
-	o.stats.observeStash(o.stash.occupancy())
 }
 
 // deepestLevel returns the deepest tree level at which a block assigned to
@@ -174,7 +84,7 @@ func (t *tree) deepestLevel(blockLeaf, pathLeaf uint32) int {
 // two metadata scans (prepare-deepest, prepare-target) followed by a
 // single root→leaf pass that moves at most one block per level. Indices in
 // the metadata arrays: 0 = stash, i = tree level i-1.
-func (o *CircuitORAM) evictOnce(p uint32) {
+func (o *Controller) evictOnce(p uint32) {
 	t := o.tree
 	o.stats.Evictions++
 	nLev := t.levels + 2
@@ -312,20 +222,3 @@ func (o *CircuitORAM) evictOnce(p uint32) {
 		panic("oram: circuit eviction finished still holding a block")
 	}
 }
-
-// Stats returns the shared work counters (including recursion levels).
-func (o *CircuitORAM) Stats() *Stats { return o.stats }
-
-// NumBytes returns tree + stash + posmap footprint across all levels.
-func (o *CircuitORAM) NumBytes() int64 {
-	n := o.tree.NumBytes()
-	n += int64(o.stash.cap) * int64(12+4*o.cfg.BlockWords)
-	n += o.posmap.NumBytes()
-	return n
-}
-
-// RecursionDepth reports the number of recursive posmap levels.
-func (o *CircuitORAM) RecursionDepth() int { return o.posmap.Depth() }
-
-// TreeLevels exposes the tree height L; used by the enclave cost model.
-func (o *CircuitORAM) TreeLevels() int { return o.tree.levels }

@@ -1,0 +1,140 @@
+package oram
+
+import (
+	"fmt"
+	"math/rand"
+)
+
+// scheme selects the access protocol a Controller runs. It is public
+// configuration, fixed at construction.
+type scheme int
+
+const (
+	schemePath scheme = iota
+	schemeCircuit
+)
+
+// Controller is the ZeroTrace-style software ORAM controller both schemes
+// share: one bucket tree, one scanned stash and one (possibly recursive)
+// position map. Path ORAM and Circuit ORAM differ only in the protocol
+// step Update runs between the position-map swap and the stash
+// observation (pathAccess, circuitAccess) and in their default stash size
+// and recursion cutoff.
+type Controller struct {
+	scheme scheme
+	cfg    Config
+	tree   *tree
+	stash  *stash
+	posmap PositionMap
+	rng    *rand.Rand
+	stats  *Stats
+	buf    []uint32 // scratch block
+	evictG uint32   // Circuit ORAM's reverse-lexicographic eviction counter
+}
+
+// build fills cfg with the scheme's defaults and assembles the top-level
+// controller.
+func build(s scheme, cfg Config, init [][]uint32) *Controller {
+	if s == schemePath {
+		cfg.fill(DefaultPathStash, DefaultPathRecursionCutoff)
+	} else {
+		cfg.fill(DefaultCircuitStash, DefaultCircRecursionCutoff)
+	}
+	return newController(s, cfg, init, rand.New(rand.NewSource(cfg.Seed)), &Stats{}, 0)
+}
+
+// newController assembles one level of the hierarchy from a filled cfg:
+// tree, uniform leaf assignment, bulk load, stash spill, position map.
+// level is the recursion level (0 = the data ORAM); cfg.Region is already
+// this level's trace region. rng and stats are shared by all levels.
+func newController(s scheme, cfg Config, init [][]uint32, rng *rand.Rand, stats *Stats, level int) *Controller {
+	t := newTree(cfg.NumBlocks, cfg.Z, cfg.BlockWords, cfg.Tracer, cfg.Region, stats)
+	leafAssign := randLeaves(cfg.NumBlocks, t.leaves, rng)
+	payload := func(i int) []uint32 {
+		if init == nil {
+			return nil
+		}
+		return init[i]
+	}
+	leftover := t.bulkLoad(cfg.NumBlocks, leafAssign, payload)
+	st := newStash(cfg.StashSize, cfg.BlockWords, cfg.Tracer, cfg.Region, stats)
+	zero := make([]uint32, cfg.BlockWords)
+	for _, blk := range leftover {
+		p := payload(blk)
+		if p == nil {
+			p = zero
+		}
+		st.insert(uint64(blk), leafAssign[blk], p)
+	}
+	o := &Controller{
+		scheme: s,
+		cfg:    cfg,
+		tree:   t,
+		stash:  st,
+		rng:    rng,
+		stats:  stats,
+		buf:    make([]uint32, cfg.BlockWords),
+	}
+	o.posmap = newPosMap(o, leafAssign, level)
+	return o
+}
+
+// Read returns a copy of block id.
+//
+// secemb:secret id
+func (o *Controller) Read(id uint64) []uint32 {
+	out := make([]uint32, o.cfg.BlockWords)
+	o.Update(id, func(data []uint32) { copy(out, data) })
+	return out
+}
+
+// Write replaces block id.
+//
+// secemb:secret id data
+func (o *Controller) Write(id uint64, data []uint32) {
+	if len(data) != o.cfg.BlockWords {
+		panic(fmt.Sprintf("oram: write of %d words into %d-word blocks", len(data), o.cfg.BlockWords))
+	}
+	o.Update(id, func(dst []uint32) { copy(dst, data) })
+}
+
+// Update applies fn to block id within one access: the position map
+// yields the block's current leaf and installs a fresh uniform one, then
+// the scheme's protocol step fetches that path, serves the block and
+// evicts.
+//
+// secemb:secret id
+func (o *Controller) Update(id uint64, fn func(data []uint32)) {
+	checkID(id, o.cfg.NumBlocks)
+	o.stats.Accesses++
+
+	newLeaf := uniformLeaf(o.rng, o.tree.leaves)
+	oldLeaf := o.posmap.Swap(id, newLeaf)
+
+	// A direct two-way call, not a func-valued field: obliviouslint must
+	// see the callee to audit what it does with the secret id.
+	if o.scheme == schemePath {
+		o.pathAccess(id, oldLeaf, newLeaf, fn)
+	} else {
+		o.circuitAccess(id, oldLeaf, newLeaf, fn)
+	}
+	o.stats.observeStash(o.stash.occupancy())
+}
+
+// Stats returns the shared work counters (including recursion levels).
+func (o *Controller) Stats() *Stats { return o.stats }
+
+// NumBytes returns tree + stash + posmap footprint across all levels.
+func (o *Controller) NumBytes() int64 {
+	n := o.tree.NumBytes()
+	n += int64(o.stash.cap) * int64(12+4*o.cfg.BlockWords)
+	n += o.posmap.NumBytes()
+	return n
+}
+
+// RecursionDepth reports the number of recursive posmap levels.
+func (o *Controller) RecursionDepth() int { return o.posmap.Depth() }
+
+// TreeLevels exposes the tree height L (path length L+1); used by the
+// enclave cost model.
+func (o *Controller) TreeLevels() int { return o.tree.levels }

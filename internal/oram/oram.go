@@ -3,7 +3,8 @@
 // and Circuit ORAM [Wang et al.], in the software-controller style of
 // ZeroTrace (§V-A1) — full-table oblivious scans of the stash and position
 // map, recursive position maps, and deterministic reverse-lexicographic
-// eviction for Circuit ORAM.
+// eviction for Circuit ORAM. Both are one Controller (controller.go); the
+// schemes differ in the protocol step it runs (pathAccess, circuitAccess).
 //
 // Configuration follows the paper: bucket size Z=4; stash sizes 150 (Path)
 // and 10 (Circuit); recursion enabled beyond 2^16 blocks for Path and 2^12
@@ -73,7 +74,7 @@ type Stats struct {
 	MaxStash       int   // high-water mark of real blocks resident in any stash
 }
 
-// add merges s2 into s (used when reporting combined recursion stats).
+// observeStash raises the MaxStash high-water mark to occupancy.
 func (s *Stats) observeStash(occupancy int) {
 	if occupancy > s.MaxStash {
 		s.MaxStash = occupancy

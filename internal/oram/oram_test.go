@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"secemb/internal/memtrace"
 )
 
 // makers lets every test run against both schemes.
 var makers = []struct {
 	name string
-	mk   func(cfg Config) ORAM
+	mk   func(cfg Config) *Controller
 }{
-	{"Path", func(cfg Config) ORAM { return NewPath(cfg) }},
-	{"Circuit", func(cfg Config) ORAM { return NewCircuit(cfg) }},
+	{"Path", NewPath},
+	{"Circuit", NewCircuit},
 }
 
 func word(v int) []uint32 { return []uint32{uint32(v)} }
@@ -49,10 +51,6 @@ func TestTreeGeometry(t *testing.T) {
 	// (2^8-1)+5.
 	if tr.nodeIndex(5, 0) != 0 || tr.nodeIndex(5, 8) != 255+5 {
 		t.Fatal("nodeIndex wrong")
-	}
-	// canReside: equal prefixes.
-	if !tr.canReside(5, 5, 8) || !tr.canReside(4, 5, 7) || tr.canReside(4, 5, 8) {
-		t.Fatal("canReside wrong")
 	}
 }
 
@@ -352,5 +350,43 @@ func TestEvictionRateStashPressure(t *testing.T) {
 	fast := pressure(4)
 	if fast > std {
 		t.Fatalf("doubling evictions should not raise stash pressure (%d vs %d)", fast, std)
+	}
+}
+
+// TestRecursionInheritsConfig: every recursive position-map level runs
+// with the top level's settings — the eviction rate in particular — and
+// publishes its trace under a region nested in its parent's.
+func TestRecursionInheritsConfig(t *testing.T) {
+	o := NewCircuit(Config{NumBlocks: 1 << 14, BlockWords: 2, Seed: 1,
+		EvictionsPerAccess: 3, StashSize: 200})
+	for i := 0; i < 100; i++ {
+		o.Read(uint64(i))
+	}
+	if o.RecursionDepth() < 1 {
+		t.Fatalf("recursion depth %d, want ≥ 1", o.RecursionDepth())
+	}
+	if s := o.Stats(); s.Evictions != 3*s.Accesses {
+		t.Fatalf("%d evictions over %d accesses (all levels), want 3 per access", s.Evictions, s.Accesses)
+	}
+
+	// leakcheck canonicalises tree regions by these names.
+	tracer := memtrace.NewEnabled()
+	d := NewPath(Config{NumBlocks: 2048, BlockWords: 1, Seed: 6, RecursionCutoff: 64,
+		Tracer: tracer, Region: "o"})
+	tracer.Reset()
+	d.Read(3)
+	seen := map[string]bool{}
+	for _, a := range tracer.Snapshot() {
+		seen[a.Region] = true
+	}
+	want := []string{"o.tree", "o.stash", "o.pm1.tree", "o.pm1.stash",
+		"o.pm1.pm2.tree", "o.pm1.pm2.stash", "o.pm1.pm2.posmap"}
+	for _, r := range want {
+		if !seen[r] {
+			t.Errorf("no access under region %q; saw %v", r, seen)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("regions %v, want exactly %v", seen, want)
 	}
 }

@@ -1,122 +1,25 @@
 package oram
 
 import (
-	"fmt"
-	"math/rand"
-
 	"secemb/internal/memtrace"
 	"secemb/internal/oblivious"
 )
 
-// PathORAM implements the Path ORAM protocol (§IV-A2): on each access the
-// position map yields the block's leaf, the whole root→leaf path is pulled
-// into the stash, the block is served and assigned a fresh uniform leaf,
-// and the path is written back greedily with stash blocks pushed as deep
-// as they can legally go.
-type PathORAM struct {
-	cfg    Config
-	tree   *tree
-	stash  *stash
-	posmap PositionMap
-	rng    *rand.Rand
-	stats  *Stats
-	buf    []uint32 // scratch block
-}
-
 // NewPath builds a Path ORAM over cfg.NumBlocks zero-initialized blocks.
-func NewPath(cfg Config) *PathORAM {
-	cfg.fill(DefaultPathStash, DefaultPathRecursionCutoff)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return newPath(cfg, nil, rng, &Stats{}, 0)
-}
+func NewPath(cfg Config) *Controller { return build(schemePath, cfg, nil) }
 
 // NewPathInit builds a Path ORAM whose blocks start with the given
 // payloads (init[i] is block i; nil entries mean zero).
-func NewPathInit(cfg Config, init [][]uint32) *PathORAM {
-	cfg.fill(DefaultPathStash, DefaultPathRecursionCutoff)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return newPath(cfg, init, rng, &Stats{}, 0)
-}
+func NewPathInit(cfg Config, init [][]uint32) *Controller { return build(schemePath, cfg, init) }
 
-func newPath(cfg Config, init [][]uint32, rng *rand.Rand, stats *Stats, level int) *PathORAM {
-	region := cfg.Region
-	if level > 0 {
-		region = fmt.Sprintf("%s.pm%d", cfg.Region, level)
-	}
-	t := newTree(cfg.NumBlocks, cfg.Z, cfg.BlockWords, cfg.Tracer, region, stats)
-	leafAssign := randLeaves(cfg.NumBlocks, t.leaves, rng)
-	payload := func(i int) []uint32 {
-		if init == nil {
-			return nil
-		}
-		return init[i]
-	}
-	leftover := t.bulkLoad(cfg.NumBlocks, leafAssign, payload)
-	st := newStash(cfg.StashSize, cfg.BlockWords, cfg.Tracer, region, stats)
-	zero := make([]uint32, cfg.BlockWords)
-	for _, blk := range leftover {
-		p := payload(blk)
-		if p == nil {
-			p = zero
-		}
-		st.insert(uint64(blk), leafAssign[blk], p)
-	}
-	o := &PathORAM{
-		cfg:   cfg,
-		tree:  t,
-		stash: st,
-		rng:   rng,
-		stats: stats,
-		buf:   make([]uint32, cfg.BlockWords),
-	}
-	o.posmap = newPosMap(leafAssign, cfg.RecursionCutoff, rng, cfg.Tracer, region, stats, level,
-		func(c Config, pinit [][]uint32, r *rand.Rand, lvl int) ORAM {
-			c.Z = cfg.Z
-			c.StashSize = cfg.StashSize
-			return newPathInner(c, pinit, r, stats, lvl)
-		})
-	return o
-}
-
-// newPathInner adapts newPath for the recursive posmap constructor.
-func newPathInner(cfg Config, init [][]uint32, rng *rand.Rand, stats *Stats, level int) ORAM {
-	return newPath(cfg, init, rng, stats, level+1)
-}
-
-// Read returns a copy of block id.
+// pathAccess is the Path ORAM protocol step (§IV-A2): the whole root→leaf
+// path the position map named is pulled into the stash, the block is
+// served and given its fresh leaf, and the path is written back greedily
+// with stash blocks pushed as deep as they can legally go.
 //
 // secemb:secret id
-func (o *PathORAM) Read(id uint64) []uint32 {
-	out := make([]uint32, o.cfg.BlockWords)
-	o.access(id, func(data []uint32) { copy(out, data) })
-	return out
-}
-
-// Write replaces block id.
-//
-// secemb:secret id data
-func (o *PathORAM) Write(id uint64, data []uint32) {
-	if len(data) != o.cfg.BlockWords {
-		panic(fmt.Sprintf("oram: write of %d words into %d-word blocks", len(data), o.cfg.BlockWords))
-	}
-	o.access(id, func(dst []uint32) { copy(dst, data) })
-}
-
-// Update applies fn to block id within one access.
-//
-// secemb:secret id
-func (o *PathORAM) Update(id uint64, fn func(data []uint32)) { o.access(id, fn) }
-
-// access is the Path ORAM protocol core.
-//
-// secemb:secret id
-func (o *PathORAM) access(id uint64, fn func(data []uint32)) {
-	checkID(id, o.cfg.NumBlocks)
-	o.stats.Accesses++
+func (o *Controller) pathAccess(id uint64, oldLeaf, newLeaf uint32, fn func(data []uint32)) {
 	t := o.tree
-
-	newLeaf := uniformLeaf(o.rng, t.leaves)
-	oldLeaf := o.posmap.Swap(id, newLeaf)
 
 	// Read path: move every real block on the path into the stash. Each
 	// slot costs one oblivious stash scan whether it is real or a dummy,
@@ -162,23 +65,4 @@ func (o *PathORAM) access(id uint64, fn func(data []uint32)) {
 		}
 		t.touchBucket(bucket, memtrace.Write)
 	}
-	o.stats.observeStash(o.stash.occupancy())
 }
-
-// Stats returns the shared work counters (including recursion levels).
-func (o *PathORAM) Stats() *Stats { return o.stats }
-
-// NumBytes returns tree + stash + posmap footprint across all levels.
-func (o *PathORAM) NumBytes() int64 {
-	n := o.tree.NumBytes()
-	n += int64(o.stash.cap) * int64(12+4*o.cfg.BlockWords)
-	n += o.posmap.NumBytes()
-	return n
-}
-
-// RecursionDepth reports the number of recursive posmap levels.
-func (o *PathORAM) RecursionDepth() int { return o.posmap.Depth() }
-
-// TreeLevels exposes the tree height L (path length L+1); used by the
-// enclave cost model.
-func (o *PathORAM) TreeLevels() int { return o.tree.levels }

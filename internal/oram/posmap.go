@@ -1,7 +1,7 @@
 package oram
 
 import (
-	"math/rand"
+	"fmt"
 
 	"secemb/internal/memtrace"
 	"secemb/internal/oblivious"
@@ -66,21 +66,20 @@ func (p *flatPosMap) Depth() int      { return 0 }
 // pack Chi leaves — one recursion level. The inner ORAM's own position map
 // recurses further until it fits under the cutoff.
 type oramPosMap struct {
-	inner ORAM
-	n     int
+	inner *Controller
 }
 
-// newPosMap builds the position-map hierarchy for n blocks whose initial
-// leaf assignment is init. mk constructs the inner ORAM for a recursion
-// level (it is the scheme's own constructor, so Path ORAM recursion uses
-// Path ORAMs and Circuit uses Circuit, as in ZeroTrace).
-func newPosMap(init []uint32, cutoff int, rng *rand.Rand,
-	tracer *memtrace.Tracer, region string, stats *Stats, level int,
-	mk func(cfg Config, init [][]uint32, rng *rand.Rand, level int) ORAM) PositionMap {
-
+// newPosMap builds the position map of controller o, whose blocks start
+// at the leaves in init: a flat scanned array at or below the recursion
+// cutoff, otherwise a controller of o's own scheme (Path ORAM recursion
+// uses Path ORAMs and Circuit uses Circuit, as in ZeroTrace) at level+1.
+// The inner controller runs o's filled Config — every setting is
+// inherited; only the shape and the nested trace region change.
+func newPosMap(o *Controller, init []uint32, level int) PositionMap {
+	cfg := o.cfg
 	n := len(init)
-	if cutoff < 0 || n <= cutoff {
-		return newFlatPosMap(init, tracer, region, stats)
+	if cfg.RecursionCutoff < 0 || n <= cfg.RecursionCutoff {
+		return newFlatPosMap(init, cfg.Tracer, cfg.Region, o.stats)
 	}
 	// Pack Chi leaves per inner block.
 	blocks := (n + Chi - 1) / Chi
@@ -95,14 +94,10 @@ func newPosMap(init []uint32, cutoff int, rng *rand.Rand,
 		}
 		payloads[b] = words
 	}
-	cfg := Config{
-		NumBlocks:       blocks,
-		BlockWords:      Chi,
-		RecursionCutoff: cutoff,
-		Tracer:          tracer,
-		Region:          region,
-	}
-	return &oramPosMap{inner: mk(cfg, payloads, rng, level), n: n}
+	cfg.NumBlocks = blocks
+	cfg.BlockWords = Chi
+	cfg.Region = fmt.Sprintf("%s.pm%d", cfg.Region, level+1)
+	return &oramPosMap{inner: newController(o.scheme, cfg, payloads, o.rng, o.stats, level+1)}
 }
 
 // Swap reads the inner block holding id's entry, obliviously swaps the

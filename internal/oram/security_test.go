@@ -36,7 +36,7 @@ func TestLeafDistributionUniform(t *testing.T) {
 			t.Run(m.name+"/"+pname, func(t *testing.T) {
 				tracer := memtrace.NewEnabled()
 				o := m.mk(Config{NumBlocks: n, BlockWords: 1, Seed: 77, Tracer: tracer, Region: "o"})
-				leaves := 1 << uint(treeLevelsOf(o))
+				leaves := 1 << uint(o.TreeLevels())
 				counts := make([]int, leaves)
 				for i := 0; i < accesses; i++ {
 					tracer.Reset() // keep the trace per-access sized
@@ -53,16 +53,6 @@ func TestLeafDistributionUniform(t *testing.T) {
 			})
 		}
 	}
-}
-
-func treeLevelsOf(o ORAM) int {
-	switch v := o.(type) {
-	case *PathORAM:
-		return v.TreeLevels()
-	case *CircuitORAM:
-		return v.TreeLevels()
-	}
-	panic("unknown ORAM type")
 }
 
 // TestAccessShapeConstant verifies each access touches the same number of
@@ -162,7 +152,7 @@ func TestMutualInformationNearZero(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			tracer := memtrace.NewEnabled()
 			o := m.mk(Config{NumBlocks: n, BlockWords: 1, Seed: 21, Tracer: tracer, Region: "o"})
-			leaves := 1 << uint(treeLevelsOf(o))
+			leaves := 1 << uint(o.TreeLevels())
 			firstLeafBucket := int64(leaves - 1)
 			leak := make([]map[int64]int, secrets)
 			for s := 0; s < secrets; s++ {

@@ -74,14 +74,6 @@ func (t *tree) touchBucket(bucket int, op memtrace.Op) {
 	t.tracer.Touch(t.region+RegionSuffixTree, int64(bucket), op)
 }
 
-// canReside reports whether a block assigned to blockLeaf may be stored at
-// level `level` of the path to pathLeaf: their level-length prefixes must
-// agree.
-func (t *tree) canReside(blockLeaf, pathLeaf uint32, level int) bool {
-	shift := t.levels - level
-	return blockLeaf>>shift == pathLeaf>>shift
-}
-
 // bulkLoad places n pre-assigned blocks into the tree bottom-up, returning
 // the blocks that did not fit anywhere on their paths (they go to the
 // caller's stash). leafAssign[i] is block i's leaf; payload(i) returns
