@@ -89,6 +89,8 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzEqLt -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/token
 	$(GO) test -run='^$$' -fuzz=FuzzParseCriteoLine -fuzztime=$(FUZZTIME) ./internal/data
+	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=$(FUZZTIME) ./internal/wire
 
 # fuzz-long is the nightly campaign: same targets, minutes instead of
 # seconds per target.

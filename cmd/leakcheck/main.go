@@ -15,7 +15,7 @@
 // Usage:
 //
 //	leakcheck [-rows 512] [-dim 16] [-batch 8] [-seed 1]
-//	          [-gens lookup,scan,scanb,path,circuit,dhe,dhe-int8,dual,coalesce,wire]
+//	          [-gens lookup,scan,scanb,path,circuit,dhe,dhe-int8,dual,coalesce,wire,circuit-rec,planner]
 //	          [-src .] [-out leakcheck_report.json]
 package main
 
@@ -84,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// client observes joins the trace, so an id-dependent response size
 	// (or backend access) diverges.
 	factories = append(factories, leakcheck.WireFactory(*rows, *dim, *seed))
+	// Circuit ORAM past its recursion cutoff, at its own table size: the
+	// shared -rows table never reaches a recursive position map.
+	factories = append(factories, leakcheck.CircuitRecFactory(*dim, *seed))
 	// The adaptive planner's hot-swap path: every panel input crosses a
 	// forced scan→DHE re-plan boundary, so a swap whose existence or timing
 	// depended on the ids would move the boundary and diverge.
@@ -130,9 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		factories = filtered
 	}
 
-	panel := leakcheck.AdversarialPanel(*rows, *batch)
-	report := fileReport{Rows: *rows, Dim: *dim, Batch: *batch, Seed: *seed, PanelSize: len(panel), OK: true}
+	report := fileReport{Rows: *rows, Dim: *dim, Batch: *batch, Seed: *seed, OK: true}
 	for _, f := range factories {
+		panel := leakcheck.AdversarialPanel(f.Rows, *batch)
+		report.PanelSize = len(panel)
 		rep, err := leakcheck.Verify(f, panel)
 		if err != nil {
 			fmt.Fprintln(stderr, "leakcheck:", err)

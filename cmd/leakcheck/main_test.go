@@ -24,8 +24,8 @@ func TestRunFullRosterPasses(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if !rep.OK || len(rep.Results) != 11 {
-		t.Fatalf("report OK=%v with %d results, want OK over 11 targets", rep.OK, len(rep.Results))
+	if !rep.OK || len(rep.Results) != 12 {
+		t.Fatalf("report OK=%v with %d results, want OK over 12 targets", rep.OK, len(rep.Results))
 	}
 	var sawLeakyBaseline bool
 	for _, r := range rep.Results {

@@ -131,28 +131,12 @@ func main() {
 	}
 }
 
+// buildGenerator resolves one -techniques entry at the model's shape: the
+// storage techniques serve table, DHE and dual use the token-embedding
+// architecture (dual's ORAM table is materialized from its DHE).
 func buildGenerator(name string, table *tensor.Matrix, cfg llm.Config, seed int64, dualThreshold int, reg *obs.Registry) (core.Generator, error) {
-	if name == "dual" {
-		// §IV-D: a DHE plus a Circuit ORAM over the table materialized
-		// from it, dispatched per call on the (public) batch size.
-		dheGen, err := core.New(core.DHE, cfg.Vocab, cfg.Dim,
-			core.Options{Seed: seed, DHEArch: core.ArchLLM, Obs: reg})
-		if err != nil {
-			return nil, err
-		}
-		return core.NewDual(dheGen, dualThreshold, core.Options{Seed: seed + 1, Obs: reg}), nil
-	}
-	tech, err := core.ParseTechnique(name)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.Options{Seed: seed, Obs: reg}
-	if tech == core.DHE {
-		opts.DHEArch = core.ArchLLM
-	} else {
-		opts.Table = table
-	}
-	return core.New(tech, cfg.Vocab, cfg.Dim, opts)
+	return core.NewByKey(name, cfg.Vocab, cfg.Dim, dualThreshold,
+		core.Options{Seed: seed, Table: table, DHEArch: core.ArchLLM, Obs: reg})
 }
 
 // decodeLoad is the serving-mode workload shape.

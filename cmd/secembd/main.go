@@ -76,7 +76,6 @@ type config struct {
 	tlsCert    string
 	tlsKey     string
 	autotune   string
-	tuneFile   string
 	int8       bool
 	plan       bool
 	planEvery  time.Duration
@@ -118,7 +117,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve: PEM certificate file; with -tls-key, terminate TLS on the listener")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "serve: PEM private key file for -tls-cert")
 	fs.StringVar(&c.autotune, "autotune", "on", "serve: probe matmul kernel configs at startup (on/off)")
-	fs.StringVar(&c.tuneFile, "tune-file", "", "serve: persist/reuse the autotuned kernel config at this path (skips the probe when the recorded machine matches)")
 	fs.BoolVar(&c.int8, "int8", true, "serve: quantized int8 DHE decoder when the accuracy gate passes (dhe and dual techniques)")
 	fs.BoolVar(&c.plan, "plan", false, "serve: adaptive planner re-fits the technique choice online and hot-swaps tables (replaces the static dual hybrid)")
 	fs.DurationVar(&c.planEvery, "plan-interval", 10*time.Second, "serve: planner re-plan period (with -plan)")
@@ -156,7 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // validate rejects the flag values the serving and wire constructors treat
-// as programmer errors (they panic), so an operator typo is a usage error.
+// as programmer errors (they panic) and a malformed -autotune, so an
+// operator typo is a usage error.
 // Rows, dim and technique are checked by core.New, which returns an error.
 func (c *config) validate() error {
 	shards := c.shards
@@ -172,6 +171,8 @@ func (c *config) validate() error {
 		return fmt.Errorf("%d shards exceed the wire shard field's cap of 256; group the backends with -shards", shards)
 	case c.maxBatch < 1:
 		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
+	case c.autotune != "on" && c.autotune != "off":
+		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
 	}
 	return nil
 }
@@ -191,9 +192,10 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 	if err != nil {
 		return nil, nil, err
 	}
+	opts := core.Options{Seed: c.seed, Int8: c.int8, Obs: reg}
 	bes := make([]serving.Backend, c.nBackends)
 	for i := range bes {
-		gen, err := buildGenerator(c, reg)
+		gen, err := core.NewByKey(c.technique, c.rows, c.dim, c.threshold, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -230,7 +232,7 @@ func buildGroup(c *config, reg *obs.Registry, stdout io.Writer) (*serving.Group,
 	if err := pl.Manage(planner.Table{
 		Name: planTable, Rows: c.rows, Dim: c.dim, Initial: initial,
 		Build: func(_ int, tech core.Technique) (core.Generator, error) {
-			return core.New(tech, c.rows, c.dim, core.Options{Seed: c.seed, Int8: c.int8, Obs: reg})
+			return core.New(tech, c.rows, c.dim, opts)
 		},
 		Shards: shardSws,
 	}); err != nil {
@@ -269,53 +271,6 @@ func planInitial(c *config, stdout io.Writer) (core.Technique, error) {
 			c.technique)
 	}
 	return core.ParseTechnique(c.technique)
-}
-
-// setupTuning applies the startup kernel autotuner policy: reuse a
-// matching -tune-file when given, otherwise run the ~100ms probe (unless
-// -autotune=off), and persist the winner back to -tune-file. The probe
-// measures public architecture shapes only — nothing secret-dependent.
-func setupTuning(c *config, reg *obs.Registry, stdout io.Writer) error {
-	if c.autotune != "on" && c.autotune != "off" {
-		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
-	}
-	if c.tuneFile != "" {
-		installed, err := profile.InstallTuneFile(c.tuneFile, reg)
-		if err != nil {
-			return fmt.Errorf("-tune-file: %v", err)
-		}
-		if installed {
-			fmt.Fprintf(stdout, "secembd: kernel config loaded from %s: %+v\n", c.tuneFile, tensor.CurrentTune())
-			return nil
-		}
-	}
-	if c.autotune == "off" {
-		return nil
-	}
-	tc := tensor.Autotune()
-	fmt.Fprintf(stdout, "secembd: kernel autotune: %+v\n", tc)
-	if c.tuneFile != "" {
-		if err := profile.SaveTuneFile(c.tuneFile, profile.CurrentMachineTune()); err != nil {
-			return fmt.Errorf("-tune-file: %v", err)
-		}
-	}
-	return nil
-}
-
-func buildGenerator(c *config, reg *obs.Registry) (core.Generator, error) {
-	opts := core.Options{Seed: c.seed, Int8: c.int8, Obs: reg}
-	if c.technique == "dual" {
-		dheGen, err := core.New(core.DHE, c.rows, c.dim, opts)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewDual(dheGen, c.threshold, opts), nil
-	}
-	tech, err := core.ParseTechnique(c.technique)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(tech, c.rows, c.dim, opts)
 }
 
 func resolveKey(c *config, stdout io.Writer) (wire.Key, bool, error) {
@@ -414,9 +369,9 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		return 2
 	}
 	reg := obs.NewRegistry()
-	if terr := setupTuning(c, reg, stdout); terr != nil {
-		fmt.Fprintln(stderr, "secembd:", terr)
-		return 2
+	if c.autotune == "on" {
+		// The ≤100 ms kernel probe times public architecture shapes only.
+		fmt.Fprintf(stdout, "secembd: kernel autotune: %+v\n", tensor.Autotune())
 	}
 	addr, group, drain, err := startServer(c, reg, c.addr,
 		wire.ServerConfig{Key: key, RequireToken: require, TLS: tlsCfg}, stdout, stderr)

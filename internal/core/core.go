@@ -1,12 +1,14 @@
 // Package core is the library's public surface for secure embedding
 // generation — the paper's central contribution. It provides one Generator
-// interface with five implementations spanning Figure 2's taxonomy and
-// §IV-A's protection techniques:
+// interface with six implementations spanning Figure 2's taxonomy and
+// §IV-A's protection techniques, plus the §IV-D Dual that dispatches
+// between two of them (NewByKey resolves all seven by key):
 //
 //   - Lookup: the non-secure storage baseline (direct table indexing).
 //     Its access pattern leaks the index (§III); it exists as the
 //     performance baseline and the attack target.
-//   - LinearScan: storage + oblivious full-table scan per query (§IV-A1).
+//   - LinearScan / LinearScanBatched: storage + oblivious full-table scan
+//     per query, or once per batch (§IV-A1).
 //   - PathORAM / CircuitORAM: storage + tree-ORAM protection (§IV-A2).
 //   - DHE: compute-based generation with input-independent access
 //     patterns (§IV-A3).
@@ -125,13 +127,12 @@ type Generator interface {
 	Technique() Technique
 	// NumBytes is the resident memory footprint of the representation.
 	NumBytes() int64
-	// SetThreads sets the worker count used for batch generation
-	// (0 = all CPUs). The profiling sweeps vary this.
-	SetThreads(n int)
 }
 
 // Options configures generator construction.
 type Options struct {
+	// Threads is the worker count for batch generation, fixed at
+	// construction (0 = all CPUs; the ORAMs are sequential regardless).
 	Threads int
 	Seed    int64
 	Tracer  *memtrace.Tracer

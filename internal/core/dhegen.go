@@ -76,7 +76,6 @@ func (g *dheGen) Rows() int            { return g.rows }
 func (g *dheGen) Dim() int             { return g.d.Dim }
 func (g *dheGen) Technique() Technique { return DHE }
 func (g *dheGen) NumBytes() int64      { return g.d.NumBytes() }
-func (g *dheGen) SetThreads(n int)     { g.d.Threads = n; g.inf.Threads = n }
 
 // Underlying returns the wrapped DHE (for training and DHE→table
 // conversion in the hybrid pipeline), looking through Instrument wrappers;

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"secemb/internal/tensor"
-)
+import "secemb/internal/tensor"
 
 // Dual is the LLM hybrid scheme of §IV-D: two representations of the same
 // embedding — a DHE and a table materialized *from that DHE's outputs*
@@ -74,14 +70,3 @@ func (g *Dual) Technique() Technique { return DHE }
 // overhead of ORAM for a single embedding table may be high relative to
 // the rest of the LLM model").
 func (g *Dual) NumBytes() int64 { return g.dhe.NumBytes() + g.oram.NumBytes() }
-
-// SetThreads forwards to both representations.
-func (g *Dual) SetThreads(n int) {
-	g.dhe.SetThreads(n)
-	g.oram.SetThreads(n)
-}
-
-// String describes the dispatch rule.
-func (g *Dual) String() string {
-	return fmt.Sprintf("Dual(DHE for batch>%d, Circuit ORAM otherwise)", g.threshold)
-}

@@ -130,10 +130,6 @@ func TestDualActiveAndMetadata(t *testing.T) {
 	if g.NumBytes() <= g.dhe.NumBytes() || g.NumBytes() <= g.oram.NumBytes() {
 		t.Fatal("dual must count both representations")
 	}
-	if g.String() == "" {
-		t.Fatal("String empty")
-	}
-	g.SetThreads(2) // must not panic
 }
 
 func TestDualRequiresDHE(t *testing.T) {
@@ -178,13 +174,37 @@ func TestScanBatchedTraceDeterministic(t *testing.T) {
 
 func TestScanBatchedMetadata(t *testing.T) {
 	tbl := testTable(32, 4, 4)
-	g := newStorage(LinearScanBatched, tbl, Options{})
+	g := newStorage(LinearScanBatched, tbl, Options{Threads: 2})
 	if g.Rows() != 32 || g.Dim() != 4 || g.Technique() != LinearScanBatched || g.NumBytes() != tbl.NumBytes() {
 		t.Fatal("metadata wrong")
 	}
-	g.SetThreads(2)
 	out := mustGen(t, g, []uint64{1, 2, 3})
 	if out.Rows != 3 {
 		t.Fatal("threaded generate wrong shape")
+	}
+}
+
+// TestNewByKey: "dual" is the hybrid at the given threshold, every other
+// key is that technique through New, and an unknown key is an error.
+func TestNewByKey(t *testing.T) {
+	g, err := NewByKey("dual", 64, 4, 3, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := g.(*Dual)
+	if !ok || d.Active(3) != CircuitORAM || d.Active(4) != DHE || d.Rows() != 64 {
+		t.Fatalf("dual resolved to %T %v", g, g)
+	}
+	for _, tech := range []Technique{Lookup, LinearScan, LinearScanBatched, PathORAM, CircuitORAM, DHE} {
+		g, err := NewByKey(tech.Key(), 64, 4, 3, Options{Seed: 2})
+		if err != nil || g.Technique() != tech {
+			t.Fatalf("%s: built %v, err %v", tech.Key(), g, err)
+		}
+	}
+	if _, err := NewByKey("nope", 64, 4, 3, Options{}); err == nil {
+		t.Fatal("unknown key must be an error")
+	}
+	if _, err := NewByKey("dual", 0, 4, 3, Options{}); err == nil {
+		t.Fatal("dual must surface New's shape error, not panic")
 	}
 }

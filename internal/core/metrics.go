@@ -39,7 +39,8 @@ func unwrapGenerator(g Generator) Generator {
 // the per-window accounting the paper uses to compare the ZeroTrace
 // deployment variants (Figure 10).
 type instrumentedGen struct {
-	g     Generator
+	Generator // the wrapped generator; only Generate is overridden
+
 	gens  *obs.Counter
 	errs  *obs.Counter
 	ids   *obs.Counter
@@ -57,11 +58,11 @@ func Instrument(g Generator, reg *obs.Registry) Generator {
 	}
 	tech := g.Technique().Key()
 	ig := &instrumentedGen{
-		g:    g,
-		gens: reg.Counter("core_generate_total", obs.LabelTech, tech),
-		errs: reg.Counter("core_generate_errors_total", obs.LabelTech, tech),
-		ids:  reg.Counter("core_generate_ids_total", obs.LabelTech, tech),
-		lat:  reg.Histogram("core_generate_ns", obs.LabelTech, tech),
+		Generator: g,
+		gens:      reg.Counter("core_generate_total", obs.LabelTech, tech),
+		errs:      reg.Counter("core_generate_errors_total", obs.LabelTech, tech),
+		ids:       reg.Counter("core_generate_ids_total", obs.LabelTech, tech),
+		lat:       reg.Histogram("core_generate_ns", obs.LabelTech, tech),
 	}
 	if s, ok := ORAMStats(g); ok {
 		ig.stats = s
@@ -79,7 +80,7 @@ func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 		before = *i.stats
 	}
 	start := time.Now()
-	out, err := i.g.Generate(ids)
+	out, err := i.Generator.Generate(ids)
 	elapsed := time.Since(start)
 	i.lat.ObserveDuration(elapsed)
 	i.gens.Inc()
@@ -94,9 +95,4 @@ func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	return out, nil
 }
 
-func (i *instrumentedGen) Rows() int            { return i.g.Rows() }
-func (i *instrumentedGen) Dim() int             { return i.g.Dim() }
-func (i *instrumentedGen) Technique() Technique { return i.g.Technique() }
-func (i *instrumentedGen) NumBytes() int64      { return i.g.NumBytes() }
-func (i *instrumentedGen) SetThreads(n int)     { i.g.SetThreads(n) }
-func (i *instrumentedGen) Unwrap() Generator    { return i.g }
+func (i *instrumentedGen) Unwrap() Generator { return i.Generator }

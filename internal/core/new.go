@@ -82,6 +82,25 @@ func New(tech Technique, rows, dim int, opts Options) (Generator, error) {
 	return g, nil
 }
 
+// NewByKey resolves a technique key as the command lines spell it. "dual"
+// is the §IV-D hybrid — a DHE built per opts plus the Circuit ORAM NewDual
+// materializes from it, dispatching at dualThreshold; every other key is a
+// Technique.Key handed to New (dualThreshold unused).
+func NewByKey(key string, rows, dim, dualThreshold int, opts Options) (Generator, error) {
+	if key != "dual" {
+		tech, err := ParseTechnique(key)
+		if err != nil {
+			return nil, err
+		}
+		return New(tech, rows, dim, opts)
+	}
+	dheGen, err := New(DHE, rows, dim, opts)
+	if err != nil {
+		return nil, err
+	}
+	return NewDual(dheGen, dualThreshold, opts), nil
+}
+
 // MustNew is New for programmer-supplied shapes: a construction failure is
 // a config bug, not request data, so it panics instead of returning an
 // error. Examples, benchmarks and tests use it; services validating

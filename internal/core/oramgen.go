@@ -76,9 +76,6 @@ func (g *oramGen) Dim() int             { return g.dim }
 func (g *oramGen) Technique() Technique { return g.tech }
 func (g *oramGen) NumBytes() int64      { return g.o.NumBytes() }
 
-// SetThreads is a no-op: ORAM accesses are inherently sequential (§V-A1).
-func (g *oramGen) SetThreads(int) {}
-
 // ORAMStats exposes the controller counters when g is ORAM-backed (looking
 // through Instrument wrappers), for the enclave cost model; ok is false
 // otherwise.

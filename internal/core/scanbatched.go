@@ -78,4 +78,3 @@ func (g *scanBatchedGen) Rows() int            { return g.table.Rows }
 func (g *scanBatchedGen) Dim() int             { return g.table.Cols }
 func (g *scanBatchedGen) Technique() Technique { return LinearScanBatched }
 func (g *scanBatchedGen) NumBytes() int64      { return g.table.NumBytes() }
-func (g *scanBatchedGen) SetThreads(n int)     { g.threads = n }

@@ -53,7 +53,6 @@ func (g *lookupGen) Rows() int            { return g.table.Rows }
 func (g *lookupGen) Dim() int             { return g.table.Cols }
 func (g *lookupGen) Technique() Technique { return Lookup }
 func (g *lookupGen) NumBytes() int64      { return g.table.NumBytes() }
-func (g *lookupGen) SetThreads(n int)     { g.threads = n }
 
 // scanGen is the oblivious linear scan (§IV-A1 / §V-A2): for every query
 // in the batch the entire table is streamed and the matching row is
@@ -106,4 +105,3 @@ func (g *scanGen) Rows() int            { return g.table.Rows }
 func (g *scanGen) Dim() int             { return g.table.Cols }
 func (g *scanGen) Technique() Technique { return LinearScan }
 func (g *scanGen) NumBytes() int64      { return g.table.NumBytes() }
-func (g *scanGen) SetThreads(n int)     { g.threads = n }

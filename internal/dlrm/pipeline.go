@@ -145,10 +145,3 @@ func (p *Pipeline) NumBytes() int64 {
 	}
 	return n
 }
-
-// SetThreads propagates the worker count to every generator.
-func (p *Pipeline) SetThreads(n int) {
-	for _, g := range p.Gens {
-		g.SetThreads(n)
-	}
-}

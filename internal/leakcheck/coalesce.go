@@ -29,6 +29,7 @@ const coalesceMaxBatch = 4
 func CoalescedFactory(rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   "coalesce",
+		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			table := tensor.NewGaussian(rows, dim, 0.02, rand.New(rand.NewSource(seed)))
@@ -54,22 +55,22 @@ func newCoalescedGen(gen core.Generator) *coalescedGen {
 				MaxWait:  5 * time.Second,
 			},
 		})
-	return &coalescedGen{inner: gen, group: g}
+	return &coalescedGen{Generator: gen, group: g}
 }
 
 // coalescedGen adapts the Group to the Generator interface the audit
 // harness drives. It is single-shot: Generate tears the group down after
 // the batch so each panel input's worker goroutine is reclaimed.
 type coalescedGen struct {
-	inner core.Generator
-	group *serving.Group
+	core.Generator // the traced batched scan behind the group
+	group          *serving.Group
 }
 
 // Generate submits every id as its own request and reassembles the rows
 // in input order. The scheduler fuses the requests into full batches; the
 // backend's traced sweeps are what the audit compares across the panel.
 func (c *coalescedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	out := tensor.New(len(ids), c.inner.Dim())
+	out := tensor.New(len(ids), c.Dim())
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
@@ -93,9 +94,3 @@ func (c *coalescedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	}
 	return out, nil
 }
-
-func (c *coalescedGen) Rows() int                 { return c.inner.Rows() }
-func (c *coalescedGen) Dim() int                  { return c.inner.Dim() }
-func (c *coalescedGen) Technique() core.Technique { return c.inner.Technique() }
-func (c *coalescedGen) NumBytes() int64           { return c.inner.NumBytes() }
-func (c *coalescedGen) SetThreads(n int)          { c.inner.SetThreads(n) }

@@ -26,6 +26,8 @@ package leakcheck
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"secemb/internal/core"
 	"secemb/internal/memtrace"
@@ -38,10 +40,13 @@ import (
 type Panel [][]uint64
 
 // Factory describes one audit target: how to build a fresh generator wired
-// to a tracer, and how to canonicalize its traces.
+// to a tracer.
 type Factory struct {
 	// Name labels the target in reports ("dhe", "path", …).
 	Name string
+	// Rows is the table size New builds, hence the id space the target's
+	// panel is drawn from (AdversarialPanel(Rows, batch)).
+	Rows int
 	// Secure is the expected verdict: true for oblivious techniques (a
 	// divergence is a regression), false for the leaky baseline (a clean
 	// report means the harness lost its teeth).
@@ -49,14 +54,9 @@ type Factory struct {
 	// New constructs a fresh generator recording into tr. It is called once
 	// per panel input so every run replays the same random tape.
 	New func(tr *memtrace.Tracer) (core.Generator, error)
-	// Canon canonicalizes a raw trace before comparison; nil → Canonical.
-	Canon func(memtrace.Trace) memtrace.Trace
-}
-
-// Canonical is the default canonicalization: ORAM tree-bucket accesses are
-// mapped to their tree level; everything else is compared verbatim.
-func Canonical(t memtrace.Trace) memtrace.Trace {
-	return memtrace.CanonicalizeTreeRegions(t, oram.RegionSuffixTree)
+	// MustTouch, when set, names the structure the target exists to audit:
+	// Verify refuses a reference trace in which no region contains it.
+	MustTouch string
 }
 
 // Divergence records one panel input whose canonical trace differed from
@@ -86,6 +86,7 @@ func (d Divergence) String() string {
 // Report is the structured result of auditing one target against a panel.
 type Report struct {
 	Name      string `json:"name"`
+	Rows      int    `json:"rows,omitempty"`
 	Secure    bool   `json:"secure"` // expected verdict (from the Factory)
 	PanelSize int    `json:"panel_size"`
 	BatchSize int    `json:"batch_size"`
@@ -115,10 +116,6 @@ func Verify(f Factory, panel Panel) (*Report, error) {
 				i, len(ids), batch)
 		}
 	}
-	canon := f.Canon
-	if canon == nil {
-		canon = Canonical
-	}
 	run := func(ids []uint64) (memtrace.Trace, error) {
 		tr := memtrace.NewEnabled()
 		g, err := f.New(tr)
@@ -128,7 +125,9 @@ func Verify(f Factory, panel Panel) (*Report, error) {
 		if _, err := g.Generate(ids); err != nil {
 			return nil, fmt.Errorf("leakcheck: %s: generate %v: %w", f.Name, ids, err)
 		}
-		return canon(tr.Snapshot()), nil
+		// Canonical form: ORAM tree-bucket accesses map to their tree level;
+		// everything else is compared verbatim.
+		return memtrace.CanonicalizeTreeRegions(tr.Snapshot(), oram.RegionSuffixTree), nil
 	}
 
 	ref, err := run(panel[0])
@@ -138,8 +137,14 @@ func Verify(f Factory, panel Panel) (*Report, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("leakcheck: %s: empty reference trace — instrumentation inactive", f.Name)
 	}
+	if f.MustTouch != "" && !slices.ContainsFunc(ref, func(a memtrace.Access) bool {
+		return strings.Contains(a.Region, f.MustTouch)
+	}) {
+		return nil, fmt.Errorf("leakcheck: %s: reference trace never touched a %q region — the target lost its subject", f.Name, f.MustTouch)
+	}
 	rep := &Report{
 		Name:      f.Name,
+		Rows:      f.Rows,
 		Secure:    f.Secure,
 		PanelSize: len(panel),
 		BatchSize: batch,
@@ -166,19 +171,6 @@ func Verify(f Factory, panel Panel) (*Report, error) {
 		})
 	}
 	return rep, nil
-}
-
-// VerifyAll audits every factory against the panel, in order.
-func VerifyAll(fs []Factory, panel Panel) ([]*Report, error) {
-	out := make([]*Report, 0, len(fs))
-	for _, f := range fs {
-		r, err := Verify(f, panel)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 func accessAt(t memtrace.Trace, i int) string {

@@ -195,36 +195,24 @@ func TestDualBothRegimes(t *testing.T) {
 	}
 }
 
-// TestCircuitRecursionPanel pushes the table past the Circuit ORAM
-// recursion cutoff (2^12 blocks) so the audit also covers the recursive
-// position-map regions.
+// TestCircuitRecursionPanel runs the roster's circuit-rec target — a table
+// past the Circuit ORAM recursion cutoff, so the audit covers the recursive
+// position-map regions — and checks its guard: the same target over a table
+// that does not recurse is refused, not passed.
 func TestCircuitRecursionPanel(t *testing.T) {
-	const rows, dim, batch, seed = 1 << 13, 2, 2, 7
-	f := TechniqueFactory(core.CircuitORAM, rows, dim, seed)
-	tr := memtrace.NewEnabled()
-	g, err := f.New(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Generate([]uint64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	recursed := false
-	for _, a := range tr.Snapshot() {
-		if strings.Contains(a.Region, ".pm1") {
-			recursed = true
-			break
-		}
-	}
-	if !recursed {
-		t.Fatal("table above the cutoff did not recurse — the test lost its target")
-	}
-	rep, err := Verify(f, AdversarialPanel(rows, batch))
+	const dim, batch, seed = 2, 2, 7
+	f := CircuitRecFactory(dim, seed)
+	rep, err := Verify(f, AdversarialPanel(f.Rows, batch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Leaky {
 		t.Fatalf("recursive circuit ORAM reported leaky: %v", rep.Divergences[0])
+	}
+	flat := f
+	flat.New = TechniqueFactory(core.CircuitORAM, 512, dim, seed).New
+	if _, err := Verify(flat, AdversarialPanel(512, batch)); err == nil || !strings.Contains(err.Error(), "lost its subject") {
+		t.Fatalf("non-recursing table under circuit-rec: err = %v, want the MustTouch refusal", err)
 	}
 }
 
@@ -292,7 +280,7 @@ func TestCoalesceAuditTeeth(t *testing.T) {
 		Secure: true, // claims security; the audit must prove otherwise
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			table := tensor.NewGaussian(rows, dim, 0.02, rand.New(rand.NewSource(seed)))
-			return &idFlushGen{inner: core.MustNew(core.LinearScanBatched, rows, dim, core.Options{Table: table, Tracer: tr, Threads: 1})}, nil
+			return &idFlushGen{core.MustNew(core.LinearScanBatched, rows, dim, core.Options{Table: table, Tracer: tr, Threads: 1})}, nil
 		},
 	}
 	panel := Panel{
@@ -311,16 +299,16 @@ func TestCoalesceAuditTeeth(t *testing.T) {
 // idFlushGen simulates a broken coalescer: batches of up to 4 ids, but a
 // batch flushes immediately after admitting an odd id.
 type idFlushGen struct {
-	inner core.Generator
+	core.Generator
 }
 
 func (g *idFlushGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	out := tensor.New(len(ids), g.inner.Dim())
+	out := tensor.New(len(ids), g.Dim())
 	flush := func(start, end int) error {
 		if start == end {
 			return nil
 		}
-		emb, err := g.inner.Generate(ids[start:end])
+		emb, err := g.Generator.Generate(ids[start:end])
 		if err != nil {
 			return err
 		}
@@ -343,12 +331,6 @@ func (g *idFlushGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	}
 	return out, nil
 }
-
-func (g *idFlushGen) Rows() int                 { return g.inner.Rows() }
-func (g *idFlushGen) Dim() int                  { return g.inner.Dim() }
-func (g *idFlushGen) Technique() core.Technique { return g.inner.Technique() }
-func (g *idFlushGen) NumBytes() int64           { return g.inner.NumBytes() }
-func (g *idFlushGen) SetThreads(n int)          { g.inner.SetThreads(n) }
 
 // TestInt8DHEPassesPanel runs the quantized DHE hot path through the
 // adversarial panel: the SWAR kernels and activation quantization must

@@ -22,6 +22,7 @@ import (
 func PlannerFactory(rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   "planner",
+		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			return newPlannerGen(rows, dim, seed, tr)
@@ -33,8 +34,9 @@ func PlannerFactory(rows, dim int, seed int64) Factory {
 // per panel input (Factory.New), so every run sees an identical planner
 // lifecycle on an identical random tape; only the secret ids differ.
 type plannerGen struct {
-	shards []*planner.Swappable
-	pl     *planner.Planner
+	core.Generator // shard 0's swap point: the table's public shape
+	shards         []*planner.Swappable
+	pl             *planner.Planner
 }
 
 func newPlannerGen(rows, dim int, seed int64, tr *memtrace.Tracer) (*plannerGen, error) {
@@ -57,7 +59,7 @@ func newPlannerGen(rows, dim int, seed int64, tr *memtrace.Tracer) (*plannerGen,
 	}); err != nil {
 		return nil, err
 	}
-	return &plannerGen{shards: shards, pl: pl}, nil
+	return &plannerGen{Generator: shards[0], shards: shards, pl: pl}, nil
 }
 
 // Generate serves the batch on both shards' scans, forces the scan→DHE
@@ -79,14 +81,4 @@ func (p *plannerGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	return p.shards[1].Generate(ids)
-}
-
-func (p *plannerGen) Rows() int                 { return p.shards[0].Rows() }
-func (p *plannerGen) Dim() int                  { return p.shards[0].Dim() }
-func (p *plannerGen) Technique() core.Technique { return p.shards[0].Technique() }
-func (p *plannerGen) NumBytes() int64           { return p.shards[0].NumBytes() }
-func (p *plannerGen) SetThreads(n int) {
-	for _, sw := range p.shards {
-		sw.SetThreads(n)
-	}
 }

@@ -44,7 +44,7 @@ func TestPlannerAuditTeeth(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &idSwapGen{inner: inner}, nil
+			return &idSwapGen{inner}, nil
 		},
 	}
 	panel := Panel{
@@ -65,11 +65,11 @@ func TestPlannerAuditTeeth(t *testing.T) {
 // divergence the audit catches is exactly the moved shard boundary,
 // nothing synthetic.
 type idSwapGen struct {
-	inner *plannerGen
+	*plannerGen
 }
 
 func (g *idSwapGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	for _, sw := range g.inner.shards {
+	for _, sw := range g.shards {
 		if _, err := sw.Generate(ids); err != nil {
 			return nil, err
 		}
@@ -80,17 +80,11 @@ func (g *idSwapGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	if len(ids) > 0 {
 		target = int(ids[0] % 2)
 	}
-	if err := g.inner.pl.ForceSwapShard("audit", target, core.DHE); err != nil {
+	if err := g.pl.ForceSwapShard("audit", target, core.DHE); err != nil {
 		return nil, err
 	}
-	if _, err := g.inner.shards[0].Generate(ids); err != nil {
+	if _, err := g.shards[0].Generate(ids); err != nil {
 		return nil, err
 	}
-	return g.inner.shards[1].Generate(ids)
+	return g.shards[1].Generate(ids)
 }
-
-func (g *idSwapGen) Rows() int                 { return g.inner.Rows() }
-func (g *idSwapGen) Dim() int                  { return g.inner.Dim() }
-func (g *idSwapGen) Technique() core.Technique { return g.inner.Technique() }
-func (g *idSwapGen) NumBytes() int64           { return g.inner.NumBytes() }
-func (g *idSwapGen) SetThreads(n int)          { g.inner.SetThreads(n) }

@@ -5,6 +5,7 @@ import (
 
 	"secemb/internal/core"
 	"secemb/internal/memtrace"
+	"secemb/internal/oram"
 )
 
 // errInt8Inactive reports that an int8 audit target fell back to float32.
@@ -19,6 +20,7 @@ var errInt8Inactive = errors.New("leakcheck: int8 gate rejected the seeded decod
 func TechniqueFactory(tech core.Technique, rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   tech.Key(),
+		Rows:   rows,
 		Secure: tech.Secure(),
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			return core.New(tech, rows, dim, core.Options{Seed: seed, Tracer: tr, Threads: 1})
@@ -34,6 +36,7 @@ func TechniqueFactory(tech core.Technique, rows, dim int, seed int64) Factory {
 func Int8DHEFactory(rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   "dhe-int8",
+		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			g, err := core.New(core.DHE, rows, dim, core.Options{
@@ -59,16 +62,26 @@ func Int8DHEFactory(rows, dim int, seed int64) Factory {
 func DualFactory(rows, dim, threshold int, seed int64) Factory {
 	return Factory{
 		Name:   "dual",
+		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
-			opts := core.Options{Seed: seed, Tracer: tr, Threads: 1}
-			dheGen, err := core.New(core.DHE, rows, dim, opts)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewDual(dheGen, threshold, opts), nil
+			return core.NewByKey("dual", rows, dim, threshold, core.Options{Seed: seed, Tracer: tr, Threads: 1})
 		},
 	}
+}
+
+// circuitRecRows puts a table past Circuit ORAM's recursion cutoff, so its
+// position map is itself an ORAM.
+const circuitRecRows = 2 * oram.DefaultCircRecursionCutoff
+
+// CircuitRecFactory audits Circuit ORAM with a recursive position map. The
+// rest of the roster shares one small table that sits below the cutoff, so
+// this is the only target whose trace holds a nested ".pm1" controller —
+// and MustTouch fails the run if a raised cutoff ever stops it recursing.
+func CircuitRecFactory(dim int, seed int64) Factory {
+	f := TechniqueFactory(core.CircuitORAM, circuitRecRows, dim, seed)
+	f.Name, f.MustTouch = "circuit-rec", ".pm1"
+	return f
 }
 
 // StandardFactories returns the full audit roster for one table shape: the

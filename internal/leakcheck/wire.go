@@ -28,13 +28,14 @@ const wireMaxBatch = 16
 func WireFactory(rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   "wire",
+		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			gen, err := core.New(core.LinearScan, rows, dim, core.Options{Seed: seed, Tracer: tr, Threads: 1})
 			if err != nil {
 				return nil, err
 			}
-			return &wireGen{inner: gen, tracer: tr}, nil
+			return &wireGen{Generator: gen, tracer: tr}, nil
 		},
 	}
 }
@@ -43,8 +44,8 @@ func WireFactory(rows, dim int, seed int64) Factory {
 // single-shot, like the coalesce target: the server and group are torn
 // down after the one panel batch so each input gets a pristine stack.
 type wireGen struct {
-	inner  core.Generator
-	tracer *memtrace.Tracer
+	core.Generator // the traced scan behind the front door
+	tracer         *memtrace.Tracer
 }
 
 // Generate submits the batch as one wire request over a loopback h2c
@@ -53,12 +54,12 @@ type wireGen struct {
 // secemb:audit wire
 func (w *wireGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	group := serving.NewGroup(
-		[]serving.Backend{backends.NewEmbedding(w.inner, wireMaxBatch)},
+		[]serving.Backend{backends.NewEmbedding(w.Generator, wireMaxBatch)},
 		serving.GroupConfig{QueueDepth: 16},
 	)
 	srv := wire.NewServer(wire.ServerConfig{
 		Group:    group,
-		Dim:      w.inner.Dim(),
+		Dim:      w.Dim(),
 		MaxBatch: wireMaxBatch,
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -86,9 +87,3 @@ func (w *wireGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	w.tracer.Touch("wire.resp", int64(res.BytesIn), memtrace.Write)
 	return res.Rows, nil
 }
-
-func (w *wireGen) Rows() int                 { return w.inner.Rows() }
-func (w *wireGen) Dim() int                  { return w.inner.Dim() }
-func (w *wireGen) Technique() core.Technique { return w.inner.Technique() }
-func (w *wireGen) NumBytes() int64           { return w.inner.NumBytes() }
-func (w *wireGen) SetThreads(n int)          { w.inner.SetThreads(n) }

@@ -40,7 +40,7 @@ func TestWireAuditTeeth(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &sizeLeakGen{inner: gen, tracer: tr}, nil
+			return &sizeLeakGen{gen, tr}, nil
 		},
 	}
 	panel := Panel{
@@ -60,12 +60,12 @@ func TestWireAuditTeeth(t *testing.T) {
 // padding: the recorded response size counts distinct ids, leaking their
 // multiplicity even though every table access is a full oblivious sweep.
 type sizeLeakGen struct {
-	inner  core.Generator
+	core.Generator
 	tracer *memtrace.Tracer
 }
 
 func (g *sizeLeakGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	out, err := g.inner.Generate(ids)
+	out, err := g.Generator.Generate(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +73,6 @@ func (g *sizeLeakGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	for _, id := range ids {
 		distinct[id] = true
 	}
-	g.tracer.Touch("wire.resp", int64(len(distinct)*g.inner.Dim()*4), memtrace.Write)
+	g.tracer.Touch("wire.resp", int64(len(distinct)*g.Dim()*4), memtrace.Write)
 	return out, nil
 }
-
-func (g *sizeLeakGen) Rows() int                 { return g.inner.Rows() }
-func (g *sizeLeakGen) Dim() int                  { return g.inner.Dim() }
-func (g *sizeLeakGen) Technique() core.Technique { return g.inner.Technique() }
-func (g *sizeLeakGen) NumBytes() int64           { return g.inner.NumBytes() }
-func (g *sizeLeakGen) SetThreads(n int)          { g.inner.SetThreads(n) }

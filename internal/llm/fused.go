@@ -48,16 +48,3 @@ func DecodeFused(sessions []*Session, tokens []int) ([]*tensor.Matrix, error) {
 	}
 	return p.decode(seqs, tokens)
 }
-
-// PrefillFused processes one prompt per session and returns each
-// session's final-position logits (one 1×Vocab matrix per session). The
-// token embeddings of all prompts are generated in a single Generate call
-// (batch = Σ prompt lengths), exactly as a one-session batched Prefill
-// would, but across independently owned sessions.
-func PrefillFused(sessions []*Session, prompts [][]int) ([]*tensor.Matrix, error) {
-	p, seqs, err := fusedSeqs(sessions)
-	if err != nil {
-		return nil, err
-	}
-	return p.prefill(seqs, prompts)
-}

@@ -79,29 +79,6 @@ func TestDecodeFusedMatchesSequentialDecode(t *testing.T) {
 	}
 }
 
-func TestPrefillFusedMatchesPrefill(t *testing.T) {
-	fusedP, refP := twinPipelines(t)
-	prompts := [][]int{{4, 5, 6, 7}, {2}}
-	sA, sB := fusedP.NewSession(1), fusedP.NewSession(1)
-	outs, err := PrefillFused([]*Session{sA, sB}, prompts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, prompt := range prompts {
-		ref := refP.NewSession(1)
-		want, err := ref.Prefill([][]int{prompt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.AllClose(outs[i], want, 1e-5) {
-			t.Fatalf("fused prefill logits for session %d differ from direct prefill", i)
-		}
-	}
-	if sA.PrefillTime <= 0 || sB.PrefillTime <= 0 {
-		t.Fatal("fused prefill must record PrefillTime")
-	}
-}
-
 func TestFusedValidation(t *testing.T) {
 	p1, p2 := twinPipelines(t)
 	wantErr := func(name, frag string, err error) {
@@ -126,13 +103,13 @@ func TestFusedValidation(t *testing.T) {
 	_, err = DecodeFused([]*Session{s}, []int{1, 2})
 	wantErr("count mismatch", "tokens for", err)
 
-	_, err = PrefillFused([]*Session{s}, [][]int{{1}})
+	_, err = s.Prefill([][]int{{1}})
 	wantErr("double prefill", "already prefilled", err)
 
-	_, err = PrefillFused([]*Session{p1.NewSession(1)}, [][]int{{}})
+	_, err = p1.NewSession(1).Prefill([][]int{{}})
 	wantErr("empty prompt", "length 0", err)
 
-	_, err = PrefillFused([]*Session{p1.NewSession(1)}, [][]int{{1}, {2}})
+	_, err = p1.NewSession(1).Prefill([][]int{{1}, {2}})
 	wantErr("prompt count", "prompts for", err)
 
 	// Decode past MaxSeq must be refused per session.

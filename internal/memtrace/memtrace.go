@@ -130,9 +130,6 @@ func NewEnabled() *Tracer {
 // Enable starts recording.
 func (t *Tracer) Enable() { t.enabled = true }
 
-// Disable stops recording; the accumulated trace is retained.
-func (t *Tracer) Disable() { t.enabled = false }
-
 // Enabled reports whether the tracer is recording. Nil-safe.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 

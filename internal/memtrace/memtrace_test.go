@@ -29,11 +29,6 @@ func TestZeroValueDisabled(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatal("enabled tracer must record")
 	}
-	tr.Disable()
-	tr.Touch("x", 2, Read)
-	if tr.Len() != 1 {
-		t.Fatal("disabled tracer must stop recording")
-	}
 }
 
 func TestTouchRangeAndSnapshot(t *testing.T) {

@@ -101,15 +101,6 @@ func (h *Histogram) Max() int64 {
 	return h.max.Load()
 }
 
-// Mean returns the mean observed value, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts,
 // interpolating linearly inside the containing bucket and clamping to the
 // exact observed max. Returns 0 with no observations. Nil-safe.

@@ -172,8 +172,8 @@ func TestHistogramSingleObservationExact(t *testing.T) {
 			t.Fatalf("Quantile(%v)=%d, want the single exact value", q, got)
 		}
 	}
-	if h.Mean() != 12345 {
-		t.Fatalf("mean=%v", h.Mean())
+	if h.Sum() != 12345 || h.Count() != 1 {
+		t.Fatalf("sum=%d count=%d", h.Sum(), h.Count())
 	}
 }
 

@@ -45,6 +45,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -55,12 +56,13 @@ import (
 	"secemb/internal/profile"
 )
 
-// DefaultCandidates is the technique menu the planner chooses from: the
-// batched scan for small tables, Circuit ORAM for big-table/small-batch,
-// DHE for big-table/large-batch — the three regimes of §IV.
-func DefaultCandidates() []core.Technique {
-	return []core.Technique{core.LinearScanBatched, core.CircuitORAM, core.DHE}
-}
+// candidates is the technique menu the planner chooses from: the batched
+// scan for small tables, Circuit ORAM for big-table/small-batch, DHE for
+// big-table/large-batch — the three regimes of §IV.
+var candidates = []core.Technique{core.LinearScanBatched, core.CircuitORAM, core.DHE}
+
+// DefaultCandidates returns a copy of the planner's technique menu.
+func DefaultCandidates() []core.Technique { return slices.Clone(candidates) }
 
 // ShardLabel renders the canonical label of a managed table's shard: the
 // key of the shard's EWMA streams in the persisted cost model
@@ -85,8 +87,6 @@ type Config struct {
 	MinDwell time.Duration
 	// Alpha is the EWMA smoothing factor for sampled signals (0 → 0.3).
 	Alpha float64
-	// Candidates is the technique menu (nil → DefaultCandidates).
-	Candidates []core.Technique
 	// Reg receives the planner_* metrics. It is export only: the planner
 	// observes traffic at its own swap points, so a nil registry plans
 	// exactly like a non-nil one.
@@ -105,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3
-	}
-	if len(c.Candidates) == 0 {
-		c.Candidates = DefaultCandidates()
 	}
 	return c
 }
@@ -150,7 +147,7 @@ type shardState struct {
 	gActive    *obs.Gauge
 	gMeanBatch *obs.Gauge
 	cReplan    *obs.Counter
-	gPredicted []*obs.Gauge                    // parallel to Config.Candidates
+	gPredicted []*obs.Gauge                    // parallel to candidates
 	cSwapTech  map[core.Technique]*obs.Counter // filled on first swap to each technique
 }
 
@@ -242,7 +239,7 @@ func (p *Planner) Manage(t Table) error {
 			cReplan:    p.cfg.Reg.Counter("planner_replan_total", obs.LabelTable, t.Name, obs.LabelShard, shard),
 			cSwapTech:  map[core.Technique]*obs.Counter{},
 		}
-		for _, tech := range p.cfg.Candidates {
+		for _, tech := range candidates {
 			ss.gPredicted = append(ss.gPredicted, p.cfg.Reg.Gauge("planner_predicted_perid_ns",
 				obs.LabelTable, t.Name, obs.LabelShard, shard, obs.LabelTech, tech.Key()))
 		}
@@ -300,8 +297,8 @@ func (p *Planner) ReplanNow() []Decision {
 	p.mu.Lock()
 	for _, t := range p.tables {
 		for _, ss := range t.shards {
-			sigs := make(map[core.Technique]Signal, len(p.cfg.Candidates))
-			for _, tech := range p.cfg.Candidates {
+			sigs := make(map[core.Technique]Signal, len(candidates))
+			for _, tech := range candidates {
 				sigs[tech] = p.sampler.sample(tech, ss.label, ss.replicas)
 			}
 			slots = append(slots, slot{t, ss, sigs})
@@ -348,10 +345,10 @@ func (p *Planner) replanShard(t *managedTable, ss *shardState, sigs map[core.Tec
 		Chosen:    ss.current,
 		MeanBatch: batch,
 		Observed:  cur.Observed(),
-		PerIDNs:   make(map[core.Technique]float64, len(p.cfg.Candidates)),
+		PerIDNs:   make(map[core.Technique]float64, len(candidates)),
 	}
 	best, bestCost := ss.current, predictPerID(ss.current, t.Rows, t.Dim, batch, cur)
-	for i, tech := range p.cfg.Candidates {
+	for i, tech := range candidates {
 		cost := predictPerID(tech, t.Rows, t.Dim, batch, sigs[tech])
 		d.PerIDNs[tech] = cost
 		ss.gPredicted[i].Set(int64(cost))

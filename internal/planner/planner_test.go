@@ -76,18 +76,6 @@ func TestSwappableInstallSwitchesGenerator(t *testing.T) {
 	}
 }
 
-func TestSwappableCarriesThreadsAcrossInstall(t *testing.T) {
-	build := buildFor(64, 8, 1)
-	g1, _ := build(0, core.LinearScanBatched)
-	sw := NewSwappable(g1)
-	sw.SetThreads(1)
-	g2, _ := build(0, core.LinearScanBatched)
-	sw.Install(g2) // must re-apply SetThreads(1); no direct probe, but must not panic
-	if _, err := sw.Generate([]uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAnalyticModelRegimes pins the prior's orderings to the paper's three
 // regimes (Fig. 4/5, §IV-D).
 func TestAnalyticModelRegimes(t *testing.T) {

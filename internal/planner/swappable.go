@@ -55,10 +55,9 @@ type genBox struct {
 // and timed against the installed technique, and the sampler windows those
 // totals per shard.
 type Swappable struct {
-	mu      sync.RWMutex // readers: Generate/SetThreads; writer: Install's drain barrier
-	cur     atomic.Pointer[genBox]
-	threads atomic.Int64 // last SetThreads value; < 0 when never set
-	swaps   atomic.Int64
+	mu    sync.RWMutex // readers: Generate; writer: Install's drain barrier
+	cur   atomic.Pointer[genBox]
+	swaps atomic.Int64
 
 	byTechMu sync.Mutex // guards the map, not the counters in it
 	byTech   map[core.Technique]*served
@@ -72,7 +71,6 @@ func NewSwappable(initial core.Generator) *Swappable {
 		panic("planner: NewSwappable needs a non-nil initial generator")
 	}
 	s := &Swappable{byTech: map[core.Technique]*served{}}
-	s.threads.Store(-1)
 	s.cur.Store(s.box(initial))
 	return s
 }
@@ -117,15 +115,9 @@ func (s *Swappable) Generate(ids []uint64) (*tensor.Matrix, error) {
 // Install atomically publishes g as the serving generator and returns the
 // previous one once it is fully drained (no Generate is still executing on
 // it). The returned generator is safe to release, inspect, or retire.
-//
-// The thread setting last applied through SetThreads is carried over to g
-// before publication, so a swap never changes the worker configuration.
 func (s *Swappable) Install(g core.Generator) core.Generator {
 	if g == nil {
 		panic("planner: Install needs a non-nil generator")
-	}
-	if t := s.threads.Load(); t >= 0 {
-		g.SetThreads(int(t))
 	}
 	old := s.cur.Swap(s.box(g))
 	// Drain barrier: every in-flight Generate that loaded old holds the
@@ -153,15 +145,6 @@ func (s *Swappable) Technique() core.Technique { return s.cur.Load().gen.Techniq
 
 // NumBytes reports the current representation's resident footprint.
 func (s *Swappable) NumBytes() int64 { return s.cur.Load().gen.NumBytes() }
-
-// SetThreads forwards to the current generator and is re-applied to every
-// future installation.
-func (s *Swappable) SetThreads(n int) {
-	s.threads.Store(int64(n))
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.cur.Load().gen.SetThreads(n)
-}
 
 // Unwrap exposes the currently installed generator so core's type-probing
 // helpers (Underlying, ORAMStats) keep working through the swap point.

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
+	"os"
 
 	"secemb/internal/obs"
 )
@@ -13,9 +15,8 @@ import (
 // from analytic priors and refined by observed per-(shard, technique)
 // latency/batch EWMAs; those curves are machine-dependent the same way the
 // kernel tune is (they embed this host's memory bandwidth and core count),
-// so they persist under the same machine-fingerprint discipline as
-// MachineTune: save alongside the tune file, reload on start when the
-// fingerprint matches, silently re-warm from priors when it does not.
+// so they persist under a machine fingerprint: reload on start when it
+// matches, re-warm from priors when it does not.
 // Everything in the file is public — shard labels are deployment topology,
 // techniques are configuration, and the EWMAs aggregate batch sizes and
 // clocks that never saw an id.
@@ -71,10 +72,27 @@ func SaveCostModelFile(path string, m CostModel) error { return saveJSONFile(pat
 func LoadCostModelFile(path string) (CostModel, error) { return loadFile(path, LoadCostModel) }
 
 // InstallCostModelFile loads path and returns the model when its
-// fingerprint matches this machine; installed reports whether it did. Like
-// InstallTuneFile, a missing file is not an error and a fingerprint
-// mismatch skips (the planner warms from analytic priors instead), logged
-// and counted under kind="costmodel". reg may be nil.
+// fingerprint matches this machine; installed reports whether it did. A
+// missing file is not an error — the planner warms from analytic priors —
+// and neither is a mismatch, but a mismatch is never silent: it is logged
+// and counted (profile_install_skipped_total{kind="costmodel",
+// reason="fingerprint"} in reg, which may be nil) so an operator can tell
+// a stale file from a loaded one and a dashboard can alert on a fleet
+// quietly re-warming every start.
 func InstallCostModelFile(path string, reg *obs.Registry) (m CostModel, installed bool, err error) {
-	return installFile(path, "costmodel", reg, LoadCostModel)
+	m, err = LoadCostModelFile(path)
+	if os.IsNotExist(err) {
+		return CostModel{}, false, nil
+	}
+	if err != nil {
+		return CostModel{}, false, err
+	}
+	if !m.Matches() {
+		now := currentFingerprint()
+		log.Printf("profile: skipping costmodel file %s: machine fingerprint mismatch (recorded GOMAXPROCS=%d NumCPU=%d, running GOMAXPROCS=%d NumCPU=%d)",
+			path, m.GOMAXPROCS, m.NumCPU, now.GOMAXPROCS, now.NumCPU)
+		reg.Counter("profile_install_skipped_total", "kind", "costmodel", "reason", "fingerprint").Inc()
+		return CostModel{}, false, nil
+	}
+	return m, true, nil
 }

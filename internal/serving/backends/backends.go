@@ -150,16 +150,23 @@ func (b *Embedding) MaxBatch() int { return b.maxBatch }
 func (b *Embedding) Generator() core.Generator { return b.gen }
 
 // Execute concatenates every payload's ids into one Generate call and
-// splits the embedding rows back per request.
+// splits the embedding rows back per request. Ids are range-checked per
+// payload before fusing, so an out-of-range id fails only the request that
+// sent it: the requests fused with it are served, and learn nothing of it.
 func (b *Embedding) Execute(payloads []any) ([]serving.Result, error) {
 	results := make([]serving.Result, len(payloads))
 	ids := make([]uint64, 0, len(payloads))
 	idx := make([]int, 0, len(payloads))
 	counts := make([]int, 0, len(payloads))
+	rows := b.gen.Rows()
 	for i, p := range payloads {
 		batch, ok := p.([]uint64)
 		if !ok || len(batch) == 0 {
 			results[i].Err = fmt.Errorf("backends: payload %d is not a non-empty []uint64", i)
+			continue
+		}
+		if err := core.ValidateIDs(batch, rows); err != nil {
+			results[i].Err = err
 			continue
 		}
 		ids = append(ids, batch...)
@@ -238,65 +245,6 @@ func (b *LLMDecode) Execute(payloads []any) ([]serving.Result, error) {
 		return results, nil
 	}
 	outs, err := llm.DecodeFused(sessions, tokens)
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range idx {
-		results[i].Value = outs[k]
-	}
-	return results, nil
-}
-
-// LLMPrefillRequest prefills one single-sequence session with a prompt.
-type LLMPrefillRequest struct {
-	Session *llm.Session
-	Prompt  []int
-}
-
-// LLMPrefill fuses prompt prefills from many streams into one
-// llm.PrefillFused call (embedding batch = Σ prompt lengths across the
-// fused requests).
-type LLMPrefill struct {
-	pipe     *llm.Pipeline
-	maxBatch int
-}
-
-// NewLLMPrefill wraps a pipeline replica for fused prefill. maxBatch caps
-// fused prompts per execution (0 → DefaultMaxBatch).
-func NewLLMPrefill(p *llm.Pipeline, maxBatch int) *LLMPrefill {
-	if maxBatch < 1 {
-		maxBatch = DefaultMaxBatch
-	}
-	return &LLMPrefill{pipe: p, maxBatch: maxBatch}
-}
-
-// Pipeline exposes the wrapped pipeline.
-func (b *LLMPrefill) Pipeline() *llm.Pipeline { return b.pipe }
-
-// MaxBatch reports the fused-prompt cap.
-func (b *LLMPrefill) MaxBatch() int { return b.maxBatch }
-
-// Execute fuses the prefills; each Result.Value is that stream's 1×Vocab
-// final-position logits.
-func (b *LLMPrefill) Execute(payloads []any) ([]serving.Result, error) {
-	results := make([]serving.Result, len(payloads))
-	sessions := make([]*llm.Session, 0, len(payloads))
-	prompts := make([][]int, 0, len(payloads))
-	idx := make([]int, 0, len(payloads))
-	for i, p := range payloads {
-		r, ok := p.(*LLMPrefillRequest)
-		if !ok || r.Session == nil || len(r.Prompt) == 0 {
-			results[i].Err = fmt.Errorf("backends: payload %d is not a well-formed *LLMPrefillRequest", i)
-			continue
-		}
-		sessions = append(sessions, r.Session)
-		prompts = append(prompts, r.Prompt)
-		idx = append(idx, i)
-	}
-	if len(idx) == 0 {
-		return results, nil
-	}
-	outs, err := llm.PrefillFused(sessions, prompts)
 	if err != nil {
 		return nil, err
 	}

@@ -222,14 +222,19 @@ func TestEmbeddingResultsSurviveNextExecute(t *testing.T) {
 
 func TestEmbeddingMalformedPayload(t *testing.T) {
 	be := NewEmbedding(newDHEGen(t, 7), 0)
-	results, err := be.Execute([]any{[]uint64{}, 42, []uint64{3}})
+	// 999 is past the 128-row table: a bad id is one request's mistake, and
+	// a batch-wide error would both fail and inform every tenant fused with it.
+	results, err := be.Execute([]any{[]uint64{}, 42, []uint64{3}, []uint64{1, 999}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].Err == nil || results[1].Err == nil {
 		t.Fatal("empty batch and non-[]uint64 payloads must fail individually")
 	}
-	if results[2].Err != nil {
+	if !errors.Is(results[3].Err, core.ErrIDOutOfRange) {
+		t.Fatalf("out-of-range payload error = %v, want ErrIDOutOfRange", results[3].Err)
+	}
+	if results[2].Err != nil || results[2].Value.(*tensor.Matrix).Rows != 1 {
 		t.Fatal("valid payload must survive malformed co-batch members")
 	}
 }

@@ -18,31 +18,21 @@ func testLLMPipeline(t *testing.T) *llm.Pipeline {
 
 func TestLLMPrefillThenDecodeThroughAdapters(t *testing.T) {
 	p := testLLMPipeline(t)
-	prefill := NewLLMPrefill(p, 0)
 	decode := NewLLMDecode(p, 0)
-	if prefill.Pipeline() != p || decode.Pipeline() != p {
-		t.Fatal("adapters must expose their pipeline for session pinning")
+	if decode.Pipeline() != p {
+		t.Fatal("the adapter must expose its pipeline for session pinning")
 	}
 
+	// Prefill is per session, directly on the pinned replica (as llmbench
+	// does); only decode steps travel through the serving stack.
 	sA, sB := p.NewSession(1), p.NewSession(1)
-	results, err := prefill.Execute([]any{
-		&LLMPrefillRequest{Session: sA, Prompt: []int{1, 2, 3}},
-		&LLMPrefillRequest{Session: sB, Prompt: []int{7}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		logits := r.Value.(*tensor.Matrix)
-		if logits.Rows != 1 || logits.Cols != p.Cfg.Vocab {
-			t.Fatalf("prefill result %d has shape %dx%d", i, logits.Rows, logits.Cols)
+	for s, prompt := range map[*llm.Session][]int{sA: {1, 2, 3}, sB: {7}} {
+		if _, err := s.Prefill([][]int{prompt}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	results, err = decode.Execute([]any{
+	results, err := decode.Execute([]any{
 		&LLMDecodeRequest{Session: sA, Token: 4},
 		&LLMDecodeRequest{Session: sB, Token: 9},
 	})
@@ -63,32 +53,21 @@ func TestLLMPrefillThenDecodeThroughAdapters(t *testing.T) {
 func TestLLMAdapterMalformedPayloads(t *testing.T) {
 	p := testLLMPipeline(t)
 	s := p.NewSession(1)
-	results, err := NewLLMPrefill(p, 0).Execute([]any{
-		"bogus",
-		&LLMPrefillRequest{Session: nil, Prompt: []int{1}},
-		&LLMPrefillRequest{Session: s, Prompt: []int{1, 2}},
-	})
-	if err != nil {
+	if _, err := s.Prefill([][]int{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil || results[1].Err == nil {
-		t.Fatal("malformed prefill payloads must fail individually")
-	}
-	if results[2].Err != nil {
-		t.Fatal("valid prefill must survive malformed co-batch members")
-	}
-
-	results, err = NewLLMDecode(p, 0).Execute([]any{
+	results, err := NewLLMDecode(p, 0).Execute([]any{
 		42,
+		&LLMDecodeRequest{Session: nil, Token: 1},
 		&LLMDecodeRequest{Session: s, Token: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil {
-		t.Fatal("malformed decode payload must fail")
+	if results[0].Err == nil || results[1].Err == nil {
+		t.Fatal("malformed decode payloads must fail individually")
 	}
-	if results[1].Err != nil {
+	if results[2].Err != nil {
 		t.Fatal("valid decode must survive malformed co-batch members")
 	}
 }

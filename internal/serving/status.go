@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"errors"
-	"net/http"
 
 	"secemb/internal/core"
 )
@@ -80,30 +79,6 @@ func (s Status) String() string {
 		return "internal"
 	}
 	return "unknown"
-}
-
-// HTTPStatus is the REST-equivalent mapping of the code: 429 for shed
-// load, 503 for draining, 400 for malformed requests, 504 for expired
-// deadlines. It exists for diagnostics and any future unpadded endpoint —
-// the binary front door deliberately does NOT answer with it (every
-// /v1/embed outcome is HTTP 200; the Status byte travels inside the
-// padded frame so outcomes are invisible at the HTTP layer).
-func (s Status) HTTPStatus() int {
-	switch s {
-	case StatusOK:
-		return http.StatusOK
-	case StatusInvalidArgument:
-		return http.StatusBadRequest
-	case StatusDeadlineExceeded:
-		return http.StatusGatewayTimeout
-	case StatusCanceled:
-		return 499 // client closed request (nginx convention)
-	case StatusOverloaded:
-		return http.StatusTooManyRequests
-	case StatusUnavailable:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
 }
 
 // Retryable reports whether the same request can meaningfully be retried

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"testing"
 
 	"secemb/internal/core"
@@ -15,29 +14,25 @@ func TestStatusOf(t *testing.T) {
 		name      string
 		err       error
 		want      Status
-		http      int
 		str       string
 		retryable bool
 	}{
-		{"nil", nil, StatusOK, http.StatusOK, "ok", false},
-		{"queue_full", ErrQueueFull, StatusOverloaded, http.StatusTooManyRequests, "overloaded", true},
-		{"wrapped_queue_full", fmt.Errorf("shard 3: %w", ErrQueueFull), StatusOverloaded, http.StatusTooManyRequests, "overloaded", true},
-		{"closed", ErrClosed, StatusUnavailable, http.StatusServiceUnavailable, "unavailable", true},
-		{"wrapped_closed", fmt.Errorf("group: %w", ErrClosed), StatusUnavailable, http.StatusServiceUnavailable, "unavailable", true},
-		{"id_out_of_range", core.ErrIDOutOfRange, StatusInvalidArgument, http.StatusBadRequest, "invalid_argument", false},
-		{"wrapped_id_out_of_range", fmt.Errorf("row 9: %w", core.ErrIDOutOfRange), StatusInvalidArgument, http.StatusBadRequest, "invalid_argument", false},
-		{"deadline", context.DeadlineExceeded, StatusDeadlineExceeded, http.StatusGatewayTimeout, "deadline_exceeded", false},
-		{"canceled", context.Canceled, StatusCanceled, 499, "canceled", false},
-		{"other", errors.New("backend exploded"), StatusInternal, http.StatusInternalServerError, "internal", false},
+		{"nil", nil, StatusOK, "ok", false},
+		{"queue_full", ErrQueueFull, StatusOverloaded, "overloaded", true},
+		{"wrapped_queue_full", fmt.Errorf("shard 3: %w", ErrQueueFull), StatusOverloaded, "overloaded", true},
+		{"closed", ErrClosed, StatusUnavailable, "unavailable", true},
+		{"wrapped_closed", fmt.Errorf("group: %w", ErrClosed), StatusUnavailable, "unavailable", true},
+		{"id_out_of_range", core.ErrIDOutOfRange, StatusInvalidArgument, "invalid_argument", false},
+		{"wrapped_id_out_of_range", fmt.Errorf("row 9: %w", core.ErrIDOutOfRange), StatusInvalidArgument, "invalid_argument", false},
+		{"deadline", context.DeadlineExceeded, StatusDeadlineExceeded, "deadline_exceeded", false},
+		{"canceled", context.Canceled, StatusCanceled, "canceled", false},
+		{"other", errors.New("backend exploded"), StatusInternal, "internal", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := StatusOf(tc.err)
 			if got != tc.want {
 				t.Fatalf("StatusOf(%v) = %v, want %v", tc.err, got, tc.want)
-			}
-			if got.HTTPStatus() != tc.http {
-				t.Errorf("HTTPStatus() = %d, want %d", got.HTTPStatus(), tc.http)
 			}
 			if got.String() != tc.str {
 				t.Errorf("String() = %q, want %q", got.String(), tc.str)

@@ -27,20 +27,20 @@ import (
 type TuneConfig struct {
 	// Workers caps the worker count used by the parallel kernels
 	// (further clamped by GOMAXPROCS and the row count). <=0: GOMAXPROCS.
-	Workers int `json:"workers"`
+	Workers int
 	// BlockRows is the minimum number of rows per dispatched chunk;
 	// splits finer than this cost more in handoff than they recover in
 	// load balance.
-	BlockRows int `json:"block_rows"`
+	BlockRows int
 	// InlineRows is the batch size at or below which kernels skip the
 	// worker pool entirely and run on the caller.
-	InlineRows int `json:"inline_rows"`
+	InlineRows int
 	// Autotuned records whether this config was measured (Autotune) or is
 	// the static default.
-	Autotuned bool `json:"autotuned"`
+	Autotuned bool
 	// ProbeNs is the best measured probe-kernel time for the winning
 	// config (0 for the static default).
-	ProbeNs int64 `json:"probe_ns,omitempty"`
+	ProbeNs int64
 }
 
 // defaultTune mirrors the pre-autotuner behavior: the historical 64-row
@@ -63,9 +63,9 @@ var staticTune = defaultTune()
 // CurrentTune returns the installed kernel dispatch config.
 func CurrentTune() TuneConfig { return *currentTune() }
 
-// SetTune installs a kernel dispatch config process-wide (e.g. one
-// restored from internal/profile persistence instead of re-probing).
-// Zero-valued fields are replaced by the static defaults.
+// SetTune installs a kernel dispatch config process-wide (Autotune's
+// winner, or a config a test pins). Zero-valued fields are replaced by the
+// static defaults.
 func SetTune(c TuneConfig) {
 	d := defaultTune()
 	if c.BlockRows <= 0 {

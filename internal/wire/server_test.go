@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,12 +26,16 @@ const (
 // and a front door on a loopback port. The caller owns shutdown.
 func testStack(t *testing.T, cfg ServerConfig) (*Server, string, *tensor.Matrix) {
 	t.Helper()
+	return testStackGroup(t, cfg, serving.GroupConfig{QueueDepth: 64})
+}
+
+// testStackGroup is testStack with the serving group's shape chosen by the
+// caller (coalescing tests need a fused batch, not the greedy default).
+func testStackGroup(t *testing.T, cfg ServerConfig, gc serving.GroupConfig) (*Server, string, *tensor.Matrix) {
+	t.Helper()
 	table := tensor.NewGaussian(testRows, testDim, 0.05, rand.New(rand.NewSource(7)))
 	gen := core.MustNew(core.LinearScan, testRows, testDim, core.Options{Table: table})
-	g := serving.NewGroup(
-		[]serving.Backend{backends.NewEmbedding(gen, 16)},
-		serving.GroupConfig{QueueDepth: 64},
-	)
+	g := serving.NewGroup([]serving.Backend{backends.NewEmbedding(gen, 16)}, gc)
 	cfg.Group = g
 	cfg.Dim = testDim
 	if cfg.MaxBatch == 0 {
@@ -234,6 +239,57 @@ func TestEmbedInvalidID(t *testing.T) {
 	}
 	if want := FrameLen(BucketRows(1, 16), testDim); res.BytesIn != want {
 		t.Fatalf("error response is %dB, want padded %dB", res.BytesIn, want)
+	}
+}
+
+// TestInvalidIDIsolatedFromFusedPeer: two tenants' requests fuse into one
+// backend execution (MaxBatch 2 and a hold long enough that the second
+// always joins the first); one carries an out-of-range id. Only the
+// offender is rejected — the peer is served its rows — and the two padded
+// frames are the same size, so neither the outcome nor the peer's mistake
+// shows outside the frame.
+func TestInvalidIDIsolatedFromFusedPeer(t *testing.T) {
+	s, addr, table := testStackGroup(t, ServerConfig{}, serving.GroupConfig{
+		QueueDepth: 64,
+		Coalesce:   serving.CoalesceConfig{MaxBatch: 2, MaxWait: 5 * time.Second},
+	})
+	defer func() { _ = s.DrainAll(context.Background()) }()
+
+	batches := [2][]uint64{{5, 17}, {3, testRows + 1}}
+	var results [2]*Result
+	var wg sync.WaitGroup
+	for i, ids := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewClient(ClientConfig{Addr: addr, Timeout: 10 * time.Second})
+			defer c.Close()
+			res, err := c.Embed(context.Background(), 1, ids)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	good, bad := results[0], results[1]
+	if good == nil || bad == nil {
+		t.FailNow()
+	}
+	if bad.Status != serving.StatusInvalidArgument {
+		t.Fatalf("offender status %v, want invalid_argument", bad.Status)
+	}
+	if good.Status != serving.StatusOK {
+		t.Fatalf("fused peer status %v, want ok: one tenant's bad id failed another's request", good.Status)
+	}
+	for i, id := range batches[0] {
+		if !slices.Equal(good.Rows.Row(i), table.Row(int(id))) {
+			t.Fatalf("fused peer row %d (id %d) differs from the table", i, id)
+		}
+	}
+	if good.BytesIn != bad.BytesIn {
+		t.Fatalf("padded frames differ: served %dB, rejected %dB", good.BytesIn, bad.BytesIn)
 	}
 }
 
