@@ -107,7 +107,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.shards, "shards", 0, "serve: replica groups (0 → one per backend)")
 	fs.IntVar(&c.maxBatch, "max-batch", 64, "serve: public per-request id cap (largest padding bucket)")
 	fs.IntVar(&c.queueDepth, "queue-depth", 0, "serve: per-shard queue depth (0 → derived)")
-	fs.DurationVar(&c.maxWait, "max-wait", 200*time.Microsecond, "serve: coalescing hold for partial batches (0 → greedy)")
+	fs.DurationVar(&c.maxWait, "max-wait", 200*time.Microsecond, "serve: longest a partial batch is held for co-batching; the hold is armed only while arrivals on the shard are dense enough to fill it (smoothed gap under two max-waits; 0 → greedy)")
 	fs.DurationVar(&c.shedWait, "shed-wait", 2*time.Millisecond, "serve: grace before a saturated shard sheds with 429 (0 → block)")
 	fs.IntVar(&c.connStr, "conn-streams", 0, "serve: per-connection concurrent stream cap (0 → default)")
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Second, "serve: per-request deadline in the serving stack")
@@ -154,8 +154,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // validate rejects the flag values the serving and wire constructors treat
-// as programmer errors (they panic) and a malformed -autotune, so an
-// operator typo is a usage error.
+// as programmer errors (they panic), a malformed -autotune, and negative
+// durations and depths (which the stack would silently read as "off" or
+// "default"), so an operator typo is a usage error.
 // Rows, dim and technique are checked by core.New, which returns an error.
 func (c *config) validate() error {
 	shards := c.shards
@@ -173,6 +174,21 @@ func (c *config) validate() error {
 		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
 	case c.autotune != "on" && c.autotune != "off":
 		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
+	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"-max-wait", c.maxWait < 0},
+		{"-shed-wait", c.shedWait < 0},
+		{"-timeout", c.timeout < 0},
+		{"-drain-grace", c.drainGrace < 0},
+		{"-queue-depth", c.queueDepth < 0},
+		{"-conn-streams", c.connStr < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("%s must not be negative", f.name)
+		}
 	}
 	return nil
 }

@@ -26,6 +26,12 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-shards", "9", "-backends", "2"},
 		{"-backends", "300"},
 		{"-max-batch", "0"},
+		{"-max-wait", "-1s"},
+		{"-timeout", "-1s"},
+		{"-drain-grace", "-1s"},
+		{"-shed-wait", "-1ms"},
+		{"-queue-depth", "-1"},
+		{"-conn-streams", "-1"},
 	} {
 		code, _, stderr := runCLI(args...)
 		if code != 2 {

@@ -80,3 +80,47 @@ func SkipHotID(ids []uint64) []uint64 {
 	}
 	return batch
 }
+
+// gapSmoothing and denseGaps mirror internal/serving: the hold gate
+// compares a smoothed inter-arrival gap with the configured hold.
+const (
+	gapSmoothing = 64
+	denseGaps    = 2
+)
+
+// HoldByArrivalGap is the sanctioned hold gate: whether a partial batch is
+// held for co-batching is decided from admission timestamps (nanoseconds
+// on the arrival clock), their count, and the configured maxWait — ids are
+// appended and never read. One held entry per id; no findings.
+//
+// secemb:secret ids return
+func HoldByArrivalGap(ids []uint64, arrivedNs []int64, maxWaitNs int64) (batch []uint64, held []bool) {
+	var last, gap int64
+	for i, id := range ids {
+		batch = append(batch, id)
+		if i > 0 { // public: arrival count
+			gap += (arrivedNs[i] - last - gap) / gapSmoothing
+		}
+		last = arrivedNs[i]
+		held = append(held, gap/denseGaps < maxWaitNs) // public: clock vs configured hold
+	}
+	return batch, held
+}
+
+// HoldByIDGap is the leak: the gap estimate is fed from the ids instead of
+// the arrival clock, so whether the worker parks — and with it batch
+// composition and flush timing — depends on the secrets being fused.
+//
+// secemb:secret ids return
+func HoldByIDGap(ids []uint64, maxWaitNs int64) int {
+	var last, gap int64
+	holds := 0
+	for _, id := range ids {
+		gap += (int64(id) - last - gap) / gapSmoothing
+		last = int64(id)
+		if gap/denseGaps < maxWaitNs { // want `obliviouslint/branch: branch condition depends on secret-tainted value`
+			holds++
+		}
+	}
+	return holds
+}

@@ -17,10 +17,15 @@ type CoalesceConfig struct {
 	// 0 uses the backend's own MaxBatch; the effective cap is always the
 	// smaller of the two. 1 disables coalescing (per-request baseline).
 	MaxBatch int
-	// MaxWait bounds how long a dequeued request may wait for
-	// co-batching before a partial batch flushes. 0 is greedy mode: fuse
-	// whatever is already queued and flush immediately — no added
-	// latency, batches form under backpressure alone.
+	// MaxWait is the longest a partial batch may be held for co-batching
+	// before it flushes. It is an upper bound, not a fixed delay: the hold
+	// is armed only while arrivals on the shard are dense enough to fill
+	// it (smoothed gap between admissions under two MaxWaits, i.e. another
+	// request is likely inside the window); a sparser shard flushes as
+	// soon as its queue is empty. A shard with no arrival history yet
+	// holds. 0 is greedy mode: fuse whatever is already queued and flush
+	// immediately — no added latency, batches form under backpressure
+	// alone.
 	MaxWait time.Duration
 }
 
@@ -72,6 +77,7 @@ type Group struct {
 	// Metrics; all nil without WithObserver, and nil metrics are no-ops.
 	mQueueDepth   *obs.Gauge
 	mBatchSize    *obs.Histogram
+	mFlush        [numFlushCauses]*obs.Counter
 	mCoalesceWait *obs.Histogram
 	mLatency      *obs.Histogram
 	mServed       *obs.Counter
@@ -85,6 +91,7 @@ type Group struct {
 // worker per assigned backend.
 type shard struct {
 	queue    chan *task
+	arrivals arrivals   // admission-clock density estimate; gates the hold
 	depth    *obs.Gauge // serving_shard_depth{shard=i}; nil-safe
 	backends []Backend  // replicas assigned to this shard, in worker order
 }
@@ -97,6 +104,9 @@ type Option func(*Group)
 //	serving_queue_depth            requests queued across all shards (gauge)
 //	serving_shard_depth{shard=}    requests queued per shard (gauge)
 //	serving_batch_size             fused requests per backend execution
+//	serving_flush_total{cause=}    batches flushed, by why: full (batch cap),
+//	                               drained (queue empty, no hold armed),
+//	                               deadline (hold ran out), closed (drain)
 //	serving_coalesce_wait_ns       admission-to-flush wait per request
 //	serving_latency_ns             fused backend execution latency
 //	serving_served_total           successful responses
@@ -109,6 +119,9 @@ func WithObserver(reg *obs.Registry) Option {
 		g.reg = reg
 		g.mQueueDepth = reg.Gauge("serving_queue_depth")
 		g.mBatchSize = reg.HistogramBuckets("serving_batch_size", batchSizeBuckets())
+		for c, name := range flushCauseNames {
+			g.mFlush[c] = reg.Counter("serving_flush_total", "cause", name)
+		}
 		g.mCoalesceWait = reg.Histogram("serving_coalesce_wait_ns")
 		g.mLatency = reg.Histogram("serving_latency_ns")
 		g.mServed = reg.Counter("serving_served_total")
@@ -260,6 +273,7 @@ func (g *Group) enqueue(t *task) (Response, bool) {
 		return Response{Err: ErrClosed, Shard: shard}, false
 	}
 	t.enqueued = time.Now()
+	s.arrivals.observe(t.enqueued)
 	select {
 	case s.queue <- t:
 		return g.admit(s)

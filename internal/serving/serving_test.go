@@ -22,7 +22,8 @@ type fakeBackend struct {
 	entered  chan struct{} // when non-nil, Execute signals entry (buffered)
 	execErr  error         // batch-wide failure
 	perErr   func(p any) error
-	badCount bool // return one Result too few
+	badCount bool          // return one Result too few
+	delay    time.Duration // when positive, Execute takes at least this long
 
 	mu      sync.Mutex
 	batches []int
@@ -41,6 +42,9 @@ func (b *fakeBackend) Execute(payloads []any) ([]Result, error) {
 	}
 	if b.gate != nil {
 		<-b.gate
+	}
+	if b.delay > 0 {
+		time.Sleep(b.delay)
 	}
 	b.mu.Lock()
 	b.batches = append(b.batches, len(payloads))
