@@ -109,9 +109,10 @@ func (t Technique) Secure() bool { return t != Lookup }
 // never fatal. Implementations must keep their memory access pattern
 // independent of the id values (except Lookup, by design).
 //
-// Hot-path implementations (DHE, batched scan) reuse their output storage:
-// the returned matrix is valid until the generator's next Generate call,
-// and callers that retain results across calls must copy them. A generator
+// Hot-path implementations (DHE, batched scan, Path and Circuit ORAM)
+// reuse their output storage: the returned matrix is valid until the
+// generator's next Generate call, and callers that retain results across
+// calls must copy them. A generator
 // serves one Generate at a time; concurrent callers need replicas.
 type Generator interface {
 	// Generate embeds a batch of secret feature ids; the ids must never

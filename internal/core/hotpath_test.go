@@ -65,6 +65,73 @@ func TestScanBatchedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestORAMGenReusesBuffersCorrectly is the ORAM counterpart of
+// TestScanBatchedReusesBuffersCorrectly: path and circuit generators cycle
+// through growing and shrinking batches on their owned output slab and
+// must still match the direct lookup.
+func TestORAMGenReusesBuffersCorrectly(t *testing.T) {
+	tbl := testTable(128, 8, 21)
+	ref := newStorage(Lookup, tbl, Options{})
+	for _, tech := range []Technique{PathORAM, CircuitORAM} {
+		g := newStorage(tech, tbl, Options{})
+		for _, n := range []int{5, 64, 1, 17, 64} {
+			ids := make([]uint64, n)
+			for i := range ids {
+				ids[i] = uint64((i * 37) % 128)
+			}
+			want := mustGen(t, ref, ids)
+			if got := mustGen(t, g, ids); !tensor.AllClose(got, want, 0) {
+				t.Fatalf("%s batch %d: output diverges after buffer reuse", tech.Key(), n)
+			}
+		}
+	}
+}
+
+// TestORAMGenOutputValidUntilNextGenerate: an ORAM generator's result
+// aliases its slab like the batched scan's, so a caller that keeps it
+// across the next Generate must copy it.
+func TestORAMGenOutputValidUntilNextGenerate(t *testing.T) {
+	tbl := testTable(64, 4, 22)
+	for _, tech := range []Technique{PathORAM, CircuitORAM} {
+		g := newStorage(tech, tbl, Options{})
+		first := mustGen(t, g, []uint64{3, 9}).Clone() // copy: retained past next call
+		mustGen(t, g, []uint64{50, 60})
+		again := mustGen(t, g, []uint64{3, 9})
+		if !tensor.AllClose(again, first, 0) {
+			t.Fatalf("%s: regenerated batch differs from the retained copy", tech.Key())
+		}
+	}
+}
+
+// TestORAMGenSteadyStateAllocs extends the zero-allocation gate to the
+// ORAMs: after the sizing call, a path or circuit Generate — and a Dual
+// batch at its threshold, which the Circuit side serves — allocates
+// nothing.
+func TestORAMGenSteadyStateAllocs(t *testing.T) {
+	tbl := testTable(256, 8, 26)
+	d := smallCoreDHE(27)
+	gens := []struct {
+		name string
+		g    Generator
+	}{
+		{"path", newStorage(PathORAM, tbl, Options{})},
+		{"circuit", newStorage(CircuitORAM, tbl, Options{})},
+		{"dual", NewDual(MustNew(DHE, 256, d.Dim, Options{DHE: d}), 4, Options{})},
+	}
+	ids := []uint64{3, 200, 3, 77}
+	for _, c := range gens {
+		mustGen(t, c.g, ids) // size the output slab
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.g.Generate(ids); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state %s allocates %.0f objects per batch-%d call", c.name, allocs, len(ids))
+		}
+	}
+}
+
 // TestDHEGenSteadyStateAllocs covers the core-layer half of the
 // zero-allocation invariant: dheGen routes Generate through a private
 // inference clone that owns every layer output, so after the sizing call

@@ -13,10 +13,15 @@ import (
 // sequentially and parallelism is not possible" (§V-A1) — which is why
 // ORAM scales poorly with batch size (Figure 12).
 type oramGen struct {
-	o    oram.ORAM
+	o    *oram.Controller
 	rows int
 	dim  int
 	tech Technique
+
+	// out is the reusable output: its Data slab grows on demand and is
+	// otherwise resliced (every row is overwritten). The returned matrix
+	// is valid until this generator's next Generate.
+	out tensor.Matrix
 }
 
 func newORAMGen(table *tensor.Matrix, tech Technique, opts Options) *oramGen {
@@ -26,7 +31,7 @@ func newORAMGen(table *tensor.Matrix, tech Technique, opts Options) *oramGen {
 		Seed:       opts.Seed,
 		Tracer:     opts.Tracer,
 	}
-	var o oram.ORAM
+	var o *oram.Controller
 	if tech == PathORAM {
 		cfg.Region = opts.region("path")
 		o = oram.NewPathInit(cfg, tableToBlocks(table))
@@ -52,7 +57,10 @@ func tableToBlocks(table *tensor.Matrix) [][]uint32 {
 	return blocks
 }
 
-// Generate serves the batch sequentially through the tree ORAM.
+// Generate serves the batch sequentially through the tree ORAM, decoding
+// each block straight into its output row within the access. The
+// controller is held by its concrete type so the Update closure stays on
+// the stack: a steady-state Generate allocates nothing.
 //
 // secemb:secret ids
 // secemb:audit path circuit
@@ -60,13 +68,20 @@ func (g *oramGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	if err := ValidateIDs(ids, g.rows); err != nil {
 		return nil, err
 	}
-	out := tensor.New(len(ids), g.dim)
+	out := &g.out
+	if need := len(ids) * g.dim; cap(out.Data) < need {
+		out.Data = make([]float32, need)
+	} else {
+		out.Data = out.Data[:need]
+	}
+	out.Rows, out.Cols = len(ids), g.dim
 	for r, id := range ids {
-		words := g.o.Read(id)
 		dst := out.Row(r)
-		for c, w := range words {
-			dst[c] = math.Float32frombits(w)
-		}
+		g.o.Update(id, func(words []uint32) {
+			for c, w := range words {
+				dst[c] = math.Float32frombits(w)
+			}
+		})
 	}
 	return out, nil
 }

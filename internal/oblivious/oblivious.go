@@ -66,21 +66,50 @@ func Select32f(mask uint32, a, b float32) float32 {
 // of both slices and writes every element of dst. This is the scan-side
 // "AVX blend" of the paper's linear scan (§V-A2). dst and src must have
 // equal length.
+//
+// The blend works on the raw bits as d ^= (d^s)&m, which equals
+// (s&m)|(d&^m) bit for bit for every mask value, not only all-ones and
+// zero. src is resliced to len(dst) and the loop takes four elements per
+// step, so bounds are checked once per step rather than once per element;
+// the 0–3-element tail is resliced once and runs unchecked.
 // secemb:secret mask dst src
 func CondCopy(mask uint64, dst, src []float32) {
 	m := uint32(mask)
-	for i := range dst {
-		dst[i] = Select32f(m, src[i], dst[i])
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d0, d1, d2, d3 := math.Float32bits(d[0]), math.Float32bits(d[1]), math.Float32bits(d[2]), math.Float32bits(d[3])
+		d[0] = math.Float32frombits(d0 ^ (d0^math.Float32bits(s[0]))&m)
+		d[1] = math.Float32frombits(d1 ^ (d1^math.Float32bits(s[1]))&m)
+		d[2] = math.Float32frombits(d2 ^ (d2^math.Float32bits(s[2]))&m)
+		d[3] = math.Float32frombits(d3 ^ (d3^math.Float32bits(s[3]))&m)
+	}
+	dst, src = dst[i:], src[i:]
+	for j := range dst {
+		d := math.Float32bits(dst[j])
+		dst[j] = math.Float32frombits(d ^ (d^math.Float32bits(src[j]))&m)
 	}
 }
 
-// CondCopyWords is CondCopy for uint32 payloads (ORAM block words).
-// dst and src must have equal length.
+// CondCopyWords is CondCopy for uint32 payloads (ORAM block words), with
+// the same blend and the same four-word steps. dst and src must have equal
+// length.
 // secemb:secret mask dst src
 func CondCopyWords(mask uint64, dst, src []uint32) {
 	m := uint32(mask)
-	for i := range dst {
-		dst[i] = (src[i] & m) | (dst[i] &^ m)
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] ^= (d[0] ^ s[0]) & m
+		d[1] ^= (d[1] ^ s[1]) & m
+		d[2] ^= (d[2] ^ s[2]) & m
+		d[3] ^= (d[3] ^ s[3]) & m
+	}
+	dst, src = dst[i:], src[i:]
+	for j := range dst {
+		dst[j] ^= (dst[j] ^ src[j]) & m
 	}
 }
 

@@ -63,12 +63,8 @@ func (o *Controller) circuitAccess(id uint64, oldLeaf, newLeaf uint32, fn func(d
 	}
 	o.stash.insert(id, newLeaf, o.buf)
 
-	// Evictions along reverse-lexicographic paths (standard rate: 2).
-	evictions := o.cfg.EvictionsPerAccess
-	if evictions <= 0 {
-		evictions = 2
-	}
-	for e := 0; e < evictions; e++ {
+	// Evictions along reverse-lexicographic paths (fill resolved the rate).
+	for e := 0; e < o.cfg.EvictionsPerAccess; e++ {
 		o.evictOnce(bitReverse(o.evictG%uint32(t.leaves), t.levels))
 		o.evictG++
 	}
@@ -83,16 +79,17 @@ func (t *tree) deepestLevel(blockLeaf, pathLeaf uint32) int {
 // evictOnce performs one Circuit ORAM eviction along the path to leaf p:
 // two metadata scans (prepare-deepest, prepare-target) followed by a
 // single root→leaf pass that moves at most one block per level. Indices in
-// the metadata arrays: 0 = stash, i = tree level i-1.
+// the metadata arrays: 0 = stash, i = tree level i-1. The arrays and the
+// held block are the controller's scratch, reset here.
 func (o *Controller) evictOnce(p uint32) {
 	t := o.tree
 	o.stats.Evictions++
 	nLev := t.levels + 2
 	const none = -1
 
-	deepest := make([]int, nLev)     // source index whose block should sink to ≥ this level
-	deepestSlot := make([]int, nLev) // slot (stash index or tree slot) of that level's deepest block
-	target := make([]int, nLev)
+	deepest := o.deepest         // source index whose block should sink to ≥ this level
+	deepestSlot := o.deepestSlot // slot (stash index or tree slot) of that level's deepest block
+	target := o.target
 	for i := range deepest {
 		deepest[i], target[i], deepestSlot[i] = none, none, none
 	}
@@ -168,7 +165,7 @@ func (o *Controller) evictOnce(p uint32) {
 	// --- evict_once: single root→leaf pass holding at most one block.
 	holdID := DummyID
 	var holdLeaf uint32
-	holdData := make([]uint32, t.words)
+	holdData := o.hold
 	holdDest := none
 	for i := 0; i < nLev; i++ {
 		writeID := DummyID

@@ -30,6 +30,12 @@ type Controller struct {
 	stats  *Stats
 	buf    []uint32 // scratch block
 	evictG uint32   // Circuit ORAM's reverse-lexicographic eviction counter
+
+	// Circuit eviction scratch, sized once so an access allocates nothing:
+	// the per-level metadata of evictOnce (levels+2 entries each) and the
+	// block it holds on the way down.
+	deepest, deepestSlot, target []int
+	hold                         []uint32
 }
 
 // build fills cfg with the scheme's defaults and assembles the top-level
@@ -67,13 +73,17 @@ func newController(s scheme, cfg Config, init [][]uint32, rng *rand.Rand, stats 
 		st.insert(uint64(blk), leafAssign[blk], p)
 	}
 	o := &Controller{
-		scheme: s,
-		cfg:    cfg,
-		tree:   t,
-		stash:  st,
-		rng:    rng,
-		stats:  stats,
-		buf:    make([]uint32, cfg.BlockWords),
+		scheme:      s,
+		cfg:         cfg,
+		tree:        t,
+		stash:       st,
+		rng:         rng,
+		stats:       stats,
+		buf:         make([]uint32, cfg.BlockWords),
+		deepest:     make([]int, t.levels+2),
+		deepestSlot: make([]int, t.levels+2),
+		target:      make([]int, t.levels+2),
+		hold:        make([]uint32, cfg.BlockWords),
 	}
 	o.posmap = newPosMap(o, leafAssign, level)
 	return o
@@ -135,6 +145,6 @@ func (o *Controller) NumBytes() int64 {
 // RecursionDepth reports the number of recursive posmap levels.
 func (o *Controller) RecursionDepth() int { return o.posmap.Depth() }
 
-// TreeLevels exposes the tree height L (path length L+1); used by the
-// enclave cost model.
+// TreeLevels exposes the tree height L (path length L+1). Only tests read
+// it, to check built trees against the analytic sizing (Levels).
 func (o *Controller) TreeLevels() int { return o.tree.levels }

@@ -43,6 +43,8 @@ const Chi = 16
 // ".pmN" segment per recursion level. Trace consumers (internal/leakcheck)
 // match on these suffixes — in particular, tree regions are the ones whose
 // bucket indices must be canonicalized to levels before equality checking.
+// Each structure joins prefix and suffix once, at construction, and keeps
+// the full name: a touch never builds a string, traced or not.
 const (
 	RegionSuffixTree   = ".tree"
 	RegionSuffixStash  = ".stash"
@@ -97,7 +99,8 @@ type Config struct {
 	// EvictionsPerAccess is Circuit ORAM's eviction rate (ignored by Path
 	// ORAM). 0 → the standard 2. Lower rates trade bandwidth for stash
 	// pressure — the knob behind Circuit ORAM's stash bound and this
-	// repository's eviction-rate ablation.
+	// repository's eviction-rate ablation. Like Z and StashSize, it must
+	// not be negative.
 	EvictionsPerAccess int
 
 	Seed   int64            // PRNG seed for leaf assignment (deterministic runs)
@@ -105,12 +108,22 @@ type Config struct {
 	Region string           // trace region prefix; "" → "oram"
 }
 
+// fill validates c and resolves every zero field to its default, once, at
+// construction; the access path reads the resolved values.
 func (c *Config) fill(defaultStash, defaultCutoff int) {
 	if c.NumBlocks <= 0 {
 		panic(fmt.Sprintf("oram: NumBlocks must be positive, got %d", c.NumBlocks))
 	}
 	if c.BlockWords <= 0 {
 		panic(fmt.Sprintf("oram: BlockWords must be positive, got %d", c.BlockWords))
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"Z", c.Z}, {"StashSize", c.StashSize}, {"EvictionsPerAccess", c.EvictionsPerAccess}} {
+		if f.v < 0 {
+			panic(fmt.Sprintf("oram: %s must not be negative, got %d", f.name, f.v))
+		}
 	}
 	if c.Z == 0 {
 		c.Z = DefaultZ
@@ -120,6 +133,9 @@ func (c *Config) fill(defaultStash, defaultCutoff int) {
 	}
 	if c.RecursionCutoff == 0 {
 		c.RecursionCutoff = defaultCutoff
+	}
+	if c.EvictionsPerAccess == 0 {
+		c.EvictionsPerAccess = 2
 	}
 	if c.Region == "" {
 		c.Region = "oram"

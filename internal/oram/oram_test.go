@@ -3,6 +3,8 @@ package oram
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"secemb/internal/memtrace"
@@ -322,6 +324,61 @@ func TestCriteoFootprintRatioMatchesTableVI(t *testing.T) {
 	t.Logf("Kaggle dim16 ORAM/table ratio: %.2f× (paper: 3.27×)", ratio)
 	if ratio < 2.0 || ratio > 5.0 {
 		t.Fatalf("ratio %.2f far from the paper's ≈3.3×", ratio)
+	}
+}
+
+// TestFlatPosMapSwap covers the unrolled scan at sizes below, at and just
+// past one four-entry step and with a tail: for every id, Swap returns the
+// previous leaf of exactly that id and rewrites only that entry.
+func TestFlatPosMapSwap(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 5, 4097} {
+		init := make([]uint32, n)
+		for i := range init {
+			init[i] = uint32(i)*2654435761 | 1
+		}
+		p := newFlatPosMap(init, nil, "p", &Stats{})
+		want := slices.Clone(init)
+		for id := 0; id < n; id++ {
+			newLeaf := uint32(id) ^ 0xa5a5a5a5
+			if got := p.Swap(uint64(id), newLeaf); got != want[id] {
+				t.Fatalf("n=%d: Swap(%d) returned %#x, want %#x", n, id, got, want[id])
+			}
+			want[id] = newLeaf
+			if !slices.Equal(p.leaves, want) {
+				t.Fatalf("n=%d: Swap(%d) changed entries other than its own", n, id)
+			}
+		}
+		if got := p.stats.PosmapScans; got != int64(n*n) {
+			t.Fatalf("n=%d: %d entries scanned over %d swaps, want %d", n, got, n, n*n)
+		}
+	}
+}
+
+// TestConfigRejectsNegatives: a negative size or rate is a caller bug and
+// dies with a named message, like a non-positive NumBlocks, instead of a
+// silent default (EvictionsPerAccess) or a runtime makeslice panic.
+func TestConfigRejectsNegatives(t *testing.T) {
+	for _, m := range makers {
+		for _, field := range []string{"Z", "StashSize", "EvictionsPerAccess"} {
+			t.Run(m.name+"/"+field, func(t *testing.T) {
+				cfg := Config{NumBlocks: 16, BlockWords: 1}
+				switch field {
+				case "Z":
+					cfg.Z = -1
+				case "StashSize":
+					cfg.StashSize = -1
+				default:
+					cfg.EvictionsPerAccess = -1
+				}
+				want := "oram: " + field + " must not be negative"
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+						t.Fatalf("panic %q, want %q", msg, want)
+					}
+				}()
+				m.mk(cfg)
+			})
+		}
 	}
 }
 

@@ -36,11 +36,14 @@ type flatPosMap struct {
 func newFlatPosMap(init []uint32, tracer *memtrace.Tracer, region string, stats *Stats) *flatPosMap {
 	l := make([]uint32, len(init))
 	copy(l, init)
-	return &flatPosMap{leaves: l, tracer: tracer, region: region, stats: stats}
+	return &flatPosMap{leaves: l, tracer: tracer, region: region + RegionSuffixPosmap, stats: stats}
 }
 
 // Swap scans the whole map, obliviously extracting the old leaf for id and
-// installing newLeaf.
+// installing newLeaf: every entry is read and rewritten, matched or not.
+// Exactly one entry matches (ids are range-checked), so OR-accumulating
+// the masked entries extracts it, and l ^= (l^newLeaf)&m replaces it.
+// The loop runs four entries per step, one bounds check per step.
 //
 // secemb:secret id
 func (p *flatPosMap) Swap(id uint64, newLeaf uint32) uint32 {
@@ -48,15 +51,29 @@ func (p *flatPosMap) Swap(id uint64, newLeaf uint32) uint32 {
 	p.stats.CmovOps += int64(len(p.leaves))
 	// Trace at Chi-entry "block" granularity: what a cache-line attacker
 	// would see of a packed uint32 array.
-	p.tracer.TouchRange(p.region+RegionSuffixPosmap, 0, int64((len(p.leaves)+Chi-1)/Chi), memtrace.Read)
-	var old uint64
-	for i := range p.leaves {
-		m := oblivious.Eq(uint64(i), id)
-		old = oblivious.Select64(m, uint64(p.leaves[i]), old)
-		p.leaves[i] = uint32(oblivious.Select64(m, uint64(newLeaf), uint64(p.leaves[i])))
+	p.tracer.TouchRange(p.region, 0, int64((len(p.leaves)+Chi-1)/Chi), memtrace.Read)
+	var old uint32
+	l := p.leaves
+	i := 0
+	for ; i+4 <= len(l); i += 4 {
+		e := l[i : i+4 : i+4]
+		m0 := uint32(oblivious.Eq(uint64(i), id))
+		m1 := uint32(oblivious.Eq(uint64(i+1), id))
+		m2 := uint32(oblivious.Eq(uint64(i+2), id))
+		m3 := uint32(oblivious.Eq(uint64(i+3), id))
+		old |= e[0]&m0 | e[1]&m1 | e[2]&m2 | e[3]&m3
+		e[0] ^= (e[0] ^ newLeaf) & m0
+		e[1] ^= (e[1] ^ newLeaf) & m1
+		e[2] ^= (e[2] ^ newLeaf) & m2
+		e[3] ^= (e[3] ^ newLeaf) & m3
+	}
+	for ; i < len(l); i++ {
+		m := uint32(oblivious.Eq(uint64(i), id))
+		old |= l[i] & m
+		l[i] ^= (l[i] ^ newLeaf) & m
 	}
 	//lint:allow obliviouslint/declass the old leaf is a fresh uniform value revealed once per access (ORAM protocol declassification)
-	return uint32(old)
+	return old
 }
 
 func (p *flatPosMap) NumBytes() int64 { return int64(len(p.leaves)) * 4 }

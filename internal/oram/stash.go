@@ -33,7 +33,7 @@ func newStash(capacity, words int, tracer *memtrace.Tracer, region string, stats
 		leaves: make([]uint32, capacity),
 		data:   make([]uint32, capacity*words),
 		tracer: tracer,
-		region: region,
+		region: region + RegionSuffixStash,
 		stats:  stats,
 	}
 	for i := range s.ids {
@@ -44,11 +44,11 @@ func newStash(capacity, words int, tracer *memtrace.Tracer, region string, stats
 
 func (s *stash) slotData(i int) []uint32 { return s.data[i*s.words : (i+1)*s.words] }
 
-// scanNote records one full oblivious sweep over the stash.
+// scanNote records one full oblivious sweep of the stash.
 func (s *stash) scanNote() {
 	s.stats.StashScans += int64(s.cap)
 	s.stats.CmovOps += int64(s.cap)
-	s.tracer.TouchRange(s.region+RegionSuffixStash, 0, int64(s.cap), memtrace.Read)
+	s.tracer.TouchRange(s.region, 0, int64(s.cap), memtrace.Read)
 }
 
 // occupancy counts resident real blocks (test/metric helper; not part of

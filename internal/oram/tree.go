@@ -43,7 +43,7 @@ func newTree(n, z, words int, tracer *memtrace.Tracer, region string, stats *Sta
 		leafOf: make([]uint32, buckets*z),
 		data:   make([]uint32, buckets*z*words),
 		tracer: tracer,
-		region: region,
+		region: region + RegionSuffixTree,
 		stats:  stats,
 	}
 	for i := range t.ids {
@@ -64,14 +64,14 @@ func (t *tree) slotBase(bucket int) int { return bucket * t.z }
 // slotData returns the payload words of slot s (aliasing tree storage).
 func (t *tree) slotData(s int) []uint32 { return t.data[s*t.words : (s+1)*t.words] }
 
-// touchBucket records a bucket access on the trace and in the stats.
+// touchBucket records one bucket access on the trace and in stats.
 func (t *tree) touchBucket(bucket int, op memtrace.Op) {
 	if op == memtrace.Read {
 		t.stats.BucketsRead++
 	} else {
 		t.stats.BucketsWritten++
 	}
-	t.tracer.Touch(t.region+RegionSuffixTree, int64(bucket), op)
+	t.tracer.Touch(t.region, int64(bucket), op)
 }
 
 // bulkLoad places n pre-assigned blocks into the tree bottom-up, returning
