@@ -144,8 +144,10 @@ type Options struct {
 	Obs *obs.Registry
 
 	// Table supplies the backing weights for the storage techniques
-	// (Lookup/LinearScan/PathORAM/CircuitORAM) when constructing through
-	// New. nil → a Gaussian table is initialized from Seed.
+	// (Lookup/LinearScan/LinearScanBatched/PathORAM/CircuitORAM) when
+	// constructing through New. nil → a Gaussian table is initialized from
+	// Seed. Lookup reads it in place; the scans and ORAMs copy it at
+	// construction, so later writes to it do not reach them.
 	Table *tensor.Matrix
 
 	// DHE supplies a (possibly trained) network for the DHE technique when

@@ -59,9 +59,29 @@ func TestScanBatchedSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state reuses the generator's own output slab.
-	if allocs > 4 {
+	// Steady state reuses the generator's own accumulator and output slab.
+	if allocs != 0 {
 		t.Fatalf("steady-state batched scan allocates %.0f objects per call", allocs)
+	}
+}
+
+var sinkMatrix *tensor.Matrix
+
+// TestScanSteadyStateAllocs: the per-query scan returns a fresh matrix,
+// and after the sizing call that matrix is all it allocates.
+func TestScanSteadyStateAllocs(t *testing.T) {
+	tbl := testTable(256, 16, 23)
+	g := newStorage(LinearScan, tbl, Options{})
+	ids := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	mustGen(t, g, ids) // size the accumulator
+	matrix := testing.AllocsPerRun(20, func() { sinkMatrix = tensor.New(len(ids), 16) })
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := g.Generate(ids); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != matrix {
+		t.Fatalf("steady-state scan allocates %.0f objects per call, its %d×16 result %.0f", allocs, len(ids), matrix)
 	}
 }
 

@@ -2,79 +2,88 @@ package core
 
 import (
 	"secemb/internal/memtrace"
-	"secemb/internal/oblivious"
 	"secemb/internal/tensor"
 )
 
 // scanBatchedGen is a batch-amortized variant of the linear scan and the
 // subject of this repository's scan ablation (`BenchmarkAblationScanOrder`):
 // instead of streaming the table once *per query* (the paper's §V-A2
-// formulation), it streams the table exactly once per batch and blends
-// each row into every query's output slot as it passes.
+// formulation), each worker streams it once for its share of the batch and
+// blends every row into each of its queries' output slots as it passes.
 //
 // The masked work is identical (rows × batch blend operations) and so is
 // the security argument — every table row is touched for every batch, in
 // an id-independent order — but each table word is loaded from DRAM once
-// per batch rather than once per query, which helps when the table
-// overflows the cache and the batch is large.
+// per worker rather than once per query: with k workers the table is
+// streamed k times per batch, with one worker once. That helps when the
+// table overflows the cache and the batch is large.
 type scanBatchedGen struct {
-	table   *tensor.Matrix
+	packedTable
 	tracer  *memtrace.Tracer
 	region  string
 	threads int
 
-	// out is the reusable output: its Data slab grows on demand and is
-	// otherwise resliced and cleared. The returned matrix is valid until
-	// this generator's next Generate.
+	// acc and out are the reusable accumulator and output: they grow on
+	// demand and are otherwise resliced (acc cleared; every element of out
+	// is overwritten). The returned matrix is valid until this generator's
+	// next Generate.
+	acc []uint64
 	out tensor.Matrix
+
+	// batch is the ids of the Generate in flight; blendFn, bound once,
+	// hands them to blend as a parameter (where obliviouslint audits them
+	// as secret) without the closure a per-call func literal would
+	// allocate.
+	batch   []uint64
+	blendFn func(lo, hi int)
 }
 
 func newScanBatchedGen(table *tensor.Matrix, opts Options) *scanBatchedGen {
-	return &scanBatchedGen{
-		table:   table,
-		tracer:  opts.Tracer,
-		region:  opts.region("scanb"),
-		threads: opts.Threads,
+	g := &scanBatchedGen{
+		packedTable: packTable(table),
+		tracer:      opts.Tracer,
+		region:      opts.region("scanb"),
+		threads:     opts.Threads,
 	}
+	g.blendFn = func(lo, hi int) { g.blend(g.batch, lo, hi) }
+	return g
 }
 
-// Generate streams the table once for the whole batch, blending rows into
-// every query slot as they pass.
+// Generate partitions the batch across workers; each worker streams the
+// table once for its queries (so with one worker, the whole batch shares a
+// single pass).
 //
 // secemb:secret ids
 // secemb:audit scanb
 func (g *scanBatchedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	if err := ValidateIDs(ids, g.table.Rows); err != nil {
+	if err := ValidateIDs(ids, g.rows); err != nil {
 		return nil, err
 	}
-	rows, width := g.table.Rows, g.table.Cols
+	g.acc = resetWords(g.acc, len(ids)*g.width)
 	out := &g.out
-	if need := len(ids) * width; cap(out.Data) < need {
+	if need := len(ids) * g.dim; cap(out.Data) < need {
 		out.Data = make([]float32, need)
 	} else {
 		out.Data = out.Data[:need]
-		clear(out.Data)
 	}
-	out.Rows, out.Cols = len(ids), width
-	// Partition the *batch* across workers; each worker makes one pass
-	// over the table for its queries (so with one worker, the whole batch
-	// shares a single pass).
-	tensor.ParallelRows(len(ids), g.threads, func(lo, hi int) {
-		if g.tracer.Enabled() {
-			g.tracer.TouchRange(g.region, 0, int64(rows), memtrace.Read)
-		}
-		for r := 0; r < rows; r++ {
-			row := g.table.Data[r*width : (r+1)*width]
-			for q := lo; q < hi; q++ {
-				mask := oblivious.Eq(uint64(r), ids[q])
-				oblivious.CondCopy(mask, out.Row(q), row)
-			}
-		}
-	})
+	out.Rows, out.Cols = len(ids), g.dim
+	g.batch = ids
+	tensor.ParallelRows(len(ids), batchWorkers(g.threads, g.tracer), g.blendFn)
+	g.batch = nil
 	return out, nil
 }
 
-func (g *scanBatchedGen) Rows() int            { return g.table.Rows }
-func (g *scanBatchedGen) Dim() int             { return g.table.Cols }
+// blend makes one pass over the table for queries [lo, hi) and unpacks
+// their rows into the output.
+//
+// secemb:secret ids
+func (g *scanBatchedGen) blend(ids []uint64, lo, hi int) {
+	g.tracer.TouchRange(g.region, 0, int64(g.rows), memtrace.Read)
+	w := g.width
+	g.scan(ids[lo:hi], g.acc[lo*w:hi*w])
+	for q := lo; q < hi; q++ {
+		unpackRow(g.out.Row(q), g.acc[q*w:(q+1)*w])
+	}
+}
+
 func (g *scanBatchedGen) Technique() Technique { return LinearScanBatched }
-func (g *scanBatchedGen) NumBytes() int64      { return g.table.NumBytes() }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"secemb/internal/memtrace"
-	"secemb/internal/oblivious"
 	"secemb/internal/tensor"
 )
 
@@ -38,7 +37,7 @@ func (g *lookupGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	out := tensor.New(len(ids), g.table.Cols)
-	tensor.ParallelRows(len(ids), g.threads, func(lo, hi int) {
+	tensor.ParallelRows(len(ids), batchWorkers(g.threads, g.tracer), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			g.tracer.Touch(g.region, int64(ids[r]), memtrace.Read)
 			base := int(ids[r]) * g.table.Cols
@@ -56,52 +55,79 @@ func (g *lookupGen) NumBytes() int64      { return g.table.NumBytes() }
 
 // scanGen is the oblivious linear scan (§IV-A1 / §V-A2): for every query
 // in the batch the entire table is streamed and the matching row is
-// blended into the output with branchless masked copies — the Go analogue
+// blended into the output with branchless masked words — the Go analogue
 // of the paper's AVX-512 blend implementation. O(n) per query; the fastest
 // secure technique for small tables (Figure 4).
 type scanGen struct {
-	table   *tensor.Matrix
+	packedTable
 	tracer  *memtrace.Tracer
 	region  string
 	threads int
+
+	// acc is the reusable accumulator, one row per query. batch and out
+	// are the Generate in flight; scanFn, bound once, hands batch to
+	// scanQueries as a parameter (where obliviouslint audits it as secret)
+	// without the closure a per-call func literal would allocate, so a
+	// Generate allocates only the matrix it returns.
+	acc    []uint64
+	batch  []uint64
+	out    *tensor.Matrix
+	scanFn func(lo, hi int)
 }
 
 func newScanGen(table *tensor.Matrix, opts Options) *scanGen {
-	return &scanGen{
-		table:   table,
-		tracer:  opts.Tracer,
-		region:  opts.region("scan"),
-		threads: opts.Threads,
+	g := &scanGen{
+		packedTable: packTable(table),
+		tracer:      opts.Tracer,
+		region:      opts.region("scan"),
+		threads:     opts.Threads,
 	}
+	g.scanFn = func(lo, hi int) { g.scanQueries(g.batch, lo, hi) }
+	return g
 }
 
-// Generate serves every query with a full oblivious table scan.
+// Generate serves every query with a full oblivious table scan. The batch
+// is partitioned across workers; every worker scans the full table per
+// query, as in the paper ("we scan the entire embedding table for each
+// input index in a batch"). With several workers the scans share the
+// table in cache, the reuse effect that raises the scan/DHE threshold with
+// thread count (Fig. 6).
 //
 // secemb:secret ids
 // secemb:audit scan
 func (g *scanGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	if err := ValidateIDs(ids, g.table.Rows); err != nil {
+	if err := ValidateIDs(ids, g.rows); err != nil {
 		return nil, err
 	}
-	out := tensor.New(len(ids), g.table.Cols)
-	rows, width := g.table.Rows, g.table.Cols
-	// The batch is partitioned across threads; every worker scans the
-	// full table per query, as in the paper ("we scan the entire
-	// embedding table for each input index in a batch"). With several
-	// threads the scans share the table in cache, the reuse effect that
-	// raises the scan/DHE threshold with thread count (Fig. 6).
-	tensor.ParallelRows(len(ids), g.threads, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			if g.tracer.Enabled() {
-				g.tracer.TouchRange(g.region, 0, int64(rows), memtrace.Read)
-			}
-			oblivious.LookupScan(g.table.Data, rows, width, ids[r], out.Row(r))
-		}
-	})
+	out := tensor.New(len(ids), g.dim)
+	g.acc = resetWords(g.acc, len(ids)*g.width)
+	g.batch, g.out = ids, out
+	tensor.ParallelRows(len(ids), batchWorkers(g.threads, g.tracer), g.scanFn)
+	g.batch, g.out = nil, nil
 	return out, nil
 }
 
-func (g *scanGen) Rows() int            { return g.table.Rows }
-func (g *scanGen) Dim() int             { return g.table.Cols }
+// scanQueries scans the table once for each query in [lo, hi).
+//
+// secemb:secret ids
+func (g *scanGen) scanQueries(ids []uint64, lo, hi int) {
+	w := g.width
+	for q := lo; q < hi; q++ {
+		g.tracer.TouchRange(g.region, 0, int64(g.rows), memtrace.Read)
+		acc := g.acc[q*w : (q+1)*w]
+		g.scan(ids[q:q+1], acc)
+		unpackRow(g.out.Row(q), acc)
+	}
+}
+
 func (g *scanGen) Technique() Technique { return LinearScan }
-func (g *scanGen) NumBytes() int64      { return g.table.NumBytes() }
+
+// batchWorkers is the worker count a storage generator's batch runs on:
+// threads, or one while tracer records. memtrace.Tracer appends without a
+// lock, and one goroutine makes the trace identical to a Threads: 1 run's.
+func batchWorkers(threads int, tracer *memtrace.Tracer) int {
+	if tracer.Enabled() {
+		return 1
+	}
+	return threads
+}
