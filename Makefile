@@ -89,6 +89,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzEqLt -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzCondCopy -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzORAMOps -fuzztime=$(FUZZTIME) ./internal/oram
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/token
 	$(GO) test -run='^$$' -fuzz=FuzzParseCriteoLine -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME) ./internal/wire

@@ -43,16 +43,15 @@ func newORAMGen(table *tensor.Matrix, tech Technique, opts Options) *oramGen {
 }
 
 // tableToBlocks reinterprets each float32 row as an ORAM payload of raw
-// uint32 words.
+// uint32 words, all rows in one allocation.
 func tableToBlocks(table *tensor.Matrix) [][]uint32 {
+	words := make([]uint32, len(table.Data))
+	for i, v := range table.Data {
+		words[i] = math.Float32bits(v)
+	}
 	blocks := make([][]uint32, table.Rows)
-	for r := 0; r < table.Rows; r++ {
-		row := table.Row(r)
-		words := make([]uint32, len(row))
-		for c, v := range row {
-			words[c] = math.Float32bits(v)
-		}
-		blocks[r] = words
+	for r := range blocks {
+		blocks[r] = words[r*table.Cols : (r+1)*table.Cols]
 	}
 	return blocks
 }

@@ -47,11 +47,11 @@ func (p *packedTable) NumBytes() int64 { return int64(len(p.words)) * 8 }
 // scan ORs row ids[q] of the table into acc[q*width:(q+1)*width] for every
 // query q; acc must hold len(ids)*width zeroed words and every id must be
 // below rows. Every row is read and masked for every query: rows go by in
-// tiles of four, and for each query orTile loads and stores an accumulator
-// word once per tile, so it stays in a register across the tile's four
-// rows. Starting from zero, with exactly one matching row per id, the OR
-// equals CondCopy's d ^= (d^s)&m bit for bit. Addresses and control flow
-// depend only on rows, width and len(ids).
+// tiles of four, and for each query oblivious.OrTile loads and stores an
+// accumulator word once per tile, so it stays in a register across the
+// tile's four rows. Starting from zero, with exactly one matching row per
+// id, the OR equals CondCopy's d ^= (d^s)&m bit for bit. Addresses and
+// control flow depend only on rows, width and len(ids).
 //
 // secemb:secret ids acc
 func (p *packedTable) scan(ids, acc []uint64) {
@@ -65,29 +65,10 @@ func (p *packedTable) scan(ids, acc []uint64) {
 		t2 := p.words[min(r+2, last)*w:][:w]
 		t3 := p.words[min(r+3, last)*w:][:w]
 		for q, id := range ids {
-			orTile(acc[q*w:(q+1)*w], t0, t1, t2, t3,
+			oblivious.OrTile(acc[q*w:(q+1)*w], t0, t1, t2, t3,
 				oblivious.Eq(uint64(r), id), oblivious.Eq(uint64(r+1), id),
 				oblivious.Eq(uint64(r+2), id), oblivious.Eq(uint64(r+3), id))
 		}
-	}
-}
-
-// orTile ORs t0&m0 | t1&m1 | t2&m2 | t3&m3 into a, two words per step. It
-// is too large to inline, and that is deliberate: inside scan's nested
-// loops the compiler spills these operands to the stack. On a 2 GHz Xeon
-// (amd64, Go 1.24), 4 096 rows × 32 words at batch 8 took ≈ 470 µs inlined
-// one word per step, ≈ 415 µs inlined two per step, ≈ 345 µs like this.
-//
-// secemb:secret a m0 m1 m2 m3
-func orTile(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
-	n := len(a)
-	t0, t1, t2, t3 = t0[:n], t1[:n], t2[:n], t3[:n]
-	for j := 1; j < n; j += 2 {
-		a[j-1] |= t0[j-1]&m0 | t1[j-1]&m1 | t2[j-1]&m2 | t3[j-1]&m3
-		a[j] |= t0[j]&m0 | t1[j]&m1 | t2[j]&m2 | t3[j]&m3
-	}
-	if j := n - 1; n%2 == 1 {
-		a[j] |= t0[j]&m0 | t1[j]&m1 | t2[j]&m2 | t3[j]&m3
 	}
 }
 

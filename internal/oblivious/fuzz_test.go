@@ -3,6 +3,7 @@ package oblivious
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -30,15 +31,17 @@ func FuzzEqLt(f *testing.F) {
 	})
 }
 
-// FuzzCondCopy checks the unrolled XOR blends of CondCopy and
-// CondCopyWords against the one-line reference (s&m)|(d&^m), element by
-// element on raw bits, for arbitrary lengths (every 0–3-element tail),
-// arbitrary mask values (not only all-ones and zero) and a src that may
-// run longer than dst.
+// FuzzCondCopy checks the unrolled XOR blends of CondCopy and CondCopy64
+// against the one-line reference (s&m)|(d&^m), and OrTile against
+// a | t0&m0 | t1&m1 | t2&m2 | t3&m3, element by element on raw bits, for
+// arbitrary mask values (not only all-ones and zero), arbitrary lengths
+// (every 0–3-element tail; odd and even tiles) and sources that may run
+// longer than dst.
 func FuzzCondCopy(f *testing.F) {
 	f.Add(uint64(0), []byte{}, uint8(0))
 	f.Add(^uint64(0), []byte("0123456789abcdefghijklmnopqrstuvwxyz0123"), uint8(1))
 	f.Add(uint64(0xdeadbeef_0f0f0f0f), []byte("sixteen bytes..!seven.."), uint8(3))
+	f.Add(uint64(0x8000_0000_ffff_0001), []byte("sixty-seven words, slack two"), uint8(203))
 	f.Fuzz(func(t *testing.T, mask uint64, raw []byte, extra uint8) {
 		n := len(raw) / 8
 		dw := make([]uint32, n)
@@ -53,18 +56,54 @@ func FuzzCondCopy(f *testing.F) {
 			df[i], sf[i] = math.Float32frombits(dw[i]), math.Float32frombits(sw[i])
 		}
 		m := uint32(mask)
-		want := make([]uint32, n)
-		for i := range want {
-			want[i] = (sw[i] & m) | (dw[i] &^ m)
-		}
-		CondCopyWords(mask, dw, sw)
 		CondCopy(mask, df, sf)
-		for i := range want {
-			if dw[i] != want[i] {
-				t.Fatalf("CondCopyWords len %d mask %#x: word %d = %#x, want %#x", n, mask, i, dw[i], want[i])
+		for i := range df {
+			if got, want := math.Float32bits(df[i]), (sw[i]&m)|(dw[i]&^m); got != want {
+				t.Fatalf("CondCopy len %d mask %#x: element %d = %#x, want %#x", n, mask, i, got, want)
 			}
-			if got := math.Float32bits(df[i]); got != want[i] {
-				t.Fatalf("CondCopy len %d mask %#x: element %d = %#x, want %#x", n, mask, i, got, want[i])
+		}
+
+		// The uint64 kernels take their length (0–67) and src slack (0–3)
+		// from extra, and their words from raw, cycled and mixed with a
+		// counter so no two words repeat.
+		n64, slack := int(extra)%68, int(extra)/68
+		var drawn uint64
+		words := func(k int) []uint64 {
+			w := make([]uint64, k)
+			for i := range w {
+				var b [8]byte
+				for j := range b {
+					if len(raw) > 0 {
+						b[j] = raw[(8*int(drawn)+j)%len(raw)]
+					}
+				}
+				drawn++
+				w[i] = binary.LittleEndian.Uint64(b[:]) ^ drawn*0x9e3779b97f4a7c15
+			}
+			return w
+		}
+		d, s := words(n64), words(n64+slack)
+		want := make([]uint64, n64)
+		for i := range want {
+			want[i] = s[i]&mask | d[i]&^mask
+		}
+		CondCopy64(mask, d, s)
+		for i := range want {
+			if d[i] != want[i] {
+				t.Fatalf("CondCopy64 len %d mask %#x: word %d = %#x, want %#x", n64, mask, i, d[i], want[i])
+			}
+		}
+
+		a := words(n64)
+		t0, t1, t2, t3 := words(n64+slack), words(n64+slack), words(n64+slack), words(n64+slack)
+		m0, m1, m2, m3 := mask, ^mask, bits.RotateLeft64(mask, 17), mask*0x9e3779b97f4a7c15
+		for i := range want {
+			want[i] = a[i] | t0[i]&m0 | t1[i]&m1 | t2[i]&m2 | t3[i]&m3
+		}
+		OrTile(a, t0, t1, t2, t3, m0, m1, m2, m3)
+		for i := range want {
+			if a[i] != want[i] {
+				t.Fatalf("OrTile len %d mask %#x: word %d = %#x, want %#x", n64, mask, i, a[i], want[i])
 			}
 		}
 	})

@@ -31,21 +31,31 @@ func (o *Controller) circuitAccess(id uint64, oldLeaf, newLeaf uint32, fn func(d
 
 	// Read phase: scan the path, obliviously lifting only the requested
 	// block into the register buffer; every slot is read and re-written
-	// so the trace is slot-position independent.
-	for i := range o.buf {
-		o.buf[i] = 0
-	}
+	// so the trace is slot-position independent. A bucket's slots go by
+	// in tiles of four, OR-ed into the zeroed buffer under their match
+	// masks (a final tile short of four repeats the bucket's last slot
+	// under a zero mask). The OR equals the blend d ^= (d^s)&m because the
+	// buffer starts at zero and each live block sits exactly once across
+	// path and stash.
+	clear(o.buf)
 	found := uint64(0)
 	for level := 0; level <= t.levels; level++ {
 		bucket := t.nodeIndex(oldLeaf, level)
 		t.touchBucket(bucket, memtrace.Read)
 		base := t.slotBase(bucket)
-		for s := base; s < base+t.z; s++ {
-			m := oblivious.Eq(t.ids[s], id)
-			oblivious.CondCopyWords(m, o.buf, t.slotData(s))
-			t.ids[s] = oblivious.Select64(m, DummyID, t.ids[s])
-			found |= m
-			o.stats.CmovOps++
+		last := base + t.z - 1
+		for s := base; s <= last; s += 4 {
+			var m [4]uint64
+			for k := range m {
+				if s+k <= last {
+					m[k] = oblivious.Eq(t.ids[s+k], id)
+					t.ids[s+k] = oblivious.Select64(m[k], DummyID, t.ids[s+k])
+					found |= m[k]
+					o.stats.CmovOps++
+				}
+			}
+			oblivious.OrTile(o.buf, t.slotData(s), t.slotData(min(s+1, last)),
+				t.slotData(min(s+2, last)), t.slotData(min(s+3, last)), m[0], m[1], m[2], m[3])
 		}
 		t.touchBucket(bucket, memtrace.Write)
 	}
@@ -58,9 +68,7 @@ func (o *Controller) circuitAccess(id uint64, oldLeaf, newLeaf uint32, fn func(d
 		panic("oram: block missing (invariant violation)")
 	}
 
-	if fn != nil {
-		fn(o.buf)
-	}
+	o.serve(fn)
 	o.stash.insert(id, newLeaf, o.buf)
 
 	// Evictions along reverse-lexicographic paths (fill resolved the rate).

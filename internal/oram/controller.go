@@ -28,24 +28,21 @@ type Controller struct {
 	posmap PositionMap
 	rng    *rand.Rand
 	stats  *Stats
-	buf    []uint32 // scratch block
+	buf    []uint64 // scratch block, packed (packWords)
+	view   []uint32 // buf unpacked: the payload Update hands its callback
 	evictG uint32   // Circuit ORAM's reverse-lexicographic eviction counter
 
 	// Circuit eviction scratch, sized once so an access allocates nothing:
 	// the per-level metadata of evictOnce (levels+2 entries each) and the
 	// block it holds on the way down.
 	deepest, deepestSlot, target []int
-	hold                         []uint32
+	hold                         []uint64
 }
 
 // build fills cfg with the scheme's defaults and assembles the top-level
 // controller.
 func build(s scheme, cfg Config, init [][]uint32) *Controller {
-	if s == schemePath {
-		cfg.fill(DefaultPathStash, DefaultPathRecursionCutoff)
-	} else {
-		cfg.fill(DefaultCircuitStash, DefaultCircRecursionCutoff)
-	}
+	cfg.fill(s)
 	return newController(s, cfg, init, rand.New(rand.NewSource(cfg.Seed)), &Stats{}, 0)
 }
 
@@ -60,30 +57,27 @@ func newController(s scheme, cfg Config, init [][]uint32, rng *rand.Rand, stats 
 		if init == nil {
 			return nil
 		}
-		return init[i]
+		return init[i][:min(len(init[i]), cfg.BlockWords)]
 	}
 	leftover := t.bulkLoad(cfg.NumBlocks, leafAssign, payload)
-	st := newStash(cfg.StashSize, cfg.BlockWords, cfg.Tracer, cfg.Region, stats)
-	zero := make([]uint32, cfg.BlockWords)
-	for _, blk := range leftover {
-		p := payload(blk)
-		if p == nil {
-			p = zero
-		}
-		st.insert(uint64(blk), leafAssign[blk], p)
-	}
 	o := &Controller{
 		scheme:      s,
 		cfg:         cfg,
 		tree:        t,
-		stash:       st,
+		stash:       newStash(cfg.StashSize, t.width, cfg.Tracer, cfg.Region, stats),
 		rng:         rng,
 		stats:       stats,
-		buf:         make([]uint32, cfg.BlockWords),
+		buf:         make([]uint64, t.width),
+		view:        make([]uint32, cfg.BlockWords),
 		deepest:     make([]int, t.levels+2),
 		deepestSlot: make([]int, t.levels+2),
 		target:      make([]int, t.levels+2),
-		hold:        make([]uint32, cfg.BlockWords),
+		hold:        make([]uint64, t.width),
+	}
+	for _, blk := range leftover {
+		clear(o.buf)
+		packWords(o.buf, payload(blk))
+		o.stash.insert(uint64(blk), leafAssign[blk], o.buf)
 	}
 	o.posmap = newPosMap(o, leafAssign, level)
 	return o
@@ -131,13 +125,23 @@ func (o *Controller) Update(id uint64, fn func(data []uint32)) {
 	o.stats.observeStash(o.stash.occupancy())
 }
 
+// serve runs fn on the scratch block: unpacked into view, then packed back.
+func (o *Controller) serve(fn func(data []uint32)) {
+	if fn == nil {
+		return
+	}
+	unpackWords(o.view, o.buf)
+	fn(o.view)
+	packWords(o.buf, o.view)
+}
+
 // Stats returns the shared work counters (including recursion levels).
 func (o *Controller) Stats() *Stats { return o.stats }
 
 // NumBytes returns tree + stash + posmap footprint across all levels.
 func (o *Controller) NumBytes() int64 {
 	n := o.tree.NumBytes()
-	n += int64(o.stash.cap) * int64(12+4*o.cfg.BlockWords)
+	n += int64(o.stash.cap) * int64(12+8*o.stash.width)
 	n += o.posmap.NumBytes()
 	return n
 }

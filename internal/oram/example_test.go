@@ -16,9 +16,9 @@ func Example() {
 	// Output: [11 20] 0
 }
 
-// ExampleFootprintBytes accounts a Table-VI-scale footprint without
+// ExampleCircuitFootprintBytes accounts a Table-VI-scale footprint without
 // building the tree.
-func ExampleFootprintBytes() {
+func ExampleCircuitFootprintBytes() {
 	raw := int64(10_131_227) * 16 * 4 // Kaggle's largest table at dim 16
 	orameBytes := oram.CircuitFootprintBytes(10_131_227, 16)
 	fmt.Printf("%.1fx\n", float64(orameBytes)/float64(raw))

@@ -11,7 +11,10 @@
 // for Circuit; 16× position-map reduction per recursion level.
 //
 // Blocks carry opaque uint32 payloads; embedding rows are stored as the
-// bit patterns of their float32 elements (see internal/core).
+// bit patterns of their float32 elements (see internal/core). The tree,
+// the stash and the controller's scratch store them packed, two elements
+// per uint64 word, so every oblivious blend moves half as many words;
+// Update hands its callback the block unpacked.
 //
 // Security model: the attacker observes accesses to the tree, the position
 // map, and the stash *regions* (bucket granularity); the controller's
@@ -108,9 +111,10 @@ type Config struct {
 	Region string           // trace region prefix; "" → "oram"
 }
 
-// fill validates c and resolves every zero field to its default, once, at
-// construction; the access path reads the resolved values.
-func (c *Config) fill(defaultStash, defaultCutoff int) {
+// fill validates c and resolves every zero field to scheme s's default,
+// once, at construction; the access path and footprintBytes read the
+// resolved values.
+func (c *Config) fill(s scheme) {
 	if c.NumBlocks <= 0 {
 		panic(fmt.Sprintf("oram: NumBlocks must be positive, got %d", c.NumBlocks))
 	}
@@ -124,6 +128,10 @@ func (c *Config) fill(defaultStash, defaultCutoff int) {
 		if f.v < 0 {
 			panic(fmt.Sprintf("oram: %s must not be negative, got %d", f.name, f.v))
 		}
+	}
+	defaultStash, defaultCutoff := DefaultPathStash, DefaultPathRecursionCutoff
+	if s == schemeCircuit {
+		defaultStash, defaultCutoff = DefaultCircuitStash, DefaultCircRecursionCutoff
 	}
 	if c.Z == 0 {
 		c.Z = DefaultZ
@@ -140,6 +148,21 @@ func (c *Config) fill(defaultStash, defaultCutoff int) {
 	if c.Region == "" {
 		c.Region = "oram"
 	}
+}
+
+// recurses reports whether the ORAM a filled c describes keeps its
+// position map in a recursive ORAM rather than a flat scanned array.
+func (c *Config) recurses() bool {
+	return c.RecursionCutoff >= 0 && c.NumBlocks > c.RecursionCutoff
+}
+
+// posmapConfig is the filled config of the ORAM that holds c's position
+// map when c recurses: Chi leaves per block, every other setting
+// inherited.
+func (c Config) posmapConfig() Config {
+	c.NumBlocks = (c.NumBlocks + Chi - 1) / Chi
+	c.BlockWords = Chi
+	return c
 }
 
 // ORAM is the interface shared by Path ORAM and Circuit ORAM.

@@ -284,26 +284,38 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestFootprintBytesMatchesBuiltInstances: the analytic footprint equals
+// what a built controller allocates, for both schemes, with zero fields
+// resolved the way Config resolves them (a zero cutoff is the scheme's
+// default, not "recurse while n > 0"), odd payload widths, and odd flat
+// position maps at the top level and one level down.
 func TestFootprintBytesMatchesBuiltInstances(t *testing.T) {
-	cases := []struct {
-		n, words, cutoff int
-	}{
-		{100, 4, -1},
-		{1 << 12, 16, 1 << 10}, // recursion engaged
-		{5000, 64, 0},
+	cases := []Config{
+		{NumBlocks: 100, BlockWords: 4, RecursionCutoff: -1},
+		{NumBlocks: 1 << 12, BlockWords: 16, RecursionCutoff: 1 << 10}, // recursion engaged
+		{NumBlocks: 5000, BlockWords: 64},                              // default cutoff: Circuit recurses, Path does not
+		{NumBlocks: 10, BlockWords: 2},                                 // every zero field resolved
+		{NumBlocks: 777, BlockWords: 7, Z: 3, StashSize: 20},           // odd width, odd flat map
+		{NumBlocks: 2977, BlockWords: 9, RecursionCutoff: 200},         // odd inner flat map (187 entries)
 	}
-	for _, c := range cases {
-		pc, cc := c.cutoff, c.cutoff
-		if c.cutoff == 0 {
-			pc, cc = DefaultPathRecursionCutoff, DefaultCircRecursionCutoff
+	for _, m := range makers {
+		for _, cfg := range cases {
+			cfg.Seed = 1
+			o := m.mk(cfg)
+			want := cfg
+			want.fill(o.scheme)
+			if got, fp := o.NumBytes(), footprintBytes(want); got != fp {
+				t.Errorf("%s %+v: built %d vs analytic %d", m.name, cfg, got, fp)
+			}
 		}
-		p := NewPath(Config{NumBlocks: c.n, BlockWords: c.words, Seed: 1, RecursionCutoff: c.cutoff})
-		if got, want := p.NumBytes(), FootprintBytes(c.n, c.words, DefaultZ, DefaultPathStash, pc); got != want {
-			t.Fatalf("Path n=%d: built %d vs analytic %d", c.n, got, want)
+	}
+	for _, c := range []struct{ n, words int }{{10, 2}, {777, 7}, {5000, 64}} {
+		cfg := Config{NumBlocks: c.n, BlockWords: c.words}
+		if got, want := PathFootprintBytes(c.n, c.words), NewPath(cfg).NumBytes(); got != want {
+			t.Errorf("PathFootprintBytes(%d, %d) = %d, built %d", c.n, c.words, got, want)
 		}
-		cir := NewCircuit(Config{NumBlocks: c.n, BlockWords: c.words, Seed: 1, RecursionCutoff: c.cutoff})
-		if got, want := cir.NumBytes(), FootprintBytes(c.n, c.words, DefaultZ, DefaultCircuitStash, cc); got != want {
-			t.Fatalf("Circuit n=%d: built %d vs analytic %d", c.n, got, want)
+		if got, want := CircuitFootprintBytes(c.n, c.words), NewCircuit(cfg).NumBytes(); got != want {
+			t.Errorf("CircuitFootprintBytes(%d, %d) = %d, built %d", c.n, c.words, got, want)
 		}
 	}
 }
@@ -327,25 +339,31 @@ func TestCriteoFootprintRatioMatchesTableVI(t *testing.T) {
 	}
 }
 
-// TestFlatPosMapSwap covers the unrolled scan at sizes below, at and just
-// past one four-entry step and with a tail: for every id, Swap returns the
-// previous leaf of exactly that id and rewrites only that entry.
+// TestFlatPosMapSwap covers the unrolled scan of two-leaf words at sizes
+// below, at and just past one four-word step, with a tail and with an odd
+// entry count: for every id, Swap returns the previous leaf of exactly
+// that id and rewrites only that entry, never the padding half.
 func TestFlatPosMapSwap(t *testing.T) {
-	for _, n := range []int{1, 3, 4, 5, 4097} {
+	for _, n := range []int{1, 3, 4, 5, 8, 9, 4097} {
 		init := make([]uint32, n)
 		for i := range init {
 			init[i] = uint32(i)*2654435761 | 1
 		}
 		p := newFlatPosMap(init, nil, "p", &Stats{})
 		want := slices.Clone(init)
+		leaves := make([]uint32, n)
 		for id := 0; id < n; id++ {
 			newLeaf := uint32(id) ^ 0xa5a5a5a5
 			if got := p.Swap(uint64(id), newLeaf); got != want[id] {
 				t.Fatalf("n=%d: Swap(%d) returned %#x, want %#x", n, id, got, want[id])
 			}
 			want[id] = newLeaf
-			if !slices.Equal(p.leaves, want) {
+			unpackWords(leaves, p.words)
+			if !slices.Equal(leaves, want) {
 				t.Fatalf("n=%d: Swap(%d) changed entries other than its own", n, id)
+			}
+			if n%2 == 1 && p.words[n/2]>>32 != 0 {
+				t.Fatalf("n=%d: Swap(%d) wrote the padding half", n, id)
 			}
 		}
 		if got := p.stats.PosmapScans; got != int64(n*n) {

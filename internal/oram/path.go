@@ -44,9 +44,7 @@ func (o *Controller) pathAccess(id uint64, oldLeaf, newLeaf uint32, fn func(data
 		// surface even on an abort path.
 		panic("oram: block missing (invariant violation)")
 	}
-	if fn != nil {
-		fn(o.buf)
-	}
+	o.serve(fn)
 	o.stash.updateBlock(id, newLeaf, o.buf)
 
 	// Write back: fill the path leaf→root, pulling eligible stash blocks
@@ -60,7 +58,7 @@ func (o *Controller) pathAccess(id uint64, oldLeaf, newLeaf uint32, fn func(data
 			got := o.stash.extractEligible(oldLeaf, level, t.levels, &blkID, &blkLeaf, o.buf)
 			t.ids[s] = oblivious.Select64(got, blkID, DummyID)
 			t.leafOf[s] = uint32(oblivious.Select64(got, uint64(blkLeaf), 0))
-			oblivious.CondCopyWords(got, t.slotData(s), o.buf)
+			oblivious.CondCopy64(got, t.slotData(s), o.buf)
 			o.stats.WordsMoved += int64(t.words)
 		}
 		t.touchBucket(bucket, memtrace.Write)

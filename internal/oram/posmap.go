@@ -22,61 +22,75 @@ type PositionMap interface {
 	Depth() int
 }
 
-// flatPosMap stores leaves in a plain array and performs a full oblivious
-// scan per Swap — ZeroTrace's non-recursive mode. O(n) per access with a
-// tiny constant (4 bytes/entry), which beats recursion below the paper's
-// cutoffs (2^16 blocks for Path, 2^12 for Circuit).
+// flatPosMap stores leaves in a plain array, two per uint64 word in the
+// payloads' layout (packedWidth: id 2k's leaf is the low half of word k,
+// id 2k+1's the high half), and performs a full oblivious scan per Swap —
+// ZeroTrace's non-recursive mode. O(n) per access with a tiny constant
+// (4 bytes/entry), which beats recursion below the paper's cutoffs (2^16
+// blocks for Path, 2^12 for Circuit).
 type flatPosMap struct {
-	leaves []uint32
+	words  []uint64
+	n      int // entries
 	tracer *memtrace.Tracer
 	region string
 	stats  *Stats
 }
 
 func newFlatPosMap(init []uint32, tracer *memtrace.Tracer, region string, stats *Stats) *flatPosMap {
-	l := make([]uint32, len(init))
-	copy(l, init)
-	return &flatPosMap{leaves: l, tracer: tracer, region: region + RegionSuffixPosmap, stats: stats}
+	w := make([]uint64, packedWidth(len(init)))
+	packWords(w, init)
+	return &flatPosMap{words: w, n: len(init), tracer: tracer, region: region + RegionSuffixPosmap, stats: stats}
 }
 
 // Swap scans the whole map, obliviously extracting the old leaf for id and
-// installing newLeaf: every entry is read and rewritten, matched or not.
-// Exactly one entry matches (ids are range-checked), so OR-accumulating
-// the masked entries extracts it, and l ^= (l^newLeaf)&m replaces it.
-// The loop runs four entries per step, one bounds check per step.
+// installing newLeaf: every word is read and rewritten, matched or not.
+// id's entry is the half of word k = id>>1 that id&1 names, so the mask
+// Eq(i, k) & half covers exactly that entry (ids are range-checked);
+// OR-accumulating the masked words extracts the old leaf into that half,
+// and w ^= (w^both)&m, with newLeaf in both halves, replaces it. The loop
+// runs four words per step with one bounds check and one compare: word
+// i+j is word k exactly when i = k&^3 and j = k&3, so each step's hit
+// mask Eq(i, k&^3) is ANDed with four lane masks computed once per call.
 //
 // secemb:secret id
 func (p *flatPosMap) Swap(id uint64, newLeaf uint32) uint32 {
-	p.stats.PosmapScans += int64(len(p.leaves))
-	p.stats.CmovOps += int64(len(p.leaves))
+	p.stats.PosmapScans += int64(p.n)
+	p.stats.CmovOps += int64(p.n)
 	// Trace at Chi-entry "block" granularity: what a cache-line attacker
-	// would see of a packed uint32 array.
-	p.tracer.TouchRange(p.region, 0, int64((len(p.leaves)+Chi-1)/Chi), memtrace.Read)
-	var old uint32
-	l := p.leaves
+	// would see of a packed array of 4-byte leaves.
+	p.tracer.TouchRange(p.region, 0, int64((p.n+Chi-1)/Chi), memtrace.Read)
+	k := id >> 1
+	half := uint64(0xFFFF_FFFF) ^ -(id & 1) // low half for even ids, high half for odd
+	both := uint64(newLeaf) * 0x1_0000_0001
+	l0 := oblivious.Eq(k&3, 0) & half
+	l1 := oblivious.Eq(k&3, 1) & half
+	l2 := oblivious.Eq(k&3, 2) & half
+	l3 := oblivious.Eq(k&3, 3) & half
+	var old uint64
+	w := p.words
 	i := 0
-	for ; i+4 <= len(l); i += 4 {
-		e := l[i : i+4 : i+4]
-		m0 := uint32(oblivious.Eq(uint64(i), id))
-		m1 := uint32(oblivious.Eq(uint64(i+1), id))
-		m2 := uint32(oblivious.Eq(uint64(i+2), id))
-		m3 := uint32(oblivious.Eq(uint64(i+3), id))
+	for ; i+4 <= len(w); i += 4 {
+		e := w[i : i+4 : i+4]
+		hit := oblivious.Eq(uint64(i), k&^3)
+		m0, m1, m2, m3 := hit&l0, hit&l1, hit&l2, hit&l3
 		old |= e[0]&m0 | e[1]&m1 | e[2]&m2 | e[3]&m3
-		e[0] ^= (e[0] ^ newLeaf) & m0
-		e[1] ^= (e[1] ^ newLeaf) & m1
-		e[2] ^= (e[2] ^ newLeaf) & m2
-		e[3] ^= (e[3] ^ newLeaf) & m3
+		e[0] ^= (e[0] ^ both) & m0
+		e[1] ^= (e[1] ^ both) & m1
+		e[2] ^= (e[2] ^ both) & m2
+		e[3] ^= (e[3] ^ both) & m3
 	}
-	for ; i < len(l); i++ {
-		m := uint32(oblivious.Eq(uint64(i), id))
-		old |= l[i] & m
-		l[i] ^= (l[i] ^ newLeaf) & m
+	for ; i < len(w); i++ {
+		m := oblivious.Eq(uint64(i), k) & half
+		old |= w[i] & m
+		w[i] ^= (w[i] ^ both) & m
 	}
 	//lint:allow obliviouslint/declass the old leaf is a fresh uniform value revealed once per access (ORAM protocol declassification)
-	return old
+	return uint32(old | old>>32)
 }
 
-func (p *flatPosMap) NumBytes() int64 { return int64(len(p.leaves)) * 4 }
+// NumBytes counts 4 bytes per entry: an odd map's padding half is left
+// out, so the paper-scale footprint tables do not move with the packing.
+func (p *flatPosMap) NumBytes() int64 { return int64(p.n) * 4 }
 func (p *flatPosMap) Depth() int      { return 0 }
 
 // oramPosMap stores the position map in a smaller ORAM whose blocks each
@@ -95,13 +109,13 @@ type oramPosMap struct {
 func newPosMap(o *Controller, init []uint32, level int) PositionMap {
 	cfg := o.cfg
 	n := len(init)
-	if cfg.RecursionCutoff < 0 || n <= cfg.RecursionCutoff {
+	if !cfg.recurses() {
 		return newFlatPosMap(init, cfg.Tracer, cfg.Region, o.stats)
 	}
 	// Pack Chi leaves per inner block.
-	blocks := (n + Chi - 1) / Chi
-	payloads := make([][]uint32, blocks)
-	for b := 0; b < blocks; b++ {
+	cfg = cfg.posmapConfig()
+	payloads := make([][]uint32, cfg.NumBlocks)
+	for b := 0; b < cfg.NumBlocks; b++ {
 		words := make([]uint32, Chi)
 		for j := 0; j < Chi; j++ {
 			idx := b*Chi + j
@@ -111,8 +125,6 @@ func newPosMap(o *Controller, init []uint32, level int) PositionMap {
 		}
 		payloads[b] = words
 	}
-	cfg.NumBlocks = blocks
-	cfg.BlockWords = Chi
 	cfg.Region = fmt.Sprintf("%s.pm%d", cfg.Region, level+1)
 	return &oramPosMap{inner: newController(o.scheme, cfg, payloads, o.rng, o.stats, level+1)}
 }

@@ -14,24 +14,24 @@ import (
 // and surfaced on the trace as a full sweep of the stash region.
 type stash struct {
 	cap   int
-	words int
+	width int // packed payload words per block
 
 	ids    []uint64 // DummyID = free
 	leaves []uint32
-	data   []uint32 // cap × words
+	data   []uint64 // cap × width, in packWords' layout
 
 	tracer *memtrace.Tracer
 	region string
 	stats  *Stats
 }
 
-func newStash(capacity, words int, tracer *memtrace.Tracer, region string, stats *Stats) *stash {
+func newStash(capacity, width int, tracer *memtrace.Tracer, region string, stats *Stats) *stash {
 	s := &stash{
 		cap:    capacity,
-		words:  words,
+		width:  width,
 		ids:    make([]uint64, capacity),
 		leaves: make([]uint32, capacity),
-		data:   make([]uint32, capacity*words),
+		data:   make([]uint64, capacity*width),
 		tracer: tracer,
 		region: region + RegionSuffixStash,
 		stats:  stats,
@@ -42,7 +42,7 @@ func newStash(capacity, words int, tracer *memtrace.Tracer, region string, stats
 	return s
 }
 
-func (s *stash) slotData(i int) []uint32 { return s.data[i*s.words : (i+1)*s.words] }
+func (s *stash) slotData(i int) []uint64 { return s.data[i*s.width : (i+1)*s.width] }
 
 // scanNote records one full oblivious sweep of the stash.
 func (s *stash) scanNote() {
@@ -68,7 +68,7 @@ func (s *stash) occupancy() int {
 // overflow and panics, as in ZeroTrace.
 //
 // secemb:secret id leaf payload
-func (s *stash) insert(id uint64, leaf uint32, payload []uint32) {
+func (s *stash) insert(id uint64, leaf uint32, payload []uint64) {
 	s.insertCond(^uint64(0), id, leaf, payload)
 	s.stats.observeStash(s.occupancy())
 }
@@ -78,7 +78,7 @@ func (s *stash) insert(id uint64, leaf uint32, payload []uint32) {
 // read phase process dummy slots at identical cost to real ones.
 //
 // secemb:secret real id leaf payload
-func (s *stash) insertCond(real uint64, id uint64, leaf uint32, payload []uint32) {
+func (s *stash) insertCond(real uint64, id uint64, leaf uint32, payload []uint64) {
 	s.scanNote()
 	placed := uint64(0) // becomes all-ones once stored
 	for i := 0; i < s.cap; i++ {
@@ -86,7 +86,7 @@ func (s *stash) insertCond(real uint64, id uint64, leaf uint32, payload []uint32
 		doStore := real & free &^ placed
 		s.ids[i] = oblivious.Select64(doStore, id, s.ids[i])
 		s.leaves[i] = uint32(oblivious.Select64(doStore, uint64(leaf), uint64(s.leaves[i])))
-		oblivious.CondCopyWords(doStore, s.slotData(i), payload)
+		oblivious.CondCopy64(doStore, s.slotData(i), payload)
 		placed |= doStore
 	}
 	//lint:allow obliviouslint/branch overflow abort: negligible-probability stash overflow kills the process rather than continuing insecurely (ZeroTrace does the same)
@@ -99,7 +99,7 @@ func (s *stash) insertCond(real uint64, id uint64, leaf uint32, payload []uint32
 // stash block that may reside at `level` on the path to pathLeaf, scanning
 // the full stash. Returns an all-ones mask when a block was extracted.
 // Used by Path ORAM's greedy write-back.
-func (s *stash) extractEligible(pathLeaf uint32, level, levels int, outID *uint64, outLeaf *uint32, out []uint32) uint64 {
+func (s *stash) extractEligible(pathLeaf uint32, level, levels int, outID *uint64, outLeaf *uint32, out []uint64) uint64 {
 	s.scanNote()
 	shift := levels - level
 	taken := uint64(0)
@@ -109,7 +109,7 @@ func (s *stash) extractEligible(pathLeaf uint32, level, levels int, outID *uint6
 		m := eligible &^ taken
 		*outID = oblivious.Select64(m, s.ids[i], *outID)
 		*outLeaf = uint32(oblivious.Select64(m, uint64(s.leaves[i]), uint64(*outLeaf)))
-		oblivious.CondCopyWords(m, out, s.slotData(i))
+		oblivious.CondCopy64(m, out, s.slotData(i))
 		s.ids[i] = oblivious.Select64(m, DummyID, s.ids[i])
 		taken |= m
 	}
@@ -121,12 +121,12 @@ func (s *stash) extractEligible(pathLeaf uint32, level, levels int, outID *uint6
 // touches every slot.
 //
 // secemb:secret id return
-func (s *stash) findAndRemove(id uint64, out []uint32) uint64 {
+func (s *stash) findAndRemove(id uint64, out []uint64) uint64 {
 	s.scanNote()
 	found := uint64(0)
 	for i := 0; i < s.cap; i++ {
 		m := oblivious.Eq(s.ids[i], id)
-		oblivious.CondCopyWords(m, out, s.slotData(i))
+		oblivious.CondCopy64(m, out, s.slotData(i))
 		s.ids[i] = oblivious.Select64(m, DummyID, s.ids[i])
 		found |= m
 	}
@@ -137,12 +137,12 @@ func (s *stash) findAndRemove(id uint64, out []uint32) uint64 {
 // returns the found mask.
 //
 // secemb:secret id return
-func (s *stash) readBlock(id uint64, out []uint32) uint64 {
+func (s *stash) readBlock(id uint64, out []uint64) uint64 {
 	s.scanNote()
 	found := uint64(0)
 	for i := 0; i < s.cap; i++ {
 		m := oblivious.Eq(s.ids[i], id)
-		oblivious.CondCopyWords(m, out, s.slotData(i))
+		oblivious.CondCopy64(m, out, s.slotData(i))
 		found |= m
 	}
 	return found
@@ -152,13 +152,13 @@ func (s *stash) readBlock(id uint64, out []uint32) uint64 {
 // a full scan; returns the found mask.
 //
 // secemb:secret id leaf payload return
-func (s *stash) updateBlock(id uint64, leaf uint32, payload []uint32) uint64 {
+func (s *stash) updateBlock(id uint64, leaf uint32, payload []uint64) uint64 {
 	s.scanNote()
 	found := uint64(0)
 	for i := 0; i < s.cap; i++ {
 		m := oblivious.Eq(s.ids[i], id)
 		s.leaves[i] = uint32(oblivious.Select64(m, uint64(leaf), uint64(s.leaves[i])))
-		oblivious.CondCopyWords(m, s.slotData(i), payload)
+		oblivious.CondCopy64(m, s.slotData(i), payload)
 		found |= m
 	}
 	return found
