@@ -94,6 +94,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCriteoLine -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzInstallCostModelFile -fuzztime=$(FUZZTIME) ./internal/profile
 
 # fuzz-long is the nightly campaign: same targets, minutes instead of
 # seconds per target.

@@ -154,9 +154,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // validate rejects the flag values the serving and wire constructors treat
-// as programmer errors (they panic), a malformed -autotune, and negative
+// as programmer errors (they panic), a malformed -autotune, negative
 // durations and depths (which the stack would silently read as "off" or
-// "default"), so an operator typo is a usage error.
+// "default"), and a soak that cannot send a well-formed request, so an
+// operator typo is a usage error. An external -target's id cap is unknown
+// here, so only a self-hosted soak's -batch is checked against -max-batch.
 // Rows, dim and technique are checked by core.New, which returns an error.
 func (c *config) validate() error {
 	shards := c.shards
@@ -174,6 +176,13 @@ func (c *config) validate() error {
 		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
 	case c.autotune != "on" && c.autotune != "off":
 		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
+	case c.soak && (c.conns < 1 || c.duration <= 0 || c.rows < 1):
+		return fmt.Errorf("-soak needs -conns ≥1, -duration >0 and -rows ≥1")
+	case c.soak && c.batch < 1:
+		return fmt.Errorf("-batch must be at least 1, got %d", c.batch)
+	case c.soak && c.target == "" && c.batch > c.maxBatch:
+		// The self-hosted server would reject every request as malformed.
+		return fmt.Errorf("-batch %d exceeds the self-hosted server's -max-batch %d", c.batch, c.maxBatch)
 	}
 	for _, f := range []struct {
 		name string
@@ -413,78 +422,5 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 	st := group.Stats()
 	fmt.Fprintf(stdout, "secembd: drained; served=%d errors=%d shed=%d p99=%v\n",
 		st.Served, st.Errors, st.Shed, st.P99)
-	return 0
-}
-
-func runSoak(c *config, stdout, stderr io.Writer) int {
-	var key wire.Key
-	if c.tokenKey != "" {
-		k, err := wire.ParseKey(c.tokenKey)
-		if err != nil {
-			fmt.Fprintln(stderr, "secembd:", err)
-			return 2
-		}
-		key = k
-	}
-
-	target := c.target
-	var clientTLS *tls.Config
-	if c.useTLS && target != "" {
-		clientTLS = &tls.Config{InsecureSkipVerify: c.tlsInsecure}
-	}
-	var drain func(time.Duration) error
-	if target == "" {
-		// Self-hosted soak: spin the full serve stack in-process so the
-		// run exercises the real network path end to end; with -tls that
-		// includes TLS termination via an ephemeral self-signed cert.
-		var serverTLS *tls.Config
-		if c.useTLS {
-			var err error
-			serverTLS, clientTLS, err = wire.SelfSignedTLS()
-			if err != nil {
-				fmt.Fprintln(stderr, "secembd:", err)
-				return 2
-			}
-		}
-		addr, _, d, err := startServer(c, obs.NewRegistry(), "127.0.0.1:0",
-			wire.ServerConfig{Key: key, RequireToken: c.tokenKey != "", TLS: serverTLS}, stdout, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "secembd:", err)
-			return 2
-		}
-		target, drain = addr, d
-		fmt.Fprintf(stdout, "secembd: self-hosted %s %dx%d on %s\n", c.technique, c.rows, c.dim, addr)
-	}
-
-	fmt.Fprintf(stdout, "secembd: soaking %s: %d conns × %v, batch %d\n", target, c.conns, c.duration, c.batch)
-	rep, err := wire.RunSoak(context.Background(), wire.SoakConfig{
-		Addr:     target,
-		Key:      key,
-		Conns:    c.conns,
-		Duration: c.duration,
-		Batch:    c.batch,
-		IDSpace:  c.rows,
-		Timeout:  c.timeout + 5*time.Second,
-		Seed:     c.seed,
-		TLS:      clientTLS,
-	})
-	if drain != nil {
-		_ = drain(0) // the load is over: a drain timeout changes no result the gate reads
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "secembd:", err)
-		return 2
-	}
-	fmt.Fprintln(stdout, rep)
-	gate := wire.SoakGate{
-		MaxP99:      c.maxP99,
-		MaxShedRate: c.maxShed,
-		MinRequests: c.minRequests,
-	}
-	if err := gate.Check(rep); err != nil {
-		fmt.Fprintln(stderr, "secembd:", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, "secembd: soak gate passed")
 	return 0
 }

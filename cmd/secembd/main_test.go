@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"secemb/internal/obs"
 	"secemb/internal/profile"
+	"secemb/internal/wire"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -32,6 +36,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-shed-wait", "-1ms"},
 		{"-queue-depth", "-1"},
 		{"-conn-streams", "-1"},
+		// A self-hosted soak whose requests its own server must reject.
+		{"-soak", "-batch", "65"},
+		{"-soak", "-batch", "2", "-max-batch", "1"},
+		{"-soak", "-batch", "0", "-target", "127.0.0.1:1"},
+		{"-soak", "-conns", "0"},
 	} {
 		code, _, stderr := runCLI(args...)
 		if code != 2 {
@@ -49,6 +58,41 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 var soakArgs = []string{"-soak", "-rows", "256", "-dim", "8", "-backends", "2", "-conns", "8",
 	"-duration", "300ms", "-min-requests", "1", "-max-p99", "0", "-max-shed", "-1"}
 
+// TestSoakSmoke drives soak and the gate directly against a token-checking
+// server: the run makes progress, a realistic gate passes it, and an
+// impossible p99 bound fails it.
+func TestSoakSmoke(t *testing.T) {
+	c, err := parseFlags([]string{"-soak", "-rows", "256", "-dim", "8", "-backends", "2", "-conns", "8",
+		"-duration", "300ms", "-batch", "4", "-seed", "1",
+		"-min-requests", "8", "-max-p99", "5s", "-max-shed", "0.5"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.validate(); err != nil {
+		t.Fatal(err)
+	}
+	var key wire.Key
+	addr, _, drain, err := startServer(c, obs.NewRegistry(), "127.0.0.1:0",
+		wire.ServerConfig{Key: key, RequireToken: true}, io.Discard, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = drain(0) }()
+
+	rep := soak(c, addr, key, nil)
+	if rep.requests == 0 || rep.ok == 0 {
+		t.Fatalf("soak made no progress: %s", rep)
+	}
+	if err := c.checkGate(rep); err != nil {
+		t.Fatalf("%v (%s)", err, rep)
+	}
+	impossible := *c
+	impossible.maxP99 = time.Nanosecond
+	if err := impossible.checkGate(rep); err == nil || !strings.Contains(err.Error(), "p99") {
+		t.Fatalf("gate with an impossible p99 bound returned %v, want a p99 failure", err)
+	}
+}
+
 func TestSelfHostedSoak(t *testing.T) {
 	planFile := filepath.Join(t.TempDir(), "plan.json")
 	for name, extra := range map[string][]string{
@@ -62,6 +106,13 @@ func TestSelfHostedSoak(t *testing.T) {
 				t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 			}
 		})
+	}
+	// The gate has teeth: an impossible p99 bound fails a run that made
+	// progress, with exit 1 and the gate's message.
+	code, stdout, stderr := runCLI(append(append([]string{}, soakArgs...), "-max-p99", "1ns")...)
+	if code != 1 || !strings.Contains(stderr, "soak gate: p99 ") || !strings.Contains(stdout, " ok=") ||
+		strings.Contains(stdout, " ok=0 ") {
+		t.Fatalf("impossible p99: exit %d, want 1 after some ok requests\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	// The planner-managed soak drained through the same path as serve, so it
 	// persisted what its planner observed: the soak's traffic, seen at the

@@ -63,9 +63,6 @@ func (ix *Index) Lookup(fn *types.Func) *FuncDirective {
 	return ix.funcs[key]
 }
 
-// ByKey returns the directive for a qualified name, or nil.
-func (ix *Index) ByKey(key string) *FuncDirective { return ix.funcs[key] }
-
 // All returns every directive, sorted by key (for reports and the
 // leakcheck roster-sync scan).
 func (ix *Index) All() []*FuncDirective {

@@ -169,7 +169,7 @@ func TestObliviouslintMalformedDirectives(t *testing.T) {
 	if !strings.Contains(res.Findings[1].Message, `unknown parameter "nosuch"`) {
 		t.Errorf("unknown param: got %q", res.Findings[1].Message)
 	}
-	if idx.ByKey("directive.WellFormed") == nil {
+	if idx.funcs["directive.WellFormed"] == nil {
 		t.Error("well-formed directive was not indexed")
 	}
 }

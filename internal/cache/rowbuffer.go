@@ -53,9 +53,6 @@ func (d *DRAM) Access(addr int64) int {
 	return d.cfg.ConflictCyc
 }
 
-// OpenRow reports the currently open row of a bank (-1 if closed).
-func (d *DRAM) OpenRow(bank int) int64 { return d.openRow[bank] }
-
 // RowBufferAttack recovers which DRAM row a victim lookup touched: the
 // attacker opens a known row in every bank, lets the victim run, then
 // re-touches its rows — the bank whose re-access conflicts is the bank the

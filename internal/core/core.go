@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"secemb/internal/dhe"
 	"secemb/internal/memtrace"
@@ -176,14 +175,4 @@ func (o Options) region(def string) string {
 		return o.Region
 	}
 	return def
-}
-
-// FootprintRatio is a convenience for the memory tables: representation
-// bytes relative to the raw table (rows×dim×4).
-func FootprintRatio(g Generator) float64 {
-	raw := float64(g.Rows()) * float64(g.Dim()) * 4
-	if raw == 0 {
-		return math.NaN()
-	}
-	return float64(g.NumBytes()) / raw
 }

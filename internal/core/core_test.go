@@ -148,24 +148,8 @@ func TestFootprintOrdering(t *testing.T) {
 		t.Fatalf("DHE (%d B) must undercut the table (%d B) at this size",
 			dheGen.NumBytes(), look.NumBytes())
 	}
-	if r := FootprintRatio(oramGen); r < 1.5 {
+	if r := float64(oramGen.NumBytes()) / float64(look.NumBytes()); r < 1.5 {
 		t.Fatalf("ORAM footprint ratio %.2f too low", r)
-	}
-}
-
-func TestORAMStatsExposed(t *testing.T) {
-	tbl := testTable(128, 4, 8)
-	g := newStorage(PathORAM, tbl, Options{})
-	s, ok := ORAMStats(g)
-	if !ok || s == nil {
-		t.Fatal("ORAMStats must work for ORAM generators")
-	}
-	g.Generate([]uint64{1, 2})
-	if s.Accesses < 2 {
-		t.Fatalf("stats not advancing: %+v", s)
-	}
-	if _, ok := ORAMStats(newStorage(Lookup, tbl, Options{})); ok {
-		t.Fatal("ORAMStats must reject non-ORAM generators")
 	}
 }
 
@@ -178,12 +162,5 @@ func TestThreadsSettable(t *testing.T) {
 		if !tensor.AllClose(a, b, 0) {
 			t.Fatalf("%v: thread count changed results", tech)
 		}
-	}
-}
-
-func TestFootprintRatioNaNOnEmpty(t *testing.T) {
-	g := MustNew(DHE, 1000, 8, Options{})
-	if FootprintRatio(g) <= 0 {
-		t.Fatal("ratio must be positive for real generators")
 	}
 }

@@ -4,13 +4,11 @@ import (
 	"time"
 
 	"secemb/internal/obs"
-	"secemb/internal/oram"
-	"secemb/internal/perf"
 	"secemb/internal/tensor"
 )
 
 // Unwrapper is implemented by decorating generators (Instrument) so
-// type-probing helpers (Underlying, ORAMStats) can reach the concrete
+// type-probing helpers (Underlying) can reach the concrete
 // implementation.
 type Unwrapper interface {
 	Unwrap() Generator
@@ -34,19 +32,16 @@ func unwrapGenerator(g Generator) Generator {
 //	core_generate_ids_total{tech}     ids embedded
 //	core_generate_ns{tech}            per-batch latency histogram
 //
-// ORAM-backed generators additionally account controller work (EPC
-// bucket traffic, modeled nanoseconds) through a perf.Meter, reproducing
-// the per-window accounting the paper uses to compare the ZeroTrace
-// deployment variants (Figure 10).
+// Every series is a function of batch count and size only: ORAM
+// controller work (stash occupancy, words moved on eviction) depends on
+// the ids, so it is never published here.
 type instrumentedGen struct {
 	Generator // the wrapped generator; only Generate is overridden
 
-	gens  *obs.Counter
-	errs  *obs.Counter
-	ids   *obs.Counter
-	lat   *obs.Histogram
-	stats *oram.Stats // live controller counters; nil when not ORAM-backed
-	meter *perf.Meter
+	gens *obs.Counter
+	errs *obs.Counter
+	ids  *obs.Counter
+	lat  *obs.Histogram
 }
 
 // Instrument wraps g so every Generate call is counted and timed in reg.
@@ -57,28 +52,19 @@ func Instrument(g Generator, reg *obs.Registry) Generator {
 		return g
 	}
 	tech := g.Technique().Key()
-	ig := &instrumentedGen{
+	return &instrumentedGen{
 		Generator: g,
 		gens:      reg.Counter("core_generate_total", obs.LabelTech, tech),
 		errs:      reg.Counter("core_generate_errors_total", obs.LabelTech, tech),
 		ids:       reg.Counter("core_generate_ids_total", obs.LabelTech, tech),
 		lat:       reg.Histogram("core_generate_ns", obs.LabelTech, tech),
 	}
-	if s, ok := ORAMStats(g); ok {
-		ig.stats = s
-		ig.meter = perf.NewMeter(perf.ZTGramineOpt, reg)
-	}
-	return ig
 }
 
 // Generate forwards to the wrapped generator, counting and timing the call.
 //
 // secemb:secret ids
 func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	var before oram.Stats
-	if i.stats != nil {
-		before = *i.stats
-	}
 	start := time.Now()
 	out, err := i.Generator.Generate(ids)
 	elapsed := time.Since(start)
@@ -89,9 +75,6 @@ func (i *instrumentedGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	i.ids.Add(int64(len(ids)))
-	if i.stats != nil {
-		i.meter.Record(perf.Delta(*i.stats, before))
-	}
 	return out, nil
 }
 

@@ -89,13 +89,3 @@ func (g *oramGen) Rows() int            { return g.rows }
 func (g *oramGen) Dim() int             { return g.dim }
 func (g *oramGen) Technique() Technique { return g.tech }
 func (g *oramGen) NumBytes() int64      { return g.o.NumBytes() }
-
-// ORAMStats exposes the controller counters when g is ORAM-backed (looking
-// through Instrument wrappers), for the enclave cost model; ok is false
-// otherwise.
-func ORAMStats(g Generator) (s *oram.Stats, ok bool) {
-	if og, isORAM := unwrapGenerator(g).(*oramGen); isORAM {
-		return og.o.Stats(), true
-	}
-	return nil, false
-}

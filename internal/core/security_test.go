@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"secemb/internal/memtrace"
+	"secemb/internal/obs"
 )
 
 // traceOf runs one batch through g and returns the recorded trace.
@@ -132,5 +135,43 @@ func TestScanTraceCoversWholeTablePerQuery(t *testing.T) {
 		if h[r] != 2 {
 			t.Fatalf("row %d touched %d times, want 2", r, h[r])
 		}
+	}
+}
+
+// TestMetricsIndependentOfIDs: /metrics is an output channel, so what an
+// instrumented ORAM generator publishes must not depend on which ids it
+// served. One hot id and uniform ids, batch for batch, must leave every
+// counter and gauge equal; histograms hold time and are left out.
+func TestMetricsIndependentOfIDs(t *testing.T) {
+	const rows, batches, batch = 4096, 100, 8
+	for _, tech := range []Technique{PathORAM, CircuitORAM} {
+		t.Run(tech.Key(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			var snaps [2]obs.Snapshot
+			for i, pick := range []func() uint64{
+				func() uint64 { return 7 },
+				func() uint64 { return uint64(rng.Intn(rows)) },
+			} {
+				reg := obs.NewRegistry()
+				g := MustNew(tech, rows, 16, Options{Seed: 1, Obs: reg})
+				ids := make([]uint64, batch)
+				for b := 0; b < batches; b++ {
+					for j := range ids {
+						ids[j] = pick()
+					}
+					if _, err := g.Generate(ids); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snaps[i] = reg.Snapshot()
+			}
+			hot, uniform := snaps[0], snaps[1]
+			if !reflect.DeepEqual(hot.Counters, uniform.Counters) {
+				t.Errorf("counters depend on the ids:\n  hot     %v\n  uniform %v", hot.Counters, uniform.Counters)
+			}
+			if !reflect.DeepEqual(hot.Gauges, uniform.Gauges) {
+				t.Errorf("gauges depend on the ids:\n  hot     %v\n  uniform %v", hot.Gauges, uniform.Gauges)
+			}
+		})
 	}
 }

@@ -1,9 +1,6 @@
 package data
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Corpus is a synthetic token stream with learnable structure, standing in
 // for OpenWebText in the LLM experiments. Tokens follow a mixture of
@@ -59,21 +56,4 @@ func Batches(tokens []int, block int) (inputs, targets [][]int) {
 		targets = append(targets, tokens[lo+1:lo+block+1])
 	}
 	return inputs, targets
-}
-
-// EntropyUpperBoundBits estimates the unigram entropy of the corpus's
-// Zipf marginal in bits — the ceiling an unconditional model can reach;
-// the successor structure lets a context model beat it.
-func (c *Corpus) EntropyUpperBoundBits() float64 {
-	// Zipf(1) over V symbols: H ≈ log2(ln V) + ... use empirical estimate.
-	var z float64
-	for k := 1; k <= c.Vocab; k++ {
-		z += 1 / float64(k)
-	}
-	var h float64
-	for k := 1; k <= c.Vocab; k++ {
-		p := 1 / float64(k) / z
-		h -= p * math.Log2(p)
-	}
-	return h
 }

@@ -224,13 +224,6 @@ func TestCorpusBatches(t *testing.T) {
 	}
 }
 
-func TestCorpusEntropyBound(t *testing.T) {
-	h := NewCorpus(1000, 1).EntropyUpperBoundBits()
-	if h <= 0 || h >= math.Log2(1000)+0.01 {
-		t.Fatalf("entropy bound %.2f implausible", h)
-	}
-}
-
 func TestCorpusPanicsOnTinyVocab(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -322,26 +322,6 @@ func TestCheckpointWrongKindErrors(t *testing.T) {
 	}
 }
 
-func TestAUCKnownCases(t *testing.T) {
-	cfg := tinyConfig(40)
-	ds := data.NewCTR(cfg.DenseDim, cfg.Cardinalities, 41)
-	// Untrained model: AUC near 0.5.
-	m := New(cfg, TableEmb)
-	auc0 := m.AUC(ds, 8, 128, 42)
-	if auc0 < 0.35 || auc0 > 0.65 {
-		t.Fatalf("untrained AUC %.3f far from 0.5", auc0)
-	}
-	// Trained model: AUC clearly above chance.
-	m.Train(ds, 250, 64, nn.NewAdam(0.01), 43)
-	auc1 := m.AUC(ds, 8, 128, 42)
-	if auc1 < auc0+0.05 || auc1 <= 0.55 {
-		t.Fatalf("training did not raise AUC: %.3f → %.3f", auc0, auc1)
-	}
-	if auc1 > 1 {
-		t.Fatalf("AUC %.3f out of range", auc1)
-	}
-}
-
 func TestHybridPipelineTraceSecurity(t *testing.T) {
 	// End-to-end Table II check at the pipeline level: a hybrid
 	// (scan + DHE) DLRM produces identical access traces for any secret

@@ -2,11 +2,9 @@ package dlrm
 
 import (
 	"math/rand"
-	"sort"
 
 	"secemb/internal/data"
 	"secemb/internal/nn"
-	"secemb/internal/tensor"
 )
 
 // TrainStep runs one optimization step on a CTR batch and returns the BCE
@@ -51,53 +49,4 @@ func (m *Model) Accuracy(ds *data.CTRDataset, nBatches, batch int, seed int64) f
 		}
 	}
 	return float64(correct) / float64(total)
-}
-
-// AUC evaluates the area under the ROC curve over nBatches fresh batches
-// — the standard CTR ranking metric, computed by the rank-sum
-// (Mann–Whitney) formulation with midrank tie handling.
-func (m *Model) AUC(ds *data.CTRDataset, nBatches, batch int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	type scored struct {
-		score float32
-		pos   bool
-	}
-	var all []scored
-	for i := 0; i < nBatches; i++ {
-		b := ds.Sample(batch, rng)
-		logits := m.Forward(b.Dense, b.Sparse)
-		for r := 0; r < batch; r++ {
-			all = append(all, scored{logits.At(r, 0), b.Labels[r] == 1})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].score < all[j].score })
-	var rankSum float64
-	var nPos, nNeg int
-	i := 0
-	for i < len(all) {
-		j := i
-		for j < len(all) && all[j].score == all[i].score {
-			j++
-		}
-		midrank := float64(i+j+1) / 2 // 1-based midrank of the tie group
-		for k := i; k < j; k++ {
-			if all[k].pos {
-				rankSum += midrank
-				nPos++
-			} else {
-				nNeg++
-			}
-		}
-		i = j
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0.5
-	}
-	return (rankSum - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
-}
-
-// predictProb is a convenience used by tests: forward + sigmoid.
-func (m *Model) predictProb(dense *tensor.Matrix, sparse [][]uint64) *tensor.Matrix {
-	s := &nn.Sigmoid{}
-	return s.Forward(m.Forward(dense, sparse))
 }

@@ -35,11 +35,6 @@ func GPT2Medium(seed int64) Config {
 	return Config{Vocab: 50257, Dim: 1024, Heads: 16, Layers: 24, MaxSeq: 1024, Seed: seed}
 }
 
-// Tiny is a miniature used for training experiments on CPU.
-func Tiny(vocab int, seed int64) Config {
-	return Config{Vocab: vocab, Dim: 32, Heads: 2, Layers: 2, MaxSeq: 64, Seed: seed}
-}
-
 func (c Config) headDim() int {
 	if c.Dim%c.Heads != 0 {
 		panic(fmt.Sprintf("llm: dim %d not divisible by %d heads", c.Dim, c.Heads))

@@ -12,8 +12,9 @@ import (
 	"secemb/internal/tensor"
 )
 
+// tinyModel is a miniature trainable on CPU.
 func tinyModel(kind TokKind, seed int64) *Model {
-	return New(Tiny(97, seed), kind)
+	return New(Config{Vocab: 97, Dim: 32, Heads: 2, Layers: 2, MaxSeq: 64, Seed: seed}, kind)
 }
 
 func mustPrefill(t *testing.T, s *Session, prompts [][]int) *tensor.Matrix {
@@ -271,12 +272,18 @@ func TestNumBytesTiedVsUntied(t *testing.T) {
 	if mt.NumBytes() <= 0 || md.NumBytes() <= 0 {
 		t.Fatal("NumBytes must be positive")
 	}
-	// DHE embedding itself is small, but the untied head adds vocab×dim.
-	if md.EmbeddingBytes() <= md.Tok.NumBytes() {
-		t.Fatal("untied model must count its head")
-	}
-	if mt.EmbeddingBytes() != mt.Tok.NumBytes() {
-		t.Fatal("tied model embedding bytes = table only")
+	// NumBytes sums Params: the tied head is the table, so it must appear
+	// once; the untied head is a vocab×dim matrix of its own next to the DHE.
+	for _, m := range []*Model{mt, md} {
+		n := 0
+		for _, p := range m.Params() {
+			if p.Value == m.Head.Value {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("tied=%v: head counted %d times, want once", m.tied, n)
+		}
 	}
 }
 
@@ -312,34 +319,6 @@ func TestLLMCheckpointRoundTrip(t *testing.T) {
 	}
 	if !tensor.AllClose(dst.Logits(dst.forwardSeq(tokens)), want, 0) {
 		t.Fatal("loaded LLM output differs")
-	}
-}
-
-func TestGenerateSampled(t *testing.T) {
-	m := tinyModel(TableTok, 50)
-	w, _ := core.TableWeights(m.Tok)
-	p := FromModel(m, core.MustNew(core.Lookup, w.Rows, w.Cols, core.Options{Table: w}))
-	prompts := [][]int{{3, 4, 5}}
-	rng := rand.New(rand.NewSource(51))
-	s, outs, err := p.GenerateSampled(prompts, 6, 5, 1.0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs[0]) != 6 || s.PrefillTime <= 0 {
-		t.Fatalf("sampled generation broken: %v", outs)
-	}
-	for _, tok := range outs[0] {
-		if tok < 0 || tok >= m.Cfg.Vocab {
-			t.Fatalf("sampled token %d out of vocab", tok)
-		}
-	}
-	// Temperature 0 equals greedy decoding.
-	_, greedy, _ := p.Generate(prompts, 6)
-	_, cold, _ := p.GenerateSampled(prompts, 6, 5, 0, rng)
-	for i := range greedy[0] {
-		if greedy[0][i] != cold[0][i] {
-			t.Fatal("temperature-0 sampling must equal greedy")
-		}
 	}
 }
 

@@ -161,18 +161,5 @@ func (m *Model) NumBytes() int64 {
 	for _, p := range m.Params() {
 		n += p.Value.NumBytes()
 	}
-	if m.tied {
-		return n // head already counted via the table
-	}
-	return n
-}
-
-// EmbeddingBytes isolates the token-embedding representation's footprint
-// (plus the untied head where applicable) for the §VI-D3 comparison.
-func (m *Model) EmbeddingBytes() int64 {
-	n := m.Tok.NumBytes()
-	if !m.tied {
-		n += m.Head.Value.NumBytes()
-	}
 	return n
 }

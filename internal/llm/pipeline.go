@@ -311,38 +311,11 @@ func GreedyNext(logits *tensor.Matrix) []int {
 	return out
 }
 
-// SampleNext draws the next token per row from the top-k softmax at the
-// given temperature, using the oblivious top-k/cumulative-select kernels —
-// the sampling analogue of the paper's oblivious greedy argmax. rng
-// supplies the (non-secret) randomness; temperature ≤ 0 degrades to
-// greedy.
-func SampleNext(logits *tensor.Matrix, k int, temperature float64, rng *rand.Rand) []int {
-	out := make([]int, logits.Rows)
-	for r := range out {
-		out[r] = oblivious.SampleTopK(logits.Row(r), k, temperature, rng.Float64())
-	}
-	return out
-}
-
 // Generate runs prefill plus `steps` greedy decode steps and returns the
-// generated tokens per sequence. Timing lands in the session fields
-// (TTFT = PrefillTime; TBT = mean of DecodeTimes), matching the metrics of
-// §VI-A3.
+// generated tokens per sequence (max(steps, 1) each). Timing lands in the
+// session fields (TTFT = PrefillTime; TBT = mean of DecodeTimes), matching
+// the metrics of §VI-A3.
 func (p *Pipeline) Generate(prompts [][]int, steps int) (*Session, [][]int, error) {
-	return p.generate(prompts, steps, GreedyNext)
-}
-
-// GenerateSampled is Generate with top-k/temperature sampling instead of
-// greedy decoding.
-func (p *Pipeline) GenerateSampled(prompts [][]int, steps, k int, temperature float64, rng *rand.Rand) (*Session, [][]int, error) {
-	return p.generate(prompts, steps, func(logits *tensor.Matrix) []int {
-		return SampleNext(logits, k, temperature, rng)
-	})
-}
-
-// generate prefills, then alternates pick (logits → next token per
-// sequence) with Decode until each sequence has max(steps, 1) tokens.
-func (p *Pipeline) generate(prompts [][]int, steps int, pick func(*tensor.Matrix) []int) (*Session, [][]int, error) {
 	s := p.NewSession(len(prompts))
 	logits, err := s.Prefill(prompts)
 	if err != nil {
@@ -350,7 +323,7 @@ func (p *Pipeline) generate(prompts [][]int, steps int, pick func(*tensor.Matrix
 	}
 	outs := make([][]int, len(prompts))
 	for step := 1; ; step++ {
-		next := pick(logits)
+		next := GreedyNext(logits)
 		for i, t := range next {
 			outs[i] = append(outs[i], t)
 		}

@@ -138,27 +138,6 @@ func TestChiSquareCritical999(t *testing.T) {
 	}
 }
 
-func TestTotalVariation(t *testing.T) {
-	a := map[int64]int{1: 10}
-	b := map[int64]int{2: 10}
-	if tv := TotalVariation(a, b); tv != 1 {
-		t.Fatalf("disjoint TV=%v, want 1", tv)
-	}
-	if tv := TotalVariation(a, a); tv != 0 {
-		t.Fatalf("identical TV=%v, want 0", tv)
-	}
-	c := map[int64]int{1: 5, 2: 5}
-	if tv := TotalVariation(a, c); math.Abs(tv-0.5) > 1e-12 {
-		t.Fatalf("half-overlap TV=%v, want 0.5", tv)
-	}
-	if tv := TotalVariation(map[int64]int{}, map[int64]int{}); tv != 0 {
-		t.Fatal("empty vs empty must be 0")
-	}
-	if tv := TotalVariation(a, map[int64]int{}); tv != 1 {
-		t.Fatal("empty vs non-empty must be 1")
-	}
-}
-
 func TestMutualInformationLeakyLookup(t *testing.T) {
 	// A direct table lookup: secret s always touches block s.
 	leak := make([]map[int64]int, 8)

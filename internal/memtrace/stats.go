@@ -41,37 +41,6 @@ func ChiSquareCritical999(df int) float64 {
 	return d * t * t * t
 }
 
-// TotalVariation returns the total-variation distance between two
-// histograms over the same key space, each normalized to a probability
-// distribution. 0 means identical; 1 means disjoint support.
-func TotalVariation(a, b map[int64]int) float64 {
-	var na, nb float64
-	for _, c := range a {
-		na += float64(c)
-	}
-	for _, c := range b {
-		nb += float64(c)
-	}
-	if na == 0 || nb == 0 {
-		if na == nb {
-			return 0
-		}
-		return 1
-	}
-	keys := map[int64]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	var tv float64
-	for k := range keys {
-		tv += math.Abs(float64(a[k])/na - float64(b[k])/nb)
-	}
-	return tv / 2
-}
-
 // MutualInformationBits estimates the mutual information (in bits) between
 // a secret value and the observed block of its first data access, given
 // per-secret access histograms: leak[s] is the histogram of observed blocks

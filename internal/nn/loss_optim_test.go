@@ -131,8 +131,8 @@ func trainQuadratic(t *testing.T, opt Optimizer, steps int, tol float64) {
 	}
 }
 
-func TestSGDConverges(t *testing.T)      { trainQuadratic(t, NewSGD(0.1), 200, 1e-3) }
-func TestAdagradConverges(t *testing.T)  { trainQuadratic(t, NewAdagrad(0.5), 500, 1e-2) }
+func TestSGDConverges(t *testing.T)      { trainQuadratic(t, &SGD{LR: 0.1}, 200, 1e-3) }
+func TestAdagradConverges(t *testing.T)  { trainQuadratic(t, &Adagrad{LR: 0.5, Eps: 1e-10}, 500, 1e-2) }
 func TestAdamConverges(t *testing.T)     { trainQuadratic(t, NewAdam(0.05), 800, 1e-2) }
 func TestMomentumConverges(t *testing.T) { trainQuadratic(t, &SGD{LR: 0.05, Momentum: 0.9}, 300, 1e-3) }
 

@@ -34,9 +34,6 @@ func NewParam(name string, value *tensor.Matrix) *Param {
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// NumParams returns the element count of the parameter.
-func (p *Param) NumParams() int { return len(p.Value.Data) }
-
 // Layer is a differentiable module operating on row-batched inputs
 // (one example per row).
 //
@@ -49,17 +46,6 @@ type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
-}
-
-// ParamCount sums the trainable element counts of a set of layers.
-func ParamCount(layers ...Layer) int {
-	n := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			n += p.NumParams()
-		}
-	}
-	return n
 }
 
 // ZeroGrads clears gradients across layers.

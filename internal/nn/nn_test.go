@@ -216,8 +216,12 @@ func TestMLPStructure(t *testing.T) {
 	if len(m2.Layers) != 3 {
 		t.Fatalf("layer count %d, want 3 (no final activation)", len(m2.Layers))
 	}
-	if ParamCount(m) != 8*4+4+4*2+2 {
-		t.Fatalf("ParamCount=%d", ParamCount(m))
+	n := 0
+	for _, p := range m.Params() {
+		n += len(p.Value.Data)
+	}
+	if n != 8*4+4+4*2+2 {
+		t.Fatalf("parameter count %d", n)
 	}
 	defer func() {
 		if recover() == nil {

@@ -21,9 +21,6 @@ type SGD struct {
 	velocity map[*Param]*tensor.Matrix
 }
 
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
 // Step applies one SGD update to each parameter.
 func (o *SGD) Step(params []*Param) {
 	lr := float32(o.LR)
@@ -57,9 +54,6 @@ type Adagrad struct {
 
 	accum map[*Param]*tensor.Matrix
 }
-
-// NewAdagrad returns an Adagrad optimizer.
-func NewAdagrad(lr float64) *Adagrad { return &Adagrad{LR: lr, Eps: 1e-10} }
 
 // Step applies one Adagrad update.
 func (o *Adagrad) Step(params []*Param) {

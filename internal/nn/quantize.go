@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"secemb/internal/tensor"
 )
@@ -78,21 +77,6 @@ func (q *QuantLinear) ForwardIntoQuant(dst, x *tensor.Matrix, qa *tensor.QuantAc
 // packing is what makes one integer multiply do four MACs.)
 func (q *QuantLinear) NumBytes() int64 {
 	return q.Q.NumBytes() + int64(len(q.Bias))*4
-}
-
-// MaxAbsError reports the worst-case |w - ŵ| over all weights against the
-// original layer — bounded by Scale[o]/2 per channel.
-func (q *QuantLinear) MaxAbsError(l *Linear) float64 {
-	var worst float64
-	for o := 0; o < q.Out; o++ {
-		for i := 0; i < q.In; i++ {
-			approx := float64(q.Q.WeightAt(i, o))
-			if d := math.Abs(approx - float64(l.W.Value.At(i, o))); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
 
 // QuantizeSequential converts every Linear in a trained inference stack,

@@ -138,26 +138,6 @@ func OrTile(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
 	}
 }
 
-// CondSwap swaps a and b element-wise when mask is all-ones; it always
-// performs the same reads and writes on both slices.
-// secemb:secret mask a b
-func CondSwap(mask uint64, a, b []float32) {
-	m := uint32(mask)
-	for i := range a {
-		x, y := a[i], b[i]
-		a[i] = Select32f(m, y, x)
-		b[i] = Select32f(m, x, y)
-	}
-}
-
-// CondSwapU64 swaps two uint64 values through pointers when mask is set.
-// secemb:secret mask a b
-func CondSwapU64(mask uint64, a, b *uint64) {
-	x, y := *a, *b
-	*a = Select64(mask, y, x)
-	*b = Select64(mask, x, y)
-}
-
 // Max returns max(a, b) branchlessly for float32 — the paper's secure
 // ReLU building block (ReLU(x) = max(0, x) via AVX, §V-A3).
 // secemb:secret a b return

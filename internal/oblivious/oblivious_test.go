@@ -115,31 +115,6 @@ func TestCondCopy64(t *testing.T) {
 	}
 }
 
-func TestCondSwap(t *testing.T) {
-	a := []float32{1, 2}
-	b := []float32{3, 4}
-	CondSwap(0, a, b)
-	if a[0] != 1 || b[0] != 3 {
-		t.Fatal("CondSwap(0) must be a no-op")
-	}
-	CondSwap(^uint64(0), a, b)
-	if a[0] != 3 || a[1] != 4 || b[0] != 1 || b[1] != 2 {
-		t.Fatalf("CondSwap(1) failed: %v %v", a, b)
-	}
-}
-
-func TestCondSwapU64(t *testing.T) {
-	a, b := uint64(5), uint64(9)
-	CondSwapU64(0, &a, &b)
-	if a != 5 || b != 9 {
-		t.Fatal("CondSwapU64(0) must be a no-op")
-	}
-	CondSwapU64(^uint64(0), &a, &b)
-	if a != 9 || b != 5 {
-		t.Fatal("CondSwapU64(1) failed")
-	}
-}
-
 func TestMaxMatchesMathMax(t *testing.T) {
 	f := func(a, b float32) bool {
 		if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) ||

@@ -47,40 +47,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// TestGaugeSetMaxConcurrent: run with -race. 8 writers race one high-water
-// gauge (the enclave_stash_max pattern: every ORAM replica of a table
-// shares it); a smaller value must never replace a larger one.
-func TestGaugeSetMaxConcurrent(t *testing.T) {
-	g := NewRegistry().Gauge("high_water")
-	const workers, per = 8, 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int64) {
-			defer wg.Done()
-			for i := int64(0); i < per; i++ {
-				// Interleaved ranges, each worker descending after its
-				// peak so late small values chase early large ones.
-				g.SetMax(w*per + i)
-				g.SetMax(i)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if want := int64(workers*per - 1); g.Value() != want {
-		t.Fatalf("gauge=%d, want the true maximum %d", g.Value(), want)
-	}
-	g.SetMax(-1)
-	if g.Value() != workers*per-1 {
-		t.Fatal("SetMax lowered the gauge")
-	}
-}
-
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(1)
-	r.Gauge("g").SetMax(1)
 	r.Histogram("h").Observe(1)
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")

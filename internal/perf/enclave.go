@@ -1,9 +1,6 @@
 package perf
 
-import (
-	"secemb/internal/obs"
-	"secemb/internal/oram"
-)
+import "secemb/internal/oram"
 
 // The ORAM controller under the three SGX deployment configurations the
 // paper compares in Figure 10:
@@ -125,65 +122,4 @@ func Delta(after, before oram.Stats) oram.Stats {
 		CmovOps:        after.CmovOps - before.CmovOps,
 		MaxStash:       after.MaxStash,
 	}
-}
-
-// Meter publishes the price table's view of ORAM controller work into an
-// obs.Registry, labeled by deployment variant:
-//
-//	enclave_accesses_total{variant}    ORAM accesses accounted
-//	enclave_buckets_total{variant}     tree buckets read+written (EPC paging
-//	                                   proxy — each bucket is an ocall under
-//	                                   ZT-Original)
-//	enclave_words_total{variant}       payload words moved
-//	enclave_stash_scans_total{variant} stash slots obliviously scanned
-//	enclave_cmov_total{variant}        conditional selects
-//	enclave_est_ns_total{variant}      modeled nanoseconds (EstimateNs)
-//	enclave_stash_max{variant}         high-water stash occupancy (gauge)
-//
-// A nil Meter (or one built from a nil registry) is a no-op, matching the
-// nil-safety convention of memtrace.Tracer and the obs package.
-type Meter struct {
-	prices   EnclavePrices
-	accesses *obs.Counter
-	buckets  *obs.Counter
-	words    *obs.Counter
-	stash    *obs.Counter
-	cmov     *obs.Counter
-	estNs    *obs.Counter
-	stashMax *obs.Gauge
-}
-
-// NewMeter builds a meter for variant v recording into reg. Returns nil
-// (a usable no-op meter) when reg is nil.
-func NewMeter(v Variant, reg *obs.Registry) *Meter {
-	if reg == nil {
-		return nil
-	}
-	name := v.String()
-	return &Meter{
-		prices:   v.Prices(),
-		accesses: reg.Counter("enclave_accesses_total", "variant", name),
-		buckets:  reg.Counter("enclave_buckets_total", "variant", name),
-		words:    reg.Counter("enclave_words_total", "variant", name),
-		stash:    reg.Counter("enclave_stash_scans_total", "variant", name),
-		cmov:     reg.Counter("enclave_cmov_total", "variant", name),
-		estNs:    reg.Counter("enclave_est_ns_total", "variant", name),
-		stashMax: reg.Gauge("enclave_stash_max", "variant", name),
-	}
-}
-
-// Record accounts one window of controller work (a Stats delta, as from
-// Delta(after, before)). Replicas of one table share the registry's
-// metrics and record concurrently.
-func (m *Meter) Record(d oram.Stats) {
-	if m == nil {
-		return
-	}
-	m.accesses.Add(d.Accesses)
-	m.buckets.Add(d.BucketsRead + d.BucketsWritten)
-	m.words.Add(d.WordsMoved)
-	m.stash.Add(d.StashScans)
-	m.cmov.Add(d.CmovOps)
-	m.estNs.Add(int64(m.prices.EstimateNs(d)))
-	m.stashMax.SetMax(int64(d.MaxStash))
 }

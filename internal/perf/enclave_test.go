@@ -1,10 +1,8 @@
 package perf
 
 import (
-	"strings"
 	"testing"
 
-	"secemb/internal/obs"
 	"secemb/internal/oram"
 )
 
@@ -77,42 +75,5 @@ func TestDelta(t *testing.T) {
 	d := Delta(a, b)
 	if d.Accesses != 6 || d.BucketsRead != 70 || d.MaxStash != 7 {
 		t.Fatalf("Delta=%+v", d)
-	}
-}
-
-// TestMeterSharedAcrossReplicas: every replica of a table builds its own
-// Meter over the same registry metrics; counters add up, the stash gauge
-// keeps the largest high-water mark whichever replica reports last, and
-// the modeled nanoseconds are the variant's prices applied to the window.
-func TestMeterSharedAcrossReplicas(t *testing.T) {
-	reg := obs.NewRegistry()
-	a, b := NewMeter(ZTGramineOpt, reg), NewMeter(ZTGramineOpt, reg)
-	big := oram.Stats{Accesses: 2, BucketsRead: 10, BucketsWritten: 10, WordsMoved: 100, StashScans: 40, CmovOps: 7, MaxStash: 9}
-	small := oram.Stats{Accesses: 1, BucketsRead: 5, BucketsWritten: 5, WordsMoved: 50, MaxStash: 3}
-	a.Record(big)
-	b.Record(small)
-	get := func(name string) int64 { return reg.Counter(name, "variant", "ZT-Gramine-Opt").Value() }
-	if get("enclave_accesses_total") != 3 || get("enclave_buckets_total") != 30 || get("enclave_words_total") != 150 {
-		t.Fatalf("counters do not add up across replicas: %d %d %d",
-			get("enclave_accesses_total"), get("enclave_buckets_total"), get("enclave_words_total"))
-	}
-	if got := reg.Gauge("enclave_stash_max", "variant", "ZT-Gramine-Opt").Value(); got != 9 {
-		t.Fatalf("enclave_stash_max=%d, want 9 (a later, smaller window must not lower it)", got)
-	}
-	pr := ZTGramineOpt.Prices()
-	if want := int64(pr.EstimateNs(big)) + int64(pr.EstimateNs(small)); get("enclave_est_ns_total") != want {
-		t.Fatalf("enclave_est_ns_total=%d, want %d", get("enclave_est_ns_total"), want)
-	}
-	var text strings.Builder
-	if err := reg.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(text.String(), "ocall") {
-		t.Fatalf("the always-zero ocall counter is back:\n%s", text.String())
-	}
-	var nilMeter *Meter
-	nilMeter.Record(big) // nil-safe
-	if NewMeter(ZTOriginal, nil) != nil {
-		t.Fatal("nil registry must yield the no-op meter")
 	}
 }

@@ -20,8 +20,7 @@
 // evaluates the same Cost next to co-located replicas (colo.go: Figures 8,
 // 9, 13). The tree-ORAM formulas read internal/oram's defaults and
 // geometry rather than copies of them, and enclave.go prices the executed
-// controllers' work counters per ZeroTrace deployment variant (Figure 10
-// and the enclave_* metrics).
+// controllers' work counters per ZeroTrace deployment variant (Figure 10).
 package perf
 
 import (

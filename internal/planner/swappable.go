@@ -147,5 +147,5 @@ func (s *Swappable) Technique() core.Technique { return s.cur.Load().gen.Techniq
 func (s *Swappable) NumBytes() int64 { return s.cur.Load().gen.NumBytes() }
 
 // Unwrap exposes the currently installed generator so core's type-probing
-// helpers (Underlying, ORAMStats) keep working through the swap point.
+// helpers (Underlying) keep working through the swap point.
 func (s *Swappable) Unwrap() core.Generator { return s.cur.Load().gen }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"secemb/internal/obs"
 )
 
 // Oracles: naive triple-loop references for the transposed products
@@ -119,6 +121,10 @@ func TestIntoVariantsOverwriteStaleContents(t *testing.T) {
 func TestPoolConcurrentMatMuls(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8) // force multi-worker dispatch even on 1-CPU hosts
 	defer runtime.GOMAXPROCS(prev)
+	reg := obs.NewRegistry()
+	SetObserver(reg)
+	defer SetObserver(nil)
+	dispatched := poolDispatched.Load()
 
 	rng := rand.New(rand.NewSource(13))
 	a := NewUniform(64, 32, 1, rng)
@@ -140,9 +146,9 @@ func TestPoolConcurrentMatMuls(t *testing.T) {
 	}
 	wg.Wait()
 
-	if dispatched, _, inflight := PoolStats(); dispatched == 0 {
+	if poolDispatched.Load() == dispatched {
 		t.Error("pool never dispatched a chunk despite GOMAXPROCS > 1")
-	} else if inflight != 0 {
+	} else if inflight := reg.Gauge("tensor_pool_inflight").Value(); inflight != 0 {
 		t.Errorf("pool reports %d inflight chunks after quiescence", inflight)
 	}
 }

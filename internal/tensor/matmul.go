@@ -208,23 +208,6 @@ func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatVec returns a·x for a vector x (len a.Cols), as a slice of len a.Rows.
-func MatVec(a *Matrix, x []float32) []float32 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float32, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var sum float32
-		for k, v := range row {
-			sum += v * x[k]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
 // clampWorkers bounds the worker count by CPUs and work items. GOMAXPROCS
 // is read at call time — not captured at package init — so runtime
 // resizing (serving pools size themselves against it) is always honored.

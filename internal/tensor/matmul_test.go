@@ -88,7 +88,7 @@ func TestMatMulTransB(t *testing.T) {
 		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
 		a := NewUniform(m, k, 1, rng)
 		b := NewUniform(n, k, 1, rng)
-		return AllClose(MatMulTransB(a, b, 2), MatMul(a, b.Transpose(), 1), 1e-4)
+		return AllClose(MatMulTransB(a, b, 2), MatMul(a, b.transpose(), 1), 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -101,18 +101,10 @@ func TestMatMulTransA(t *testing.T) {
 		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
 		a := NewUniform(k, m, 1, rng)
 		b := NewUniform(k, n, 1, rng)
-		return AllClose(MatMulTransA(a, b, 2), MatMul(a.Transpose(), b, 1), 1e-4)
+		return AllClose(MatMulTransA(a, b, 2), MatMul(a.transpose(), b, 1), 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	got := MatVec(a, []float32{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MatVec got %v", got)
 	}
 }
 

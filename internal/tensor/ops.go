@@ -33,16 +33,6 @@ func Sub(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Mul returns the element-wise (Hadamard) product a⊙b.
-func Mul(a, b *Matrix) *Matrix {
-	mustSameShape("Mul", a, b)
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] *= v
-	}
-	return out
-}
-
 // Scale returns a*s element-wise.
 func Scale(a *Matrix, s float32) *Matrix {
 	out := a.Clone()

@@ -38,7 +38,6 @@ var (
 	// Source-of-truth counters, mirrored into obs metrics when wired.
 	poolDispatched atomic.Int64 // chunks executed by pool workers
 	poolInline     atomic.Int64 // chunks executed on the calling goroutine
-	poolInflight   atomic.Int64 // chunks queued or executing in the pool
 )
 
 // poolObs bundles the wired observability handles so the hot path loads
@@ -104,11 +103,6 @@ func poolSizeFor() int {
 	return n
 }
 
-// PoolStats reports lifetime pool activity (for tests and diagnostics).
-func PoolStats() (dispatched, inline, inflight int64) {
-	return poolDispatched.Load(), poolInline.Load(), poolInflight.Load()
-}
-
 func startPool() {
 	poolSize = poolSizeFor()
 	// A generous buffer lets a burst of kernels enqueue all chunks without
@@ -122,7 +116,6 @@ func startPool() {
 func poolWorker() {
 	for t := range poolTasks {
 		t.fn(t.lo, t.hi)
-		poolInflight.Add(-1)
 		if o := poolObsPtr.Load(); o != nil {
 			o.inflight.Add(-1)
 		}
@@ -148,7 +141,6 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 		wg.Add(1)
 		select {
 		case poolTasks <- task{fn: fn, lo: lo, hi: lo + step, wg: &wg}:
-			poolInflight.Add(1)
 			poolDispatched.Add(1)
 			if o != nil {
 				o.inflight.Add(1)

@@ -73,26 +73,15 @@ type QuantMat struct {
 	ColSum []int32
 }
 
-// QuantizeMat quantizes w, laid out In×Out as in y = x·w (nn.Linear.W).
-// Weights are model constants — public under the threat model — so this
-// offline step may branch freely.
-func QuantizeMat(w *Matrix) *QuantMat {
-	return quantizeMat(w.Rows, w.Cols, func(k, o int) float32 { return w.Data[k*w.Cols+o] })
-}
-
-// QuantizeMatTransposed quantizes wt laid out Out×In (row o is output
-// column o, as in y = x·bᵀ) without materializing the transpose. The
-// packed form — and therefore the runtime kernel — is identical to
-// QuantizeMat's.
-func QuantizeMatTransposed(wt *Matrix) *QuantMat {
-	return quantizeMat(wt.Cols, wt.Rows, func(k, o int) float32 { return wt.Data[o*wt.Cols+k] })
-}
-
 // maxQuantIn bounds the depth so the int32 accumulator cannot overflow:
 // the raw lane sum is at most (In/2)·2·32004 < 2^31 for In ≤ 2^16.
 const maxQuantIn = 1 << 16
 
-func quantizeMat(in, out int, at func(k, o int) float32) *QuantMat {
+// QuantizeMat quantizes w, laid out In×Out as in y = x·w (nn.Linear.W).
+// Weights are model constants — public under the threat model — so this
+// offline step may branch freely.
+func QuantizeMat(w *Matrix) *QuantMat {
+	in, out := w.Rows, w.Cols
 	if in > maxQuantIn {
 		panic(fmt.Sprintf("tensor: quantized depth %d exceeds %d (int32 accumulator bound)", in, maxQuantIn))
 	}
@@ -108,7 +97,7 @@ func quantizeMat(in, out int, at func(k, o int) float32) *QuantMat {
 	for o := 0; o < out; o++ {
 		var maxAbs float64
 		for k := 0; k < in; k++ {
-			if v := math.Abs(float64(at(k, o))); v > maxAbs {
+			if v := math.Abs(float64(w.Data[k*out+o])); v > maxAbs {
 				maxAbs = v
 			}
 		}
@@ -125,7 +114,7 @@ func quantizeMat(in, out int, at func(k, o int) float32) *QuantMat {
 				k := t*laneK + lane
 				enc := int32(wOff) // padding encodes an exact zero
 				if k < in {
-					v := math.Round(float64(at(k, o)) / scale)
+					v := math.Round(float64(w.Data[k*out+o]) / scale)
 					if v > wMax {
 						v = wMax
 					} else if v < -wMax {
@@ -143,15 +132,6 @@ func quantizeMat(in, out int, at func(k, o int) float32) *QuantMat {
 		q.ColSum[o] = sum
 	}
 	return q
-}
-
-// WeightAt decodes the quantized weight at depth k of output column o —
-// the value the kernel effectively multiplies by. For tests and error
-// accounting; not a hot-path accessor.
-func (q *QuantMat) WeightAt(k, o int) float32 {
-	word := q.Packed[o*q.kw+k/laneK]
-	lane := (word >> (48 - 16*(k%laneK))) & 0xFFFF
-	return float32(int32(lane)-wOff) * q.Scale[o]
 }
 
 // NumBytes is the resident footprint of the packed representation.
@@ -243,14 +223,6 @@ func quantizeRow(dst []uint64, xRow []float32, i int, rowScale []float32, rowSum
 		dst[t] = word
 	}
 	rowSum[i] = sum
-}
-
-// ActAt decodes the quantized activation at row i, depth k — the value
-// the kernel effectively multiplies by. For tests and error accounting.
-func (qa *QuantActs) ActAt(i, k int) float32 {
-	word := qa.Packed[i*qa.kw+k/laneK]
-	lane := (word >> (16 * (k % laneK))) & 0xFFFF
-	return float32(int32(lane)-actOff) * qa.RowScale[i]
 }
 
 // MatMulQuantInto computes dst = dequant(qa · w) + bias, reusing dst's

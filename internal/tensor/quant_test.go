@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// weightAt decodes the quantized weight at depth k of output column o —
+// the value the kernel effectively multiplies by.
+func (q *QuantMat) weightAt(k, o int) float32 {
+	word := q.Packed[o*q.kw+k/laneK]
+	lane := (word >> (48 - 16*(k%laneK))) & 0xFFFF
+	return float32(int32(lane)-wOff) * q.Scale[o]
+}
+
+// actAt decodes the quantized activation at row i, depth k — the value
+// the kernel effectively multiplies by.
+func (qa *QuantActs) actAt(i, k int) float32 {
+	word := qa.Packed[i*qa.kw+k/laneK]
+	lane := (word >> (16 * (k % laneK))) & 0xFFFF
+	return float32(int32(lane)-actOff) * qa.RowScale[i]
+}
+
 // refQuantProduct computes what MatMulQuantInto should produce, from the
 // decoded quantized operands with plain float arithmetic: the kernel's
 // packed SWAR evaluation must match this exactly — quantization decides
@@ -16,7 +32,7 @@ func refQuantProduct(x *Matrix, w *QuantMat, qa *QuantActs, bias []float32) *Mat
 		for o := 0; o < w.Out; o++ {
 			var sum float64
 			for k := 0; k < x.Cols; k++ {
-				sum += float64(qa.ActAt(i, k)) * float64(w.WeightAt(k, o))
+				sum += float64(qa.actAt(i, k)) * float64(w.weightAt(k, o))
 			}
 			if bias != nil {
 				sum += float64(bias[o])
@@ -73,31 +89,6 @@ func TestMatMulQuantMatchesFloat(t *testing.T) {
 		ref := refQuantProduct(x, q, &qa, bias)
 		if diff := MaxAbsDiff(got, ref); float64(diff) > 1e-3 {
 			t.Errorf("%dx%dx%d: kernel vs decoded reference diff %v", shape.m, shape.k, shape.n, diff)
-		}
-	}
-}
-
-func TestQuantizeMatTransposedEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	w := randMatrix(37, 11, 0.3, rng)
-	wt := New(11, 37)
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 11; j++ {
-			wt.Data[j*37+i] = w.Data[i*11+j]
-		}
-	}
-	a, b := QuantizeMat(w), QuantizeMatTransposed(wt)
-	if a.In != b.In || a.Out != b.Out || len(a.Packed) != len(b.Packed) {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", a.In, a.Out, b.In, b.Out)
-	}
-	for i := range a.Packed {
-		if a.Packed[i] != b.Packed[i] {
-			t.Fatalf("packed word %d differs", i)
-		}
-	}
-	for o := range a.Scale {
-		if a.Scale[o] != b.Scale[o] || a.ColSum[o] != b.ColSum[o] {
-			t.Fatalf("column %d scale/sum differs", o)
 		}
 	}
 }

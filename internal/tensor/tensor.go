@@ -101,21 +101,6 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			out.Data[c*out.Cols+r] = v
-		}
-	}
-	return out
-}
-
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
-
 // String renders small matrices fully and large ones by shape only.
 func (m *Matrix) String() string {
 	if m.Rows*m.Cols > 64 {

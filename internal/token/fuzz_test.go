@@ -13,7 +13,7 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		ids := tk.Encode(text)
 		for _, id := range ids {
-			if id < 0 || id >= tk.VocabSize() {
+			if id < 0 || id >= tk.vocabSize() {
 				t.Fatalf("id %d out of vocab", id)
 			}
 		}

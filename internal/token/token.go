@@ -78,9 +78,6 @@ func Fields(text string) []string {
 	})
 }
 
-// VocabSize returns the number of token ids (including reserved ones).
-func (t *Tokenizer) VocabSize() int { return len(t.words) }
-
 // Encode maps text to token ids; unknown words become UnknownID.
 func (t *Tokenizer) Encode(text string) []int {
 	words := Fields(text)
@@ -115,12 +112,4 @@ func (t *Tokenizer) Decode(ids []int) string {
 func (t *Tokenizer) ID(word string) (int, bool) {
 	id, ok := t.ids[strings.ToLower(word)]
 	return id, ok
-}
-
-// Word returns the surface form of a token id.
-func (t *Tokenizer) Word(id int) string {
-	if id < 0 || id >= len(t.words) {
-		return "<invalid>"
-	}
-	return t.words[id]
 }

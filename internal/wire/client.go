@@ -92,7 +92,7 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.TLS != nil {
 		protos.SetHTTP2(true)
 		// The transport edits its config's NextProtos in place on first use,
-		// and callers (RunSoak) hand one config to many clients.
+		// and callers (secembd's soak) hand one config to many clients.
 		tr.TLSClientConfig = cfg.TLS.Clone()
 		tr.TLSClientConfig.NextProtos = slices.Clone(cfg.TLS.NextProtos)
 		scheme = "https://"

@@ -454,33 +454,3 @@ func TestConnStreamBackpressure(t *testing.T) {
 		t.Fatalf("ok=%d shed=%d of %d: unexpected statuses %v", ok, shed, n, statuses)
 	}
 }
-
-func TestSoakSmoke(t *testing.T) {
-	var key Key
-	s, addr, _ := testStack(t, ServerConfig{Key: key, RequireToken: true})
-	defer func() { _ = s.DrainAll(context.Background()) }()
-
-	rep, err := RunSoak(context.Background(), SoakConfig{
-		Addr:     addr,
-		Key:      key,
-		Conns:    8,
-		Duration: 300 * time.Millisecond,
-		Batch:    4,
-		IDSpace:  testRows,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 || rep.OK == 0 {
-		t.Fatalf("soak made no progress: %s", rep)
-	}
-	gate := SoakGate{MaxP99: 5 * time.Second, MaxShedRate: 0.5, MinRequests: 8}
-	if err := gate.Check(rep); err != nil {
-		t.Fatalf("%v (%s)", err, rep)
-	}
-	// The gate has teeth: an impossible p99 bound must fail.
-	if err := (SoakGate{MaxP99: time.Nanosecond}).Check(rep); err == nil {
-		t.Fatal("gate passed an impossible p99 bound")
-	}
-}
