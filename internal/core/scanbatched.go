@@ -38,9 +38,9 @@ type scanBatchedGen struct {
 	blendFn func(lo, hi int)
 }
 
-func newScanBatchedGen(table *tensor.Matrix, opts Options) *scanBatchedGen {
+func newScanBatchedGen(table packedTable, opts Options) *scanBatchedGen {
 	g := &scanBatchedGen{
-		packedTable: packTable(table),
+		packedTable: table,
 		tracer:      opts.Tracer,
 		region:      opts.region("scanb"),
 		threads:     opts.Threads,

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"secemb/internal/oblivious"
-	"secemb/internal/tensor"
 )
 
 // packedTable is the table both oblivious scans blend, stored as uint64
@@ -20,23 +19,27 @@ type packedTable struct {
 	width int // words per row, ⌈dim/2⌉
 }
 
-func packTable(t *tensor.Matrix) packedTable {
-	p := packedTable{rows: t.Rows, dim: t.Cols, width: (t.Cols + 1) / 2}
-	p.words = make([]uint64, p.rows*p.width)
-	for r := 0; r < p.rows; r++ {
-		packRow(p.words[r*p.width:(r+1)*p.width], t.Row(r))
+// packTable packs the rows × dim table src yields, one row at a time.
+func packTable(rows, dim int, src rowSource) packedTable {
+	p := packedTable{rows: rows, dim: dim, width: (dim + 1) / 2}
+	p.words = make([]uint64, rows*p.width)
+	row := make([]uint32, dim)
+	for r := 0; r < rows; r++ {
+		src(r, row)
+		packRow(p.words[r*p.width:(r+1)*p.width], row)
 	}
 	return p
 }
 
-// packRow packs the float32s of src into dst, the inverse of unpackRow.
-func packRow(dst []uint64, src []float32) {
+// packRow packs the float32 bit patterns of src into dst, the inverse of
+// unpackRow.
+func packRow(dst []uint64, src []uint32) {
 	dst = dst[:(len(src)+1)/2]
 	for j := 0; j+1 < len(src); j += 2 {
-		dst[j/2] = uint64(math.Float32bits(src[j])) | uint64(math.Float32bits(src[j+1]))<<32
+		dst[j/2] = uint64(src[j]) | uint64(src[j+1])<<32
 	}
 	if len(src)%2 == 1 {
-		dst[len(dst)-1] = uint64(math.Float32bits(src[len(src)-1]))
+		dst[len(dst)-1] = uint64(src[len(src)-1])
 	}
 }
 

@@ -37,7 +37,7 @@ func sameBits(got, want []float32) int {
 func TestPackUnpackRoundTrip(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 63, 64, 65} {
 		tbl := specialTable(3, dim)
-		p := packTable(tbl)
+		p := packTable(tbl.Rows, tbl.Cols, Options{Table: tbl}.rowSource())
 		if p.Rows() != 3 || p.Dim() != dim || p.width != (dim+1)/2 || p.NumBytes() != int64(3*p.width*8) {
 			t.Fatalf("dim %d: packed %d×%d, width %d, %d B", dim, p.Rows(), p.Dim(), p.width, p.NumBytes())
 		}
@@ -133,7 +133,7 @@ func FuzzScanKernel(f *testing.F) {
 		for i := range ids {
 			ids[i] = uint64(idBytes[i]) % uint64(rows)
 		}
-		p := packTable(tbl)
+		p := packTable(tbl.Rows, tbl.Cols, Options{Table: tbl}.rowSource())
 		acc := make([]uint64, len(ids)*p.width)
 		p.scan(ids, acc)
 		got, want := make([]float32, dim), make([]float32, dim)

@@ -75,9 +75,9 @@ type scanGen struct {
 	scanFn func(lo, hi int)
 }
 
-func newScanGen(table *tensor.Matrix, opts Options) *scanGen {
+func newScanGen(table packedTable, opts Options) *scanGen {
 	g := &scanGen{
-		packedTable: packTable(table),
+		packedTable: table,
 		tracer:      opts.Tracer,
 		region:      opts.region("scan"),
 		threads:     opts.Threads,

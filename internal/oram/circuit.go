@@ -11,9 +11,10 @@ import (
 // blocks.
 func NewCircuit(cfg Config) *Controller { return build(schemeCircuit, cfg, nil) }
 
-// NewCircuitInit builds a Circuit ORAM with initial block payloads.
-func NewCircuitInit(cfg Config, init [][]uint32) *Controller {
-	return build(schemeCircuit, cfg, init)
+// NewCircuitInit builds a Circuit ORAM whose blocks start with the
+// payloads row writes, as NewPathInit does.
+func NewCircuitInit(cfg Config, row func(id int, words []uint32)) *Controller {
+	return build(schemeCircuit, cfg, row)
 }
 
 // circuitAccess is the Circuit ORAM protocol step (§IV-A2): the read

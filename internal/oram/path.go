@@ -8,9 +8,12 @@ import (
 // NewPath builds a Path ORAM over cfg.NumBlocks zero-initialized blocks.
 func NewPath(cfg Config) *Controller { return build(schemePath, cfg, nil) }
 
-// NewPathInit builds a Path ORAM whose blocks start with the given
-// payloads (init[i] is block i; nil entries mean zero).
-func NewPathInit(cfg Config, init [][]uint32) *Controller { return build(schemePath, cfg, init) }
+// NewPathInit builds a Path ORAM whose blocks start with the payloads row
+// writes: row(id, words) fills block id's cfg.BlockWords elements, which
+// start zeroed. It is called once per block, in increasing id order.
+func NewPathInit(cfg Config, row func(id int, words []uint32)) *Controller {
+	return build(schemePath, cfg, row)
+}
 
 // pathAccess is the Path ORAM protocol step (§IV-A2): the whole root→leaf
 // path the position map named is pulled into the stash, the block is

@@ -108,25 +108,14 @@ type oramPosMap struct {
 // inherited; only the shape and the nested trace region change.
 func newPosMap(o *Controller, init []uint32, level int) PositionMap {
 	cfg := o.cfg
-	n := len(init)
 	if !cfg.recurses() {
 		return newFlatPosMap(init, cfg.Tracer, cfg.Region, o.stats)
 	}
-	// Pack Chi leaves per inner block.
+	// Pack Chi leaves per inner block; the last one's tail stays zero.
 	cfg = cfg.posmapConfig()
-	payloads := make([][]uint32, cfg.NumBlocks)
-	for b := 0; b < cfg.NumBlocks; b++ {
-		words := make([]uint32, Chi)
-		for j := 0; j < Chi; j++ {
-			idx := b*Chi + j
-			if idx < n {
-				words[j] = init[idx]
-			}
-		}
-		payloads[b] = words
-	}
 	cfg.Region = fmt.Sprintf("%s.pm%d", cfg.Region, level+1)
-	return &oramPosMap{inner: newController(o.scheme, cfg, payloads, o.rng, o.stats, level+1)}
+	row := func(b int, words []uint32) { copy(words, init[b*Chi:min((b+1)*Chi, len(init))]) }
+	return &oramPosMap{inner: newController(o.scheme, cfg, row, o.rng, o.stats, level+1)}
 }
 
 // Swap reads the inner block holding id's entry, obliviously swaps the
