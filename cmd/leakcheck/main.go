@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rows := fs.Int("rows", 512, "table cardinality")
 	dim := fs.Int("dim", 16, "embedding dimension")
 	batch := fs.Int("batch", 8, "ids per panel input")
-	seed := fs.Int64("seed", 1, "construction seed (fixed random tape)")
+	seed := fs.Int64("seed", 1, "construction seed (table rows and DHE weights; ORAM leaves come from crypto/rand)")
 	gens := fs.String("gens", "", "comma-separated targets (default: all)")
 	src := fs.String("src", "", "source root to cross-check secemb:audit directives against the roster (empty: skip)")
 	out := fs.String("out", "leakcheck_report.json", "JSON report path (empty: skip)")

@@ -113,7 +113,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Second, "serve: per-request deadline in the serving stack")
 	fs.DurationVar(&c.drainGrace, "drain-grace", time.Second, "serve: 503 period before the listener closes on SIGTERM")
 	fs.StringVar(&c.tokenKey, "token-key", "", "hex HMAC key; serve: require tokens / soak: mint them (empty in serve mode → tokens optional)")
-	fs.Int64Var(&c.seed, "seed", 1, "serve: representation seed / soak: id stream seed")
+	fs.Int64Var(&c.seed, "seed", 1, "serve: fixes the table rows and DHE weights; ORAM randomness comes from crypto/rand / soak: id stream seed")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve: PEM certificate file; with -tls-key, terminate TLS on the listener")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "serve: PEM private key file for -tls-cert")
 	fs.StringVar(&c.autotune, "autotune", "on", "serve: probe matmul kernel configs at startup (on/off)")
@@ -207,7 +207,7 @@ const planTable = "embed"
 
 // buildGroup constructs the replicated serving stack for the configured
 // technique. Backends are stateful, so every replica gets its own
-// generator (same seed → same representation values). With -plan each
+// generator (same seed → same rows; each ORAM keys its own leaves). With -plan each
 // generator sits behind a planner.Swappable, grouped per serving shard
 // (the planner's unit of decision-making), and the returned planner (nil
 // otherwise, already started) re-fits each shard's technique online;

@@ -93,8 +93,9 @@ func TestDualTraceIndependentAtCoalescedBatchSizes(t *testing.T) {
 	// around its threshold. At each size — below, at, and above — the
 	// canonical memory trace must not depend on which ids were fused:
 	// batch size is public (§V-B), the ids inside the batch are not. Fresh
-	// generators per probe replay the same random tape, and tree-bucket
-	// accesses canonicalize to their level, exactly as in leakcheck.
+	// generators per probe hold the same rows under independent ORAM
+	// leaves, and tree-bucket accesses canonicalize to their level,
+	// exactly as in leakcheck.
 	const threshold = 2
 	probe := func(ids []uint64) memtrace.Trace {
 		tracer := memtrace.NewEnabled()

@@ -3,10 +3,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"secemb/internal/memtrace"
 	"secemb/internal/obs"
+	"secemb/internal/oram"
 )
 
 // traceOf runs one batch through g and returns the recorded trace.
@@ -171,6 +174,42 @@ func TestMetricsIndependentOfIDs(t *testing.T) {
 			}
 			if !reflect.DeepEqual(hot.Gauges, uniform.Gauges) {
 				t.Errorf("gauges depend on the ids:\n  hot     %v\n  uniform %v", hot.Gauges, uniform.Gauges)
+			}
+		})
+	}
+}
+
+// TestORAMLeavesUnpredictable: Options.Seed fixes the table rows and
+// nothing else, so two ORAM generators built from identical Options start
+// from independent position maps, and the same first id fetches a
+// different leaf path from each. Were the leaves drawn from Seed, anyone
+// who knows it could predict every victim id's first path, and every
+// replica would mirror every other: the paths would match in every trial.
+// 50 trials at 256 leaves match by chance ≈ 0.2 times.
+func TestORAMLeavesUnpredictable(t *testing.T) {
+	const rows, trials = 1024, 50
+	for _, tech := range []Technique{PathORAM, CircuitORAM} {
+		t.Run(tech.Key(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			differ := 0
+			for range trials {
+				ids := []uint64{uint64(rng.Intn(rows))}
+				var paths [2][]int64
+				for i := range paths {
+					tracer := memtrace.NewEnabled()
+					g := MustNew(tech, rows, 4, Options{Seed: 1, Tracer: tracer, Threads: 1})
+					for _, a := range traceOf(tracer, g, ids) {
+						if strings.HasSuffix(a.Region, oram.RegionSuffixTree) {
+							paths[i] = append(paths[i], a.Block)
+						}
+					}
+				}
+				if !slices.Equal(paths[0], paths[1]) {
+					differ++
+				}
+			}
+			if differ < 45 {
+				t.Fatalf("the same first id took different tree paths in %d of %d generator pairs, want ≥ 45", differ, trials)
 			}
 		})
 	}

@@ -3,17 +3,17 @@
 // secret inputs, in the style of Privado's input-obliviousness checking.
 //
 // The method: construct a *fresh* generator per panel input from the same
-// seed (a fixed random tape, so randomized schemes replay identical
-// randomness and only the secret differs), run the same-shaped batch of
-// adversarially chosen ids through it, canonicalize the recorded trace, and
-// demand exact equality against the first input's trace. For deterministic
-// oblivious schemes (linear scan, DHE) canonicalization is the identity and
-// the check is raw trace equality. For tree ORAMs the bucket index within a
-// level is the randomized component — the posmap value of the requested id
-// steers the fetch path even on a fixed tape — so tree-region accesses are
-// first mapped to their level (memtrace.CanonicalizeTreeRegions), turning
-// the deterministic invariant "one bucket per level, root to leaf, fixed
-// order" into an exactly-checkable sequence. Leaf-choice uniformity, the
+// seed, run the same-shaped batch of adversarially chosen ids through it,
+// canonicalize the recorded trace, and demand exact equality against the
+// first input's trace. For deterministic oblivious schemes (linear scan,
+// DHE) canonicalization is the identity and the check is raw trace
+// equality. For tree ORAMs the bucket index within a level is the
+// randomized component — the posmap value of the requested id steers the
+// fetch path, and core keys each ORAM's leaves from crypto/rand, so no two
+// builds share them — so tree-region accesses are first mapped to their
+// level (memtrace.CanonicalizeTreeRegions), turning the deterministic
+// invariant "one bucket per level, root to leaf, fixed order" into an
+// exactly-checkable sequence. Leaf-choice uniformity, the
 // randomized half of the ORAM argument, is covered by the chi-square tests
 // in internal/oram.
 //
@@ -52,7 +52,7 @@ type Factory struct {
 	// report means the harness lost its teeth).
 	Secure bool
 	// New constructs a fresh generator recording into tr. It is called once
-	// per panel input so every run replays the same random tape.
+	// per panel input, so every run starts from the same representation.
 	New func(tr *memtrace.Tracer) (core.Generator, error)
 	// MustTouch, when set, names the structure the target exists to audit:
 	// Verify refuses a reference trace in which no region contains it.

@@ -32,7 +32,7 @@ func PlannerFactory(rows, dim int, seed int64) Factory {
 
 // plannerGen replays one batch across a forced asymmetric re-plan. Fresh
 // per panel input (Factory.New), so every run sees an identical planner
-// lifecycle on an identical random tape; only the secret ids differ.
+// lifecycle over tables built from one seed; only the secret ids differ.
 type plannerGen struct {
 	core.Generator // shard 0's swap point: the table's public shape
 	shards         []*planner.Swappable

@@ -15,8 +15,8 @@ var errInt8Inactive = errors.New("leakcheck: int8 gate rejected the seeded decod
 // single-threaded: the Tracer is not synchronized, and a serialized batch
 // keeps traces comparable position-by-position.
 
-// TechniqueFactory audits one core technique built through core.New with a
-// fresh seed-deterministic representation per panel input.
+// TechniqueFactory audits one core technique built through core.New, fresh
+// from seed for each panel input.
 func TechniqueFactory(tech core.Technique, rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   tech.Key(),

@@ -75,11 +75,13 @@ func goldenRun(mk func(Config) *Controller, cfg Config, ops int, sink func(memtr
 }
 
 // TestTraceAndStatsGolden pins what an attacker sees and what the cost
-// model is fed: the digests below were recorded before the controller's
-// allocation-free rewrite and must not move with any optimisation of the
-// access path. They cover both schemes at recursion depths 0, 1 and 2,
-// including the nested ".pmN" region names. A legitimate protocol change
-// updates them and says why.
+// model is fed: the digests below must not move with any optimisation of
+// the access path or of construction. They cover both schemes at
+// recursion depths 0, 1 and 2, including the nested ".pmN" region names.
+// A legitimate protocol change updates them and says why. They were last
+// re-recorded when leaves moved from math/rand's seeded source to ChaCha8
+// keyed by Config.Seed: every leaf changed, so every path and the
+// counters that follow real blocks (WordsMoved, MaxStash) did too.
 func TestTraceAndStatsGolden(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -89,13 +91,13 @@ func TestTraceAndStatsGolden(t *testing.T) {
 		trace, stat string
 	}{
 		{"circuit-depth1", NewCircuit, Config{NumBlocks: 1 << 13, BlockWords: 2, Seed: 1}, 1, 300,
-			"92932f15d1e8a21a39bdfa5f", "8d107bb31b4276e2f235ffba"},
+			"d6952df40e121e85cf09ce8b", "fdd9d8d380e5b454cbe14a35"},
 		{"circuit-depth2", NewCircuit, Config{NumBlocks: 1 << 13, BlockWords: 2, Seed: 1, RecursionCutoff: 256}, 2, 300,
-			"8f09a415c4afbed85b29c5f8", "bf46926968aef91996cb5a93"},
+			"2737f94c6cbfa67f8e7412c8", "e2667019c571174b50d6b68f"},
 		{"path-flat", NewPath, Config{NumBlocks: 1024, BlockWords: 2, Seed: 1}, 0, 100,
-			"7e49824119c55dc1bedf673b", "f8d3951ae52bc9acf0f5ef54"},
+			"55016de2fd5ae6df659e2952", "2754917dcce3b1fbf752ec57"},
 		{"path-depth2", NewPath, Config{NumBlocks: 2048, BlockWords: 1, Seed: 6, RecursionCutoff: 64}, 2, 100,
-			"cbd6044939383ba0c7b9ed68", "641b71a3a4152a7ebd9605d8"},
+			"dd2f14ee7cdaa9220e0cc4ae", "50d4d789e5ebab4560ca199b"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
