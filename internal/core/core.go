@@ -134,9 +134,11 @@ type Options struct {
 	// Threads is the worker count for batch generation, fixed at
 	// construction (0 = all CPUs; the ORAMs are sequential regardless).
 	Threads int
-	Seed    int64
-	Tracer  *memtrace.Tracer
-	Region  string // trace region prefix; "" → technique-specific default
+	// Seed fixes the default table's rows and an untrained DHE's
+	// weights; ORAM randomness comes from crypto/rand.
+	Seed   int64
+	Tracer *memtrace.Tracer
+	Region string // trace region prefix; "" → technique-specific default
 
 	// Obs, when non-nil, wraps the constructed generator with Instrument
 	// so every Generate is counted and timed (per-technique families).
