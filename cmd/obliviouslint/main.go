@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	moduleDir := fs.String("C", ".", "module directory to lint")
 	dir := fs.String("dir", "", "lint a single bare directory (no module, imports disallowed)")
-	vet := fs.Bool("vet", false, "also run the strict-vet analyzers (shadow, unusedresult)")
+	vet := fs.Bool("vet", false, "also run the strict-vet shadow analyzer")
 	verbose := fs.Bool("v", false, "print waived findings too")
 	out := fs.String("json", "", "JSON report path (empty: skip)")
 	sarifOut := fs.String("sarif", "", "SARIF 2.1.0 report path (empty: skip)")
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	analyzers := []*analysis.Analyzer{analysis.Obliviouslint()}
 	if *vet {
-		analyzers = append(analyzers, analysis.Shadow(), analysis.UnusedResult())
+		analyzers = append(analyzers, analysis.Shadow())
 	}
 
 	var prog *analysis.Program

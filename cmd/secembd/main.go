@@ -420,7 +420,6 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		return 1
 	}
 	st := group.Stats()
-	fmt.Fprintf(stdout, "secembd: drained; served=%d errors=%d shed=%d p99=%v\n",
-		st.Served, st.Errors, st.Shed, st.P99)
+	fmt.Fprintf(stdout, "secembd: drained; served=%d errors=%d shed=%d\n", st.Served, st.Errors, st.Shed)
 	return 0
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -26,7 +25,7 @@ type Program struct {
 	built     bool
 	fns       map[string]*fnInfo
 	summaries map[string]*Summary
-	inflows   map[string]*inflowSet // drift bookkeeping, filled by root walks
+	inflows   map[string]map[string]bool // drift bookkeeping: fn key → params handed secrets
 }
 
 // fnInfo ties a resolved function to its declaration syntax in the
@@ -35,13 +34,6 @@ type fnInfo struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
-}
-
-// inflowSet records which parameters of an unannotated function received
-// secret-tainted arguments, and where the first such call happened.
-type inflowSet struct {
-	params   map[string]bool
-	firstPos token.Position
 }
 
 // NewProgram builds a Program. targets must be a subset of all (the same
@@ -60,7 +52,7 @@ func (prog *Program) build() {
 	prog.built = true
 	prog.fns = map[string]*fnInfo{}
 	prog.summaries = map[string]*Summary{}
-	prog.inflows = map[string]*inflowSet{}
+	prog.inflows = map[string]map[string]bool{}
 
 	for _, pkg := range prog.All {
 		for _, file := range pkg.Files {
@@ -158,17 +150,15 @@ func (prog *Program) summaryFor(fn *types.Func) *Summary {
 // recordInflow notes that param of fn received a secret-tainted argument
 // (directly from an audit root, or transitively through summaries). The
 // drift rule reads this after all roots have been walked.
-func (prog *Program) recordInflow(fn *types.Func, param string, pos token.Position) {
+func (prog *Program) recordInflow(fn *types.Func, param string) {
 	key := FuncKey(fn)
 	if key == "" {
 		return
 	}
-	set := prog.inflows[key]
-	if set == nil {
-		set = &inflowSet{params: map[string]bool{}, firstPos: pos}
-		prog.inflows[key] = set
+	if prog.inflows[key] == nil {
+		prog.inflows[key] = map[string]bool{}
 	}
-	set.params[param] = true
+	prog.inflows[key][param] = true
 }
 
 // sccOrder returns the strongly connected components of the call graph in

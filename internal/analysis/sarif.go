@@ -22,19 +22,18 @@ const (
 
 // ruleDescriptions is the driver.rules metadata, one entry per rule id.
 var ruleDescriptions = map[string]string{
-	RuleBranch:       "control flow depends on a secret-tainted value",
-	RuleIndex:        "memory address (index or slice bound) depends on a secret-tainted value",
-	RuleLoop:         "loop trip count depends on a secret-tainted value",
-	RuleCall:         "secret-tainted value escapes into an unauditable callee",
-	RuleDeclass:      "secret-tainted value declassified through an unannotated return",
-	RuleDirective:    "malformed secemb directive or stale //lint:allow waiver",
-	RuleAlloc:        "allocation size depends on a secret-tainted value",
-	RuleMapKey:       "map operation keyed by a secret-tainted value",
-	RuleChan:         "secret-tainted value crosses a channel or goroutine boundary",
-	RuleShift:        "shift amount depends on a secret-tainted value",
-	RuleDrift:        "exported function receives secret taint but carries no secemb:secret directive",
-	RuleShadow:       "shadowed variable whose outer binding is used after the inner scope",
-	RuleUnusedResult: "discarded result of a pure function call",
+	RuleBranch:    "control flow depends on a secret-tainted value",
+	RuleIndex:     "memory address (index or slice bound) depends on a secret-tainted value",
+	RuleLoop:      "loop trip count depends on a secret-tainted value",
+	RuleCall:      "secret-tainted value escapes into an unauditable callee",
+	RuleDeclass:   "secret-tainted value declassified through an unannotated return",
+	RuleDirective: "malformed secemb directive or stale //lint:allow waiver",
+	RuleAlloc:     "allocation size depends on a secret-tainted value",
+	RuleMapKey:    "map operation keyed by a secret-tainted value",
+	RuleChan:      "secret-tainted value crosses a channel or goroutine boundary",
+	RuleShift:     "shift amount depends on a secret-tainted value",
+	RuleDrift:     "exported function receives secret taint but carries no secemb:secret directive",
+	RuleShadow:    "shadowed variable whose outer binding is used after the inner scope",
 }
 
 type sarifLog struct {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -156,7 +155,7 @@ func (prog *Program) computeSummary(key string) bool {
 				changed = true
 			}
 		}
-		w.inflow = func(callee *types.Func, param string, _ token.Position) {
+		w.inflow = func(callee *types.Func, param string) {
 			if slot.addInflow(callee, param) {
 				changed = true
 			}

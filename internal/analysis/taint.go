@@ -84,9 +84,7 @@ func runObliviouslint(pass *Pass) error {
 			}
 			t.emitNew = func(d Diagnostic) { pass.report(d) }
 			t.emitInherited = func(d Diagnostic) { pass.report(d) }
-			t.inflow = func(callee *types.Func, param string, pos token.Position) {
-				pass.Prog.recordInflow(callee, param, pos)
-			}
+			t.inflow = pass.Prog.recordInflow
 			t.seedParams(fd, dir)
 			// Propagate to a fixpoint (loops can carry taint backward
 			// through earlier assignments), then report in one final pass.
@@ -122,10 +120,9 @@ func finishObliviouslint(prog *Program, report func(Diagnostic)) error {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		set := prog.inflows[key]
 		info := prog.fns[key]
-		params := make([]string, 0, len(set.params))
-		for p := range set.params {
+		params := make([]string, 0, len(prog.inflows[key]))
+		for p := range prog.inflows[key] {
 			params = append(params, fmt.Sprintf("%q", p))
 		}
 		sort.Strings(params)
@@ -160,7 +157,7 @@ type taintWalker struct {
 
 	emitNew       func(Diagnostic) // fresh findings at positions in this body
 	emitInherited func(Diagnostic) // pre-resolved sites pulled from callee summaries
-	inflow        func(fn *types.Func, param string, pos token.Position)
+	inflow        func(fn *types.Func, param string)
 }
 
 func (t *taintWalker) seedParams(fd *ast.FuncDecl, dir *FuncDirective) {
@@ -208,16 +205,15 @@ func (t *taintWalker) reportf(pos token.Pos, rule, format string, args ...any) {
 // applySlot pulls one summarized taint slot into the current walk: emits
 // the slot's conditional leak sites, records the inflow for the drift
 // pass, and reports whether the taint reaches the callee's results.
-func (t *taintWalker) applySlot(fn *types.Func, p *ParamSummary, pos token.Pos) bool {
+func (t *taintWalker) applySlot(fn *types.Func, p *ParamSummary) bool {
 	if t.reporting {
 		for _, d := range p.leaks {
 			t.emitInherited(d)
 		}
 		if t.inflow != nil {
-			where := t.pkg.Fset.Position(pos)
-			t.inflow(fn, p.Name, where)
+			t.inflow(fn, p.Name)
 			for _, rec := range p.inflows {
-				t.inflow(rec.fn, rec.param, where)
+				t.inflow(rec.fn, rec.param)
 			}
 		}
 	}
@@ -678,11 +674,11 @@ func (t *taintWalker) call(c *ast.CallExpr) bool {
 				continue
 			}
 			if p := sum.paramFor(i); p != nil {
-				out = t.applySlot(fn, p, c.Args[i].Pos()) || out
+				out = t.applySlot(fn, p) || out
 			}
 		}
 		if recvTainted && sum.Recv != nil {
-			out = t.applySlot(fn, sum.Recv, c.Fun.Pos()) || out
+			out = t.applySlot(fn, sum.Recv) || out
 		}
 		return out
 	}

@@ -1,9 +1,6 @@
-// Package fmt is a fixture stub: just enough surface for the unusedresult
+// Package fmt is a fixture stub: just enough surface for the vetleaky
 // fixture to resolve fmt.Sprintf under the loader's no-stdlib rule.
 package fmt
 
 // Sprintf formats according to a format specifier and returns the string.
 func Sprintf(format string, a ...interface{}) string { return format }
-
-// Println is impure (writes to stdout) and must not be flagged.
-func Println(a ...interface{}) (int, error) { return 0, nil }

@@ -1,6 +1,6 @@
-// Fixture: the vet-dirty counterpart of leaky — taint leaks, variable
-// shadowing, and discarded pure results in one tree, exercising the
-// combined obliviouslint + strict-vet run off the happy path.
+// Fixture: the vet-dirty counterpart of leaky — taint leaks and variable
+// shadowing in one tree, exercising the combined obliviouslint +
+// strict-vet run off the happy path.
 package vetleaky
 
 import "fmt"
@@ -19,5 +19,5 @@ func ShadowedAccumulate(table []float32, id int) float32 {
 
 // secemb:secret id
 func DroppedTrace(id uint64) {
-	fmt.Sprintf("id=%d", id) // want `vet/unusedresult: result of fmt.Sprintf call is discarded` `obliviouslint/call: secret-tainted argument escapes into unannotated function Sprintf`
+	fmt.Sprintf("id=%d", id) // want `obliviouslint/call: secret-tainted argument escapes into unannotated function Sprintf`
 }

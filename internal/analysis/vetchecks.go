@@ -6,11 +6,8 @@ import (
 	"go/types"
 )
 
-// Rule identifiers for the strict-vet analyzers.
-const (
-	RuleShadow       = "vet/shadow"
-	RuleUnusedResult = "vet/unusedresult"
-)
+// RuleShadow identifies the strict-vet shadow analyzer's findings.
+const RuleShadow = "vet/shadow"
 
 // Shadow reports := declarations that shadow a same-typed variable of the
 // enclosing function which is still used after the shadowing scope ends —
@@ -85,59 +82,6 @@ func runShadow(pass *Pass) error {
 				}
 				return true
 			})
-			return true
-		})
-	}
-	return nil
-}
-
-// pureFuncs are functions whose only effect is their return value; calling
-// them as a statement discards the work.
-var pureFuncs = map[string]bool{
-	"fmt.Sprintf":        true,
-	"fmt.Sprint":         true,
-	"fmt.Sprintln":       true,
-	"fmt.Errorf":         true,
-	"errors.New":         true,
-	"sort.SliceIsSorted": true,
-	"strings.TrimSpace":  true,
-	"strings.ToLower":    true,
-	"strings.ToUpper":    true,
-	"strings.Repeat":     true,
-	"strconv.Itoa":       true,
-	"strconv.Quote":      true,
-}
-
-// UnusedResult reports statement-level calls to pure functions whose
-// results are discarded.
-func UnusedResult() *Analyzer {
-	return &Analyzer{
-		Name:  "unusedresult",
-		Doc:   "report discarded results of pure function calls",
-		Rules: []string{RuleUnusedResult},
-		Run:   runUnusedResult,
-	}
-}
-
-func runUnusedResult(pass *Pass) error {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeFunc(pass.Pkg.Info, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			key := fn.Pkg().Path() + "." + fn.Name()
-			if pureFuncs[key] {
-				pass.Reportf(call.Pos(), RuleUnusedResult, "result of %s call is discarded", key)
-			}
 			return true
 		})
 	}

@@ -25,7 +25,6 @@ type Config struct {
 	K      int   // number of hash functions (encoder width)
 	Hidden []int // decoder hidden widths, e.g. {512, 256}
 	Dim    int   // embedding dimension (decoder output width)
-	M      uint64
 	Seed   int64
 	// Gaussian selects the Box–Muller encoding variant of the original
 	// DHE paper instead of the uniform [-1,1] scaling (Algorithm 1 uses
@@ -92,9 +91,9 @@ func New(cfg Config, rng *rand.Rand) *DHE {
 		Dim:     cfg.Dim,
 	}
 	if cfg.Gaussian {
-		d.GEnc = hashenc.NewGaussian(cfg.K, cfg.M, cfg.Seed)
+		d.GEnc = hashenc.NewGaussian(cfg.K, 0, cfg.Seed)
 	} else {
-		d.Enc = hashenc.New(cfg.K, cfg.M, cfg.Seed)
+		d.Enc = hashenc.New(cfg.K, 0, cfg.Seed)
 	}
 	return d
 }
@@ -187,12 +186,13 @@ type Int8Gate struct {
 	// outputs the decoders produce; deployments with differently scaled
 	// embeddings should set their own bound).
 	MaxAbsErr float64
-	// EvalBatch is the number of fixed public eval ids (0 → default 64).
-	EvalBatch int
 }
 
 // DefaultInt8MaxAbsErr is the accuracy gate's default tolerance.
 const DefaultInt8MaxAbsErr = 0.1
+
+// int8EvalBatch is the number of fixed public eval ids the gate replays.
+const int8EvalBatch = 64
 
 // Int8Report records an EnableInt8 decision.
 type Int8Report struct {
@@ -215,10 +215,7 @@ func (d *DHE) EnableInt8(g Int8Gate) Int8Report {
 	if g.MaxAbsErr <= 0 {
 		g.MaxAbsErr = DefaultInt8MaxAbsErr
 	}
-	if g.EvalBatch <= 0 {
-		g.EvalBatch = 64
-	}
-	ids := make([]uint64, g.EvalBatch)
+	ids := make([]uint64, int8EvalBatch)
 	for i := range ids {
 		// Fixed public probe ids: a Weyl sequence covering the hash input
 		// space regardless of the (virtual) table size.

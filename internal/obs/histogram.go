@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -21,15 +22,16 @@ func DefaultLatencyBuckets() []int64 {
 
 // Histogram is a fixed-bucket histogram with atomic counters, built for
 // latency distributions: Observe is one atomic add per call; quantiles are
-// estimated from the bucket counts with linear interpolation (exact count
-// and max are tracked separately, so Max and Count are always exact).
+// estimated from the bucket counts with linear interpolation (exact count,
+// min and max are tracked separately, so Max and Count are always exact and
+// no quantile leaves the observed range).
 type Histogram struct {
 	bounds []int64 // ascending upper bounds; len(counts) == len(bounds)+1
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
-	min    atomic.Int64 // stored negated-sentinel-free: valid iff count>0
+	min    atomic.Int64 // math.MaxInt64 until the first observation
 }
 
 // NewHistogram builds a histogram with the given ascending bucket upper
@@ -40,7 +42,9 @@ func NewHistogram(bounds []int64) *Histogram {
 	}
 	cp := make([]int64, len(bounds))
 	copy(cp, bounds)
-	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(cp)+1)}
+	h := &Histogram{bounds: cp, counts: make([]atomic.Int64, len(cp)+1)}
+	h.min.Store(math.MaxInt64)
+	return h
 }
 
 // bucketOf returns the index of the first bound ≥ v (binary search), or
@@ -58,20 +62,27 @@ func (h *Histogram) bucketOf(v int64) int {
 	return lo
 }
 
-// Observe records one value. Nil-safe.
+// Observe records one value. Nil-safe. The extremes are written before
+// the counts, so a Quantile that sees this observation counted sees them.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.counts[h.bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
+	for {
+		cur := h.min.Load()
+		if v >= cur || h.min.CompareAndSwap(cur, v) {
+			break
+		}
+	}
+	h.counts[h.bucketOf(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
 // ObserveDuration records a duration in nanoseconds. Nil-safe.
@@ -102,8 +113,8 @@ func (h *Histogram) Max() int64 {
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts,
-// interpolating linearly inside the containing bucket and clamping to the
-// exact observed max. Returns 0 with no observations. Nil-safe.
+// interpolating linearly inside the containing bucket, clamped to the
+// exact observed [min, max]. Returns 0 with no observations. Nil-safe.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
@@ -128,8 +139,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i := range h.counts {
 		c := h.counts[i].Load()
 		if cum+c >= rank {
-			lo := int64(0)
-			if i > 0 {
+			lo := h.min.Load()
+			if i > 0 && h.bounds[i-1] > lo {
 				lo = h.bounds[i-1]
 			}
 			hi := h.max.Load()

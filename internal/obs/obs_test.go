@@ -147,6 +147,39 @@ func TestHistogramSingleObservationExact(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantilesStayAboveTheMin pins the interpolation's lower
+// end to the smallest observation: a bucket's lower bound is not a value
+// anyone observed.
+func TestHistogramQuantilesStayAboveTheMin(t *testing.T) {
+	flat := NewHistogram(nil)
+	for i := 0; i < 10; i++ {
+		flat.Observe(1000)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got := flat.Quantile(q); got != 1000 {
+			t.Errorf("ten observations of 1000: Quantile(%v) = %d, want 1000", q, got)
+		}
+	}
+
+	// 3.000–3.099 ms, all inside the (2.097, 4.194] ms bucket.
+	spread := NewHistogram(nil)
+	for i := int64(0); i < 100; i++ {
+		spread.Observe(3_000_000 + i*1000)
+	}
+	if got := spread.Quantile(0.5); got != 3_049_500 {
+		t.Errorf("3.000–3.099 ms: p50 = %d ns, want 3049500", got)
+	}
+
+	// A first observation of 0 is the minimum, not an unset one: p50
+	// interpolates up from it.
+	zero := NewHistogram(nil)
+	zero.Observe(0)
+	zero.Observe(100)
+	if got := zero.Quantile(0.5); got != 50 {
+		t.Errorf("observations {0, 100}: p50 = %d, want 50", got)
+	}
+}
+
 func TestConcurrentCountersAndHistograms(t *testing.T) {
 	// Run with -race: 8 goroutines share one counter, gauge and histogram.
 	r := NewRegistry()

@@ -21,9 +21,10 @@ func (a *arrivals) forget() {
 // through the stack (enqueue → gather → execute → respond) must allocate
 // only the fake backend's result slice and its boxed payload echo —
 // independent of traffic volume and of whether the batch was flushed
-// greedily or sat out the coalescing hold on the worker's reused timer. The
-// latency reservoir is fixed-capacity, so stats recording contributes
-// nothing at steady state (the regression this gate exists to catch).
+// greedily or sat out the coalescing hold on the worker's reused timer.
+// Every event is recorded in fixed-size obs instruments, so accounting
+// contributes nothing at steady state (the regression this gate exists to
+// catch).
 func TestDoSteadyStateAllocs(t *testing.T) {
 	const runs = 50
 	for _, tc := range []struct {

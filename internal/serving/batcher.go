@@ -204,33 +204,22 @@ func (g *Group) execute(be Backend, batch []*task, payloads []any) {
 	g.mBatchSize.Observe(int64(len(live)))
 	start := time.Now()
 	results, err := be.Execute(payloads)
-	lat := time.Since(start)
-	g.mLatency.ObserveDuration(lat)
+	g.mLatency.ObserveDuration(time.Since(start))
 	if err == nil && len(results) != len(live) {
 		err = fmt.Errorf("serving: backend returned %d results for %d fused requests", len(results), len(live))
 	}
-	g.mu.Lock()
-	for i := range live {
-		if err != nil || results[i].Err != nil {
-			g.errored++
-		} else {
-			g.served++
-			g.res.add(lat)
-		}
-	}
-	g.mu.Unlock()
 	for i, t := range live {
 		wait := now.Sub(t.enqueued)
 		switch {
 		case err != nil:
 			g.mErrors.Inc()
-			g.finish(t, Response{Err: err, Latency: lat, QueueWait: wait, Shard: t.shard})
+			g.finish(t, Response{Err: err, QueueWait: wait, Shard: t.shard})
 		case results[i].Err != nil:
 			g.mErrors.Inc()
-			g.finish(t, Response{Err: results[i].Err, Latency: lat, QueueWait: wait, Shard: t.shard})
+			g.finish(t, Response{Err: results[i].Err, QueueWait: wait, Shard: t.shard})
 		default:
 			g.mServed.Inc()
-			g.finish(t, Response{Value: results[i].Value, Latency: lat, QueueWait: wait, Shard: t.shard})
+			g.finish(t, Response{Value: results[i].Value, QueueWait: wait, Shard: t.shard})
 		}
 	}
 }
@@ -243,7 +232,6 @@ func (g *Group) finish(t *task, r Response) {
 		t.resp <- r
 		return
 	}
-	g.abandoned.Add(1)
 	g.mAbandoned.Inc()
 	recycle(t)
 }

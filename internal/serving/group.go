@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"secemb/internal/obs"
@@ -58,23 +57,14 @@ type Group struct {
 	shards   []*shard
 	shedWait time.Duration
 
-	mu      sync.Mutex // guards res/served/errored
-	res     *reservoir
-	served  int
-	errored int
-
-	shed      atomic.Int64
-	abandoned atomic.Int64
-
 	lifecycle sync.RWMutex // guards closed + queue sends vs Close
 	closed    bool
 
-	wg      sync.WaitGroup
-	started time.Time
+	wg sync.WaitGroup
 
-	reg *obs.Registry
-
-	// Metrics; all nil without WithObserver, and nil metrics are no-ops.
+	// reg holds the group's metrics: the WithObserver registry, or a
+	// private one. They are its only record of what it served.
+	reg           *obs.Registry
 	mQueueDepth   *obs.Gauge
 	mBatchSize    *obs.Histogram
 	mFlush        [numFlushCauses]*obs.Counter
@@ -99,7 +89,8 @@ type shard struct {
 // Option configures a Group at construction.
 type Option func(*Group)
 
-// WithObserver registers the group's metrics in reg:
+// WithObserver registers the group's metrics in reg instead of a private
+// registry, so they reach its snapshot and /metrics:
 //
 //	serving_queue_depth            requests queued across all shards (gauge)
 //	serving_shard_depth{shard=}    requests queued per shard (gauge)
@@ -115,21 +106,7 @@ type Option func(*Group)
 //	serving_abandoned_total        responses whose caller stopped listening
 //	serving_shed_total             requests dropped by load shedding
 func WithObserver(reg *obs.Registry) Option {
-	return func(g *Group) {
-		g.reg = reg
-		g.mQueueDepth = reg.Gauge("serving_queue_depth")
-		g.mBatchSize = reg.HistogramBuckets("serving_batch_size", batchSizeBuckets())
-		for c, name := range flushCauseNames {
-			g.mFlush[c] = reg.Counter("serving_flush_total", "cause", name)
-		}
-		g.mCoalesceWait = reg.Histogram("serving_coalesce_wait_ns")
-		g.mLatency = reg.Histogram("serving_latency_ns")
-		g.mServed = reg.Counter("serving_served_total")
-		g.mErrors = reg.Counter("serving_errors_total")
-		g.mCanceled = reg.Counter("serving_canceled_total")
-		g.mAbandoned = reg.Counter("serving_abandoned_total")
-		g.mShed = reg.Counter("serving_shed_total")
-	}
+	return func(g *Group) { g.reg = reg }
 }
 
 func batchSizeBuckets() []int64 {
@@ -154,14 +131,26 @@ func NewGroup(backends []Backend, cfg GroupConfig, opts ...Option) *Group {
 	if cfg.Shards < 1 || cfg.Shards > len(backends) {
 		panic(fmt.Sprintf("serving: %d shards for %d backends (need 1 ≤ shards ≤ backends)", cfg.Shards, len(backends)))
 	}
-	g := &Group{
-		shedWait: cfg.ShedWait,
-		started:  time.Now(),
-	}
+	g := &Group{shedWait: cfg.ShedWait}
 	for _, o := range opts {
 		o(g)
 	}
-	g.res = newReservoir(defaultReservoirCap, 1)
+	if g.reg == nil {
+		g.reg = obs.NewRegistry()
+	}
+	reg := g.reg
+	g.mQueueDepth = reg.Gauge("serving_queue_depth")
+	g.mBatchSize = reg.HistogramBuckets("serving_batch_size", batchSizeBuckets())
+	for c, name := range flushCauseNames {
+		g.mFlush[c] = reg.Counter("serving_flush_total", "cause", name)
+	}
+	g.mCoalesceWait = reg.Histogram("serving_coalesce_wait_ns")
+	g.mLatency = reg.Histogram("serving_latency_ns")
+	g.mServed = reg.Counter("serving_served_total")
+	g.mErrors = reg.Counter("serving_errors_total")
+	g.mCanceled = reg.Counter("serving_canceled_total")
+	g.mAbandoned = reg.Counter("serving_abandoned_total")
+	g.mShed = reg.Counter("serving_shed_total")
 
 	perShard := (len(backends) + cfg.Shards - 1) / cfg.Shards
 	maxBatch := 1
@@ -314,46 +303,30 @@ func (g *Group) admit(s *shard) (Response, bool) {
 // Called with the lifecycle read-lock held; releases it.
 func (g *Group) shedTask(t *task) Response {
 	g.lifecycle.RUnlock()
-	g.shed.Add(1)
 	g.mShed.Inc()
 	shard := t.shard
 	recycle(t)
 	return Response{Err: ErrQueueFull, Shard: shard}
 }
 
-// Stats summarizes the group's service so far. Percentiles come from a
-// fixed-capacity uniform sampling reservoir, so they stay accurate (and
-// memory stays constant) at millions of requests.
+// Stats counts the requests the group has answered so far, by outcome.
 type Stats struct {
-	Served        int
-	Errors        int
-	Shed          int
-	Abandoned     int
-	Throughput    float64 // requests/second since group start
-	P50, P95, P99 time.Duration
-	Max           time.Duration
+	Served    int // successful responses
+	Errors    int // responses carrying a backend error
+	Shed      int // requests dropped by load shedding
+	Abandoned int // responses whose caller stopped listening
 }
 
-// Stats computes latency percentiles over the sampled service history.
+// Stats reads the group's serving_*_total counters. Groups that share one
+// WithObserver registry share these counters, so each reports their sum —
+// as their /metrics lines already do.
 func (g *Group) Stats() Stats {
-	g.mu.Lock()
-	s := Stats{Served: g.served, Errors: g.errored}
-	qs, max := g.res.quantiles(0.50, 0.95, 0.99)
-	g.mu.Unlock()
-	s.Shed = int(g.shed.Load())
-	s.Abandoned = int(g.abandoned.Load())
-	if s.Served == 0 {
-		return s
+	return Stats{
+		Served:    int(g.mServed.Value()),
+		Errors:    int(g.mErrors.Value()),
+		Shed:      int(g.mShed.Value()),
+		Abandoned: int(g.mAbandoned.Value()),
 	}
-	s.Throughput = float64(s.Served) / time.Since(g.started).Seconds()
-	s.P50, s.P95, s.P99, s.Max = qs[0], qs[1], qs[2], max
-	return s
-}
-
-// MeetsSLA reports whether the p95 latency stays within the target — the
-// Figure 13 acceptance criterion.
-func (s Stats) MeetsSLA(target time.Duration) bool {
-	return s.Served > 0 && s.P95 <= target
 }
 
 // Close gracefully drains the stack: new requests are rejected, every

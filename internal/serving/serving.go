@@ -15,6 +15,10 @@
 //     routing, per-shard queues, graceful drain, and degraded-mode load
 //     shedding once a shard's queue saturates.
 //
+// Accounting: each event is recorded once, in the group's serving_* obs
+// metrics (WithObserver's registry, or a private one); Group.Stats reads
+// its counts from those same counters.
+//
 // Security: the scheduler never inspects payloads. Batch composition —
 // which requests fuse, and into batches of what size — depends only on
 // arrival order, queue counts, and the clock, never on embedded ids
@@ -56,8 +60,9 @@ type Backend interface {
 }
 
 // Response carries one request's answer back to its caller. This is the
-// v1 response surface: every field is stable, and the wire layer
-// (internal/wire) serializes QueueWait, Shard and Status() verbatim.
+// v1 response surface: Value, Err, QueueWait and Shard are stable, and the
+// wire layer (internal/wire) serializes QueueWait, Shard and Status()
+// verbatim.
 type Response struct {
 	// Value is the backend-defined result (nil on error). Hot-path
 	// backends may hand out views of fused outputs; see each backend's
@@ -65,10 +70,6 @@ type Response struct {
 	Value any
 	// Err is the request's failure, classified by Status()/StatusOf.
 	Err error
-	// Latency is the fused-execution time of the batch that served this
-	// request (queue wait excluded). Zero when the request never reached
-	// a backend (shed, closed, canceled while queued).
-	Latency time.Duration
 	// QueueWait is the admission-to-flush wait: how long the request sat
 	// in its shard queue (plus coalescing hold) before executing. Zero
 	// when the request was refused at admission.

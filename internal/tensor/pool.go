@@ -34,10 +34,6 @@ var (
 	poolOnce  sync.Once
 	poolTasks chan task
 	poolSize  int
-
-	// Source-of-truth counters, mirrored into obs metrics when wired.
-	poolDispatched atomic.Int64 // chunks executed by pool workers
-	poolInline     atomic.Int64 // chunks executed on the calling goroutine
 )
 
 // poolObs bundles the wired observability handles so the hot path loads
@@ -59,7 +55,8 @@ var poolObsPtr atomic.Pointer[poolObs]
 //	tensor_pool_chunks_total   chunks executed by pool workers
 //	tensor_pool_inline_total   chunks executed inline on the caller
 //
-// A nil registry detaches observability. The inline counter is the pool's
+// A nil registry detaches observability; chunks run while none is wired
+// are not counted. The inline counter is the pool's
 // saturation signal: a high inline:chunks ratio means callers outpace the
 // workers and extra capacity would help.
 func SetObserver(reg *obs.Registry) {
@@ -74,8 +71,6 @@ func SetObserver(reg *obs.Registry) {
 		inline:     reg.Counter("tensor_pool_inline_total"),
 	}
 	reg.Gauge("tensor_pool_workers").Set(int64(PoolWorkers()))
-	o.dispatched.Add(poolDispatched.Load())
-	o.inline.Add(poolInline.Load())
 	poolObsPtr.Store(o)
 	// Mirror the kernel dispatch config (tensor_tune_*) into the same
 	// registry, now and on every future SetTune/Autotune.
@@ -141,7 +136,6 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 		wg.Add(1)
 		select {
 		case poolTasks <- task{fn: fn, lo: lo, hi: lo + step, wg: &wg}:
-			poolDispatched.Add(1)
 			if o != nil {
 				o.inflight.Add(1)
 				o.dispatched.Inc()
@@ -149,7 +143,6 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 		default:
 			wg.Done()
 			fn(lo, lo+step)
-			poolInline.Add(1)
 			if o != nil {
 				o.inline.Inc()
 			}

@@ -22,9 +22,6 @@ type ClientConfig struct {
 	// Key mints connection tokens (must match the server's when it
 	// requires tokens).
 	Key Key
-	// TokenTTL is how far ahead minted tokens expire (tokens are reminted
-	// when less than half the TTL remains). 0 → 1 minute.
-	TokenTTL time.Duration
 	// Timeout bounds each Embed round trip. 0 → no client deadline.
 	Timeout time.Duration
 	// TLS, when non-nil, dials the server over TLS (ALPN h2) instead of
@@ -41,6 +38,10 @@ type ClientConfig struct {
 // DefaultMaxResponseBytes bounds response reads (64 MiB — far above any
 // realistic bucket×dim frame, far below harm).
 const DefaultMaxResponseBytes = 64 << 20
+
+// tokenTTL is how far ahead minted tokens expire; they are reminted when
+// less than half of it remains.
+const tokenTTL = time.Minute
 
 // Client speaks the wire protocol over HTTP/2 — TLS when configured, h2c
 // otherwise. Each Client owns its own Transport — and therefore its own
@@ -80,9 +81,6 @@ type Result struct {
 // dials TLS and negotiates h2 via ALPN; without it, h2c with prior
 // knowledge — matching the two modes of NewServer.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.TokenTTL <= 0 {
-		cfg.TokenTTL = time.Minute
-	}
 	if cfg.MaxResponseBytes <= 0 {
 		cfg.MaxResponseBytes = DefaultMaxResponseBytes
 	}
@@ -116,8 +114,8 @@ func (c *Client) freshToken() Token {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	if time.Unix(c.token.Expiry, 0).Sub(now) < c.cfg.TokenTTL/2 {
-		c.token = NewToken(c.cfg.Key, now.Add(c.cfg.TokenTTL))
+	if time.Unix(c.token.Expiry, 0).Sub(now) < tokenTTL/2 {
+		c.token = NewToken(c.cfg.Key, now.Add(tokenTTL))
 	}
 	return c.token
 }

@@ -49,9 +49,6 @@ type ServerConfig struct {
 	// (per-connection backpressure: excess streams are answered 429
 	// immediately instead of queueing server-side). 0 → DefaultConnStreams.
 	ConnStreams int
-	// RetryAfter is the backoff hint carried inside the padded frame on
-	// retryable (overloaded/unavailable) outcomes. 0 → DefaultRetryAfter.
-	RetryAfter time.Duration
 	// Timeout bounds each request's time in the serving stack (queue wait
 	// included). 0 → no server-imposed deadline.
 	Timeout time.Duration
@@ -65,8 +62,11 @@ type ServerConfig struct {
 const (
 	DefaultMaxBatch    = 256
 	DefaultConnStreams = 64
-	DefaultRetryAfter  = 50 * time.Millisecond
 )
+
+// DefaultRetryAfter is the backoff hint a retryable (overloaded or
+// unavailable) outcome carries inside its padded frame.
+const DefaultRetryAfter = 50 * time.Millisecond
 
 // Server is the HTTP/2 front door (TLS or h2c): it terminates the binary
 // protocol and dispatches into a serving.Group. One Server owns its http.Server; Close
@@ -116,9 +116,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.ConnStreams < 1 {
 		cfg.ConnStreams = DefaultConnStreams
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
 	}
 	s := &Server{cfg: cfg}
 	if cfg.Reg != nil {
@@ -198,7 +195,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		// The header has no sub-second form: DefaultRetryAfter rounds up.
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -309,7 +307,7 @@ func (s *Server) writeFrame(w http.ResponseWriter, st serving.Status, shard, fla
 		Rows:      rows,
 	}
 	if st.Retryable() {
-		hdr.RetryAfterMS = saturateMS(s.cfg.RetryAfter)
+		hdr.RetryAfterMS = uint16(DefaultRetryAfter / time.Millisecond)
 	}
 	frame, err := AppendResponse(nil, hdr, count, s.cfg.MaxBatch, s.cfg.Dim)
 	if err != nil {
@@ -324,30 +322,6 @@ func (s *Server) writeFrame(w http.ResponseWriter, st serving.Status, shard, fla
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(frame)
 	s.mBytesOut.Add(int64(n))
-}
-
-// retryAfterSeconds renders a Retry-After header value (integer seconds,
-// minimum 1 — the header has no sub-second form). Only /healthz uses it;
-// the embed path keeps its backoff hint inside the padded frame.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// saturateMS converts a backoff hint to whole milliseconds, saturating at
-// the frame field's u16 range and rounding sub-millisecond hints up to 1.
-func saturateMS(d time.Duration) uint16 {
-	ms := d.Milliseconds()
-	if ms < 1 {
-		return 1
-	}
-	if ms > int64(^uint16(0)) {
-		return ^uint16(0)
-	}
-	return uint16(ms)
 }
 
 func saturateUS(d time.Duration) uint32 {
