@@ -87,7 +87,8 @@ func main() {
 	case "terabyte":
 		cfg = dlrm.TerabyteConfig(data.ScaleCardinalities(data.TerabyteCardinalities, *scale), *seed)
 	default:
-		panic("dataset must be kaggle or terabyte")
+		fmt.Fprintf(os.Stderr, "-dataset must be kaggle or terabyte, got %q\n", *dataset)
+		os.Exit(2)
 	}
 	fmt.Printf("%s miniature (scale %g): %d sparse features, dim %d, max table %d rows\n\n",
 		*dataset, *scale, len(cfg.Cardinalities), cfg.EmbDim, maxInt(cfg.Cardinalities))
@@ -105,12 +106,14 @@ func main() {
 	if *criteo != "" {
 		f, err := os.Open(*criteo)
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, "-criteo:", err)
+			os.Exit(2)
 		}
 		b, err := data.LoadCriteo(f, cfg.Cardinalities, *batch)
 		f.Close()
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, "-criteo:", err)
+			os.Exit(2)
 		}
 		dense, sparse = b.Dense, b.Sparse
 		fmt.Printf("driving with %d Criteo records from %s\n", dense.Rows, *criteo)
@@ -138,10 +141,13 @@ func main() {
 	fmt.Printf("host-profiled scan/DHE threshold at batch %d: %d rows\n\n", profBatch, thr)
 
 	if *coalesce > 0 {
-		serveComparison(model, strings.Split(*techniques, ","), thr, *seed, reg, serveLoad{
+		if err := serveComparison(model, strings.Split(*techniques, ","), thr, *seed, reg, serveLoad{
 			coalesce: *coalesce, shards: *shards, clients: *clients,
 			reps: *reps, wait: *wait,
-		})
+		}); err != nil {
+			fmt.Fprintln(os.Stderr, "-techniques:", err)
+			os.Exit(2)
+		}
 		if *metrics {
 			fmt.Println("\n--- observability snapshot ---")
 			reg.WriteText(os.Stdout)
@@ -151,7 +157,11 @@ func main() {
 
 	fmt.Println("technique        latency/batch     model memory (MB)")
 	for _, name := range strings.Split(*techniques, ",") {
-		p := buildPipeline(model, strings.TrimSpace(name), thr, *seed, reg)
+		p, err := buildPipeline(model, strings.TrimSpace(name), thr, *seed, reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "-techniques:", err)
+			os.Exit(2)
+		}
 		if _, err := p.Predict(dense, sparse); err != nil { // warm-up
 			fmt.Fprintln(os.Stderr, "predict:", err)
 			os.Exit(1)
@@ -313,8 +323,9 @@ type serveLoad struct {
 
 // serveComparison serves the same concurrent single-row stream twice per
 // technique — per-request, then coalesced over sharded replica groups —
-// and reports the requests/sec each sustains.
-func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int64, reg *obs.Registry, load serveLoad) {
+// and reports the requests/sec each sustains. It fails on an unknown
+// technique name.
+func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int64, reg *obs.Registry, load serveLoad) error {
 	fmt.Printf("serving mode: %d concurrent single-row clients × %d requests, %d replica shard(s), fuse ≤%d\n\n",
 		load.clients, load.reps, load.shards, load.coalesce)
 
@@ -349,18 +360,26 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		wg.Wait()
 		return float64(load.clients*load.reps) / time.Since(start).Seconds()
 	}
-	newBackends := func(name string) []serving.Backend {
+	newBackends := func(name string) ([]serving.Backend, error) {
 		bes := make([]serving.Backend, load.shards)
 		for i := range bes {
-			bes[i] = backends.NewDLRM(buildPipeline(m, name, threshold, seed+int64(i), reg), load.coalesce)
+			p, err := buildPipeline(m, name, threshold, seed+int64(i), reg)
+			if err != nil {
+				return nil, err
+			}
+			bes[i] = backends.NewDLRM(p, load.coalesce)
 		}
-		return bes
+		return bes, nil
 	}
 
 	fmt.Println("technique        per-request req/s   coalesced req/s   speedup")
 	for _, name := range techniques {
 		name = strings.TrimSpace(name)
-		pool := serving.NewGroup(newBackends(name), serving.GroupConfig{
+		bes, err := newBackends(name)
+		if err != nil {
+			return err
+		}
+		pool := serving.NewGroup(bes, serving.GroupConfig{
 			Shards: 1, QueueDepth: load.clients, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
 		})
 		perReq := drive(func(_ uint64, r *backends.DLRMRequest) serving.Response {
@@ -368,7 +387,10 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		})
 		pool.Close()
 
-		group := serving.NewGroup(newBackends(name), serving.GroupConfig{
+		if bes, err = newBackends(name); err != nil {
+			return err
+		}
+		group := serving.NewGroup(bes, serving.GroupConfig{
 			Shards:   load.shards,
 			Coalesce: serving.CoalesceConfig{MaxBatch: load.coalesce, MaxWait: load.wait},
 		}, serving.WithObserver(reg))
@@ -378,9 +400,12 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		group.Close()
 		fmt.Printf("%-15s  %17.0f  %16.0f  %6.2fx\n", name, perReq, fused, fused/perReq)
 	}
+	return nil
 }
 
-func buildPipeline(m *dlrm.Model, name string, threshold int, seed int64, reg *obs.Registry) *dlrm.Pipeline {
+// buildPipeline builds the named technique's pipeline over m: "hybrid"
+// splits features by threshold, any other name must parse as a technique.
+func buildPipeline(m *dlrm.Model, name string, threshold int, seed int64, reg *obs.Registry) (*dlrm.Pipeline, error) {
 	opts := core.Options{Seed: seed, Obs: reg}
 	var p *dlrm.Pipeline
 	switch name {
@@ -397,12 +422,12 @@ func buildPipeline(m *dlrm.Model, name string, threshold int, seed int64, reg *o
 	default:
 		tech, err := core.ParseTechnique(name)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		p = dlrm.Build(m, tech, opts)
 	}
 	p.SetObserver(reg)
-	return p
+	return p, nil
 }
 
 func maxInt(xs []int) int {

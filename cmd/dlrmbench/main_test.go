@@ -27,7 +27,10 @@ func TestBuildPipelineAllTechniques(t *testing.T) {
 		"path": core.PathORAM, "circuit": core.CircuitORAM, "dhe": core.DHE,
 	}
 	for name, tech := range want {
-		p := buildPipeline(m, name, 30, 2, nil)
+		p, err := buildPipeline(m, name, 30, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, g := range p.Gens {
 			if g.Technique() != tech {
 				t.Fatalf("%s built %v", name, g.Technique())
@@ -41,7 +44,10 @@ func TestBuildPipelineEmitsMetrics(t *testing.T) {
 	// generate counts and latency percentiles land in the registry.
 	m := testModel(t)
 	reg := obs.NewRegistry()
-	p := buildPipeline(m, "hybrid", 30, 2, reg)
+	p, err := buildPipeline(m, "hybrid", 30, 2, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dense := tensor.New(2, m.Cfg.DenseDim)
 	sparse := [][]uint64{{1, 2}, {3, 4}}
 	if _, err := p.Predict(dense, sparse); err != nil {
@@ -73,7 +79,10 @@ func TestBuildPipelineEmitsMetrics(t *testing.T) {
 
 func TestBuildPipelineHybridSplitsByThreshold(t *testing.T) {
 	m := testModel(t)
-	p := buildPipeline(m, "hybrid", 30, 2, nil)
+	p, err := buildPipeline(m, "hybrid", 30, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Gens[0].Technique() != core.LinearScan { // 20 ≤ 30
 		t.Fatal("small table should scan")
 	}
@@ -82,13 +91,10 @@ func TestBuildPipelineHybridSplitsByThreshold(t *testing.T) {
 	}
 }
 
-func TestBuildPipelineUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	buildPipeline(testModel(t), "nope", 1, 1, nil)
+func TestBuildPipelineUnknownErrors(t *testing.T) {
+	if _, err := buildPipeline(testModel(t), "nope", 1, 1, nil); err == nil {
+		t.Fatal("unknown technique built a pipeline")
+	}
 }
 
 func TestMaxInt(t *testing.T) {

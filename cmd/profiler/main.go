@@ -15,22 +15,31 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
 	"secemb/internal/profile"
 )
 
-func parseInts(s string) []int {
+// parseInts parses a comma list of positive integers (batch sizes or
+// thread counts).
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			panic(fmt.Sprintf("bad integer list %q", s))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad positive integer list %q", s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
+}
+
+// usageErr reports an operator input error on one line and exits 2.
+func usageErr(flagName string, err error) {
+	fmt.Fprintf(os.Stderr, "-%s: %v\n", flagName, err)
+	os.Exit(2)
 }
 
 func main() {
@@ -47,7 +56,7 @@ func main() {
 	if *load != "" {
 		db, err := profile.LoadFile(*load)
 		if err != nil {
-			panic(err)
+			usageErr("load", err)
 		}
 		fmt.Printf("loaded threshold DB: dim=%d kind=%s\n", db.Dim, db.Kind)
 		for _, cfg := range db.SortedConfigs() {
@@ -56,14 +65,27 @@ func main() {
 		return
 	}
 
-	kind := profile.Varied
-	if *kindFlag == "uniform" {
+	var kind profile.DHEKind
+	switch *kindFlag {
+	case "uniform":
 		kind = profile.Uniform
+	case "varied":
+		kind = profile.Varied
+	default:
+		usageErr("kind", fmt.Errorf("must be uniform or varied, got %q", *kindFlag))
+	}
+	bs, err := parseInts(*batches)
+	if err != nil {
+		usageErr("batches", err)
+	}
+	ts, err := parseInts(*threads)
+	if err != nil {
+		usageErr("threads", err)
 	}
 	sizes := profile.DefaultSizes()
 	fmt.Printf("profiling dim=%d kind=%s over sizes %v\n\n", *dim, kind, sizes)
 
-	db := profile.BuildDB(*dim, kind, parseInts(*batches), parseInts(*threads), sizes, *reps, *seed)
+	db := profile.BuildDB(*dim, kind, bs, ts, sizes, *reps, *seed)
 	fmt.Println("batch  threads  threshold (table size)")
 	for _, cfg := range db.SortedConfigs() {
 		fmt.Printf("%5d  %7d  %d\n", cfg.Batch, cfg.Threads, db.Thresholds[cfg])
@@ -73,7 +95,8 @@ func main() {
 	fmt.Println("tables below the range always use linear scan; above it, always DHE (Algorithm 3)")
 	if *save != "" {
 		if err := db.SaveFile(*save); err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, "-save:", err)
+			os.Exit(1)
 		}
 		fmt.Printf("threshold DB saved to %s (reload with -load)\n", *save)
 	}

@@ -3,7 +3,10 @@ package main
 import "testing"
 
 func TestParseInts(t *testing.T) {
-	got := parseInts("1, 8,32")
+	got, err := parseInts("1, 8,32")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int{1, 8, 32}
 	if len(got) != len(want) {
 		t.Fatalf("len %d", len(got))
@@ -15,11 +18,10 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-func TestParseIntsPanicsOnGarbage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestParseIntsRejectsGarbage(t *testing.T) {
+	for _, s := range []string{"1,x", "", "8,0", "-4"} {
+		if got, err := parseInts(s); err == nil {
+			t.Errorf("parseInts(%q) = %v, want an error", s, got)
 		}
-	}()
-	parseInts("1,x")
+	}
 }

@@ -3,7 +3,6 @@
 package secemb
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -142,41 +141,6 @@ func TestAttackStoryAcrossProtections(t *testing.T) {
 		if m1.Latency[i] != m2.Latency[i] {
 			t.Fatal("protected measurements depend on the secret")
 		}
-	}
-}
-
-// TestCheckpointDeploymentStory: save a trained model, reload it in a
-// fresh process-equivalent, and verify the deployed pipeline serves the
-// same predictions — the pretrained-model workflow of the paper artifact.
-func TestCheckpointDeploymentStory(t *testing.T) {
-	cfg := dlrm.Config{
-		DenseDim: 4, EmbDim: 4,
-		BottomHidden: []int{6}, TopHidden: []int{6},
-		Cardinalities: []int{40, 90}, Seed: 12,
-	}
-	src := dlrm.New(cfg, dlrm.DHEVariedEmb)
-	ds := data.NewCTR(cfg.DenseDim, cfg.Cardinalities, 13)
-	src.Train(ds, 40, 32, nn.NewAdam(0.01), 14)
-
-	var ckpt bytes.Buffer
-	if err := src.Save(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	dst := dlrm.New(cfg, dlrm.DHEVariedEmb)
-	if err := dst.Load(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	b := ds.Sample(5, rand.New(rand.NewSource(15)))
-	want, err := dlrm.Build(src, core.LinearScan, core.Options{}).Predict(b.Dense, b.Sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dlrm.Build(dst, core.LinearScan, core.Options{}).Predict(b.Dense, b.Sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(got, want, 0) {
-		t.Fatal("reloaded deployment differs from original")
 	}
 }
 

@@ -113,14 +113,6 @@ type Result struct {
 	Waived   []Diagnostic `json:"waived"`   // suppressed by //lint:allow
 }
 
-// Run applies every analyzer to every package and returns the diagnostics
-// sorted by position. It is the single-package-set convenience wrapper
-// around RunProgram: every package is both analyzed and available for
-// interprocedural summaries.
-func Run(analyzers []*Analyzer, pkgs []*Package, idx *Index) (*Result, error) {
-	return RunProgram(analyzers, NewProgram(pkgs, pkgs, idx))
-}
-
 // RunProgram applies every analyzer to the program's target packages,
 // resolving waivers against the //lint:allow comments of the whole
 // program (inherited findings land at callee positions, which may be in

@@ -24,7 +24,7 @@ func RunFixture(t *testing.T, srcRoot, importPath string, analyzers ...*Analyzer
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}
-	res, err := Run(analyzers, []*Package{pkg}, idx)
+	res, err := RunProgram(analyzers, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", importPath, err)
 	}

@@ -107,7 +107,7 @@ func TestObliviouslintWaivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run([]*Analyzer{Obliviouslint()}, []*Package{pkg}, idx)
+	res, err := RunProgram([]*Analyzer{Obliviouslint()}, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestObliviouslintMalformedDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run([]*Analyzer{Obliviouslint()}, []*Package{pkg}, idx)
+	res, err := RunProgram([]*Analyzer{Obliviouslint()}, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
 	if err != nil {
 		t.Fatal(err)
 	}

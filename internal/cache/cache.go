@@ -34,8 +34,6 @@ func DefaultConfig() Config {
 type Cache struct {
 	cfg  Config
 	sets [][]Line // sets[s] is LRU-ordered: front = least recent
-
-	hits, misses int64
 }
 
 // New builds an empty cache.
@@ -69,11 +67,9 @@ func (c *Cache) Access(addr Line) int {
 			// Hit: move to MRU position.
 			copy(set[i:], set[i+1:])
 			set[len(set)-1] = addr
-			c.hits++
 			return c.cfg.HitCycles
 		}
 	}
-	c.misses++
 	if len(set) == c.cfg.Ways {
 		// Evict LRU (front).
 		copy(set, set[1:])
@@ -83,26 +79,6 @@ func (c *Cache) Access(addr Line) int {
 	}
 	return c.cfg.MissCycles
 }
-
-// Contains reports whether addr is currently cached (no state change).
-func (c *Cache) Contains(addr Line) bool {
-	for _, l := range c.sets[c.SetIndex(addr)] {
-		if l == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush empties the cache.
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-}
-
-// Stats returns cumulative hit/miss counts.
-func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }

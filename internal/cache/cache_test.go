@@ -2,8 +2,14 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// cached reports whether addr is in its set, without touching LRU state.
+func cached(c *Cache, addr Line) bool {
+	return slices.Contains(c.sets[c.SetIndex(addr)], addr)
+}
 
 func TestAccessHitMiss(t *testing.T) {
 	c := New(Config{Sets: 4, Ways: 2, HitCycles: 1, MissCycles: 50})
@@ -13,10 +19,6 @@ func TestAccessHitMiss(t *testing.T) {
 	if lat := c.Access(0); lat != 1 {
 		t.Fatalf("warm access latency %d, want hit", lat)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats %d/%d", hits, misses)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -25,7 +27,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(1)
 	c.Access(0) // 0 becomes MRU; LRU is 1
 	c.Access(2) // evicts 1
-	if !c.Contains(0) || !c.Contains(2) || c.Contains(1) {
+	if !cached(c, 0) || !cached(c, 2) || cached(c, 1) {
 		t.Fatal("LRU eviction order wrong")
 	}
 }
@@ -38,17 +40,8 @@ func TestSetIndexMapping(t *testing.T) {
 	// Different sets never interfere.
 	c.Access(0)
 	c.Access(1)
-	if !c.Contains(0) || !c.Contains(1) {
+	if !cached(c, 0) || !cached(c, 1) {
 		t.Fatal("cross-set interference")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(DefaultConfig())
-	c.Access(42)
-	c.Flush()
-	if c.Contains(42) {
-		t.Fatal("Flush did not clear")
 	}
 }
 

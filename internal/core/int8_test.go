@@ -89,7 +89,7 @@ func TestInt8TraceUsesPackedFootprint(t *testing.T) {
 			t.Fatal("gate rejected")
 		}
 		mustGen(t, g, []uint64{1})
-		return tr.Len()
+		return len(tr.Snapshot())
 	}
 	f32 := countBlocks(false)
 	i8 := countBlocks(true)

@@ -38,7 +38,7 @@ func (c Config) layerDims() []int {
 }
 
 // DecoderParams counts the FC decoder's parameters without building it.
-// One id costs 2×weights FLOPs (what a built DHE.FLOPs reports); the
+// One id costs 2×weights FLOPs through the built decoder; the
 // float32 footprint is 4×(weights+biases) bytes plus the hash parameters.
 func (c Config) DecoderParams() (weights, biases int64) {
 	dims := c.layerDims()
@@ -297,17 +297,6 @@ func (d *DHE) NumBytes() int64 {
 		enc = d.Enc.NumBytes()
 	}
 	return enc + d.Decoder.NumBytes()
-}
-
-// FLOPs returns the decoder multiply-accumulate count for one id.
-func (d *DHE) FLOPs() int64 {
-	var f int64
-	for _, l := range d.Decoder.Layers {
-		if lin, ok := l.(*nn.Linear); ok {
-			f += lin.FLOPs(1)
-		}
-	}
-	return f
 }
 
 // Quantize returns an inference-only copy of the DHE whose decoder uses

@@ -1,7 +1,6 @@
 package dlrm
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -287,39 +286,6 @@ func TestMismatchedSparsePanics(t *testing.T) {
 		}
 	}()
 	m.Forward(dense, [][]uint64{{1}})
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := tinyConfig(30)
-	src := New(cfg, DHEVariedEmb)
-	dense, sparse, _ := tinyBatch(cfg, 3, 31)
-	want := src.Forward(dense, sparse)
-
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := New(cfg, DHEVariedEmb) // same architecture, different seed state
-	for _, p := range dst.Params() {
-		p.Value.Fill(0) // prove loading overwrites
-	}
-	if err := dst.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(dst.Forward(dense, sparse), want, 0) {
-		t.Fatal("loaded model output differs")
-	}
-}
-
-func TestCheckpointWrongKindErrors(t *testing.T) {
-	cfg := tinyConfig(32)
-	var buf bytes.Buffer
-	if err := New(cfg, TableEmb).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := New(cfg, DHEVariedEmb).Load(&buf); err == nil {
-		t.Fatal("loading a table checkpoint into a DHE model must error")
-	}
 }
 
 func TestHybridPipelineTraceSecurity(t *testing.T) {

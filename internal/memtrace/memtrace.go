@@ -18,7 +18,6 @@ package memtrace
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Op distinguishes reads from writes in a trace.
@@ -84,33 +83,6 @@ func (t Trace) FirstDiff(u Trace) int {
 	return -1
 }
 
-// Blocks returns the distinct blocks touched in region, sorted.
-func (t Trace) Blocks(region string) []int64 {
-	seen := map[int64]bool{}
-	for _, a := range t {
-		if a.Region == region {
-			seen[a.Block] = true
-		}
-	}
-	out := make([]int64, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Histogram counts accesses per block within region.
-func (t Trace) Histogram(region string) map[int64]int {
-	h := map[int64]int{}
-	for _, a := range t {
-		if a.Region == region {
-			h[a.Block]++
-		}
-	}
-	return h
-}
-
 // Tracer accumulates a Trace. The zero value is a disabled tracer: all
 // Touch calls are cheap no-ops until Enable is called, so production paths
 // can carry an optional *Tracer without overhead concerns. A nil *Tracer is
@@ -171,12 +143,4 @@ func (t *Tracer) Snapshot() Trace {
 	out := make(Trace, len(t.trace))
 	copy(out, t.trace)
 	return out
-}
-
-// Len returns the number of recorded accesses.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.trace)
 }

@@ -13,7 +13,7 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Touch("x", 1, Read) // must not panic
 	tr.TouchRange("x", 0, 3, Write)
 	tr.Reset()
-	if tr.Enabled() || tr.Len() != 0 || tr.Snapshot() != nil {
+	if tr.Enabled() || tr.Snapshot() != nil {
 		t.Fatal("nil tracer must behave as disabled/empty")
 	}
 }
@@ -21,12 +21,12 @@ func TestNilTracerSafe(t *testing.T) {
 func TestZeroValueDisabled(t *testing.T) {
 	var tr Tracer
 	tr.Touch("x", 1, Read)
-	if tr.Len() != 0 {
+	if len(tr.Snapshot()) != 0 {
 		t.Fatal("zero-value tracer must not record")
 	}
 	tr.Enable()
 	tr.Touch("x", 1, Read)
-	if tr.Len() != 1 {
+	if len(tr.Snapshot()) != 1 {
 		t.Fatal("enabled tracer must record")
 	}
 }
@@ -50,7 +50,7 @@ func TestReset(t *testing.T) {
 	tr := NewEnabled()
 	tr.Touch("a", 1, Read)
 	tr.Reset()
-	if tr.Len() != 0 {
+	if len(tr.Snapshot()) != 0 {
 		t.Fatal("Reset must clear trace")
 	}
 }
@@ -68,22 +68,6 @@ func TestTraceEqualAndFirstDiff(t *testing.T) {
 	}
 	if a.Equal(d) || a.FirstDiff(d) != 1 {
 		t.Fatalf("FirstDiff(a,d)=%d, want 1", a.FirstDiff(d))
-	}
-}
-
-func TestBlocksAndHistogram(t *testing.T) {
-	tr := NewEnabled()
-	tr.Touch("t", 5, Read)
-	tr.Touch("t", 3, Read)
-	tr.Touch("t", 5, Write)
-	tr.Touch("other", 9, Read)
-	blocks := tr.Snapshot().Blocks("t")
-	if len(blocks) != 2 || blocks[0] != 3 || blocks[1] != 5 {
-		t.Fatalf("Blocks=%v", blocks)
-	}
-	h := tr.Snapshot().Histogram("t")
-	if h[5] != 2 || h[3] != 1 || len(h) != 2 {
-		t.Fatalf("Histogram=%v", h)
 	}
 }
 

@@ -76,13 +76,6 @@ func (l *Linear) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// FLOPs returns the multiply-accumulate count of one forward pass with the
-// given batch size; the cost model uses this to reason about DHE's O(k²)
-// compute independent of wall-clock noise.
-func (l *Linear) FLOPs(batch int) int64 {
-	return 2 * int64(batch) * int64(l.In) * int64(l.Out)
-}
-
 // NumBytes returns the parameter footprint in bytes.
 func (l *Linear) NumBytes() int64 {
 	return l.W.Value.NumBytes() + l.B.Value.NumBytes()

@@ -11,68 +11,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay. The DLRM reference trains with plain SGD.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// Step applies one SGD update to each parameter.
-func (o *SGD) Step(params []*Param) {
-	lr := float32(o.LR)
-	for _, p := range params {
-		g := p.Grad
-		if o.WeightDecay != 0 {
-			tensor.AXPY(float32(o.WeightDecay), p.Value, g)
-		}
-		if o.Momentum != 0 {
-			if o.velocity == nil {
-				o.velocity = map[*Param]*tensor.Matrix{}
-			}
-			v, ok := o.velocity[p]
-			if !ok {
-				v = tensor.New(g.Rows, g.Cols)
-				o.velocity[p] = v
-			}
-			tensor.ScaleInPlace(v, float32(o.Momentum))
-			tensor.AddInPlace(v, g)
-			g = v
-		}
-		tensor.AXPY(-lr, g, p.Value)
-	}
-}
-
-// Adagrad adapts per-coordinate learning rates by accumulated squared
-// gradients — the optimizer Meta's DLRM uses for sparse embedding tables.
-type Adagrad struct {
-	LR  float64
-	Eps float64
-
-	accum map[*Param]*tensor.Matrix
-}
-
-// Step applies one Adagrad update.
-func (o *Adagrad) Step(params []*Param) {
-	if o.accum == nil {
-		o.accum = map[*Param]*tensor.Matrix{}
-	}
-	for _, p := range params {
-		acc, ok := o.accum[p]
-		if !ok {
-			acc = tensor.New(p.Grad.Rows, p.Grad.Cols)
-			o.accum[p] = acc
-		}
-		for i, g := range p.Grad.Data {
-			acc.Data[i] += g * g
-			p.Value.Data[i] -= float32(o.LR) * g / (float32(math.Sqrt(float64(acc.Data[i]))) + float32(o.Eps))
-		}
-	}
-}
-
 // Adam is the optimizer used for the GPT-2 finetuning experiments.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -28,7 +28,7 @@ func TestQuantizeRoundTripAccuracy(t *testing.T) {
 	// (a one-hot activation row quantizes exactly).
 	eye := tensor.New(q.In, q.In)
 	for i := 0; i < q.In; i++ {
-		eye.Set(i, i, 1)
+		eye.Row(i)[i] = 1
 	}
 	got := q.Forward(eye)
 	var worst float64
@@ -73,7 +73,7 @@ func TestQuantizeZeroColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := NewLinear(4, 2, rng)
 	for i := 0; i < 4; i++ {
-		l.W.Value.Set(i, 1, 0) // dead output channel
+		l.W.Value.Row(i)[1] = 0 // dead output channel
 	}
 	q := Quantize(l)
 	x := tensor.NewUniform(1, 4, 1, rng)

@@ -87,10 +87,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry used by instrumentation that is not
-// wired to an explicit one.
-var Default = NewRegistry()
-
 // metricID renders "name{k="v",...}" with labels sorted by key, the
 // canonical identity of one metric inside a family. Labels are alternating
 // key, value pairs; a trailing key without a value gets "".

@@ -2,7 +2,6 @@ package oram
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand/v2"
 )
 
@@ -100,16 +99,6 @@ func (o *Controller) Read(id uint64) []uint32 {
 	out := make([]uint32, o.cfg.BlockWords)
 	o.Update(id, func(data []uint32) { copy(out, data) })
 	return out
-}
-
-// Write replaces block id.
-//
-// secemb:secret id data
-func (o *Controller) Write(id uint64, data []uint32) {
-	if len(data) != o.cfg.BlockWords {
-		panic(fmt.Sprintf("oram: write of %d words into %d-word blocks", len(data), o.cfg.BlockWords))
-	}
-	o.Update(id, func(dst []uint32) { copy(dst, data) })
 }
 
 // Update applies fn to block id within one access: the position map

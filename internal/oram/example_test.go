@@ -10,7 +10,7 @@ import (
 // access pattern is independent of the requested ids.
 func Example() {
 	o := oram.NewCircuit(oram.Config{NumBlocks: 128, BlockWords: 2, Seed: 1})
-	o.Write(5, []uint32{10, 20})
+	o.Update(5, func(d []uint32) { d[0], d[1] = 10, 20 })
 	o.Update(5, func(d []uint32) { d[0]++ })
 	fmt.Println(o.Read(5), o.RecursionDepth())
 	// Output: [11 20] 0

@@ -98,7 +98,7 @@ func FuzzORAMOps(f *testing.F) {
 					for i := range data {
 						data[i] = value()
 					}
-					o.Write(id, data)
+					write(o, id, data)
 					ref[id] = data
 				default:
 					x := value()

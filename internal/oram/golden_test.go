@@ -64,7 +64,7 @@ func goldenRun(mk func(Config) *Controller, cfg Config, ops int, sink func(memtr
 			o.Read(id)
 		case 1:
 			words[0] = uint32(i)
-			o.Write(id, words)
+			write(o, id, words)
 		default:
 			o.Update(id, func(d []uint32) { d[0]++ })
 		}

@@ -171,30 +171,16 @@ func (c Config) posmapConfig() Config {
 	return c
 }
 
-// ORAM is the interface shared by Path ORAM and Circuit ORAM.
+// ORAM is what callers that time or price an access hold: Path ORAM and
+// Circuit ORAM both satisfy it.
 type ORAM interface {
 	// Read returns a copy of block id's payload.
 	//
 	// secemb:secret id
 	Read(id uint64) []uint32
-	// Write replaces block id's payload.
-	//
-	// secemb:secret id data
-	Write(id uint64, data []uint32)
-	// Update reads block id, applies fn to its payload in place, and
-	// writes it back, all within a single ORAM access.
-	//
-	// secemb:secret id
-	Update(id uint64, fn func(data []uint32))
 	// Stats returns the cumulative controller work counters (shared
 	// across recursive position-map levels).
 	Stats() *Stats
-	// NumBytes returns the total memory footprint: tree + stash +
-	// position-map structures, including all recursion levels.
-	NumBytes() int64
-	// RecursionDepth returns the number of recursive posmap levels
-	// (0 = flat position map).
-	RecursionDepth() int
 }
 
 // uniformLeaf draws a uniform leaf in [0, leaves) where leaves is a power

@@ -414,22 +414,6 @@ func (p *Planner) ForceSwapShard(table string, shard int, tech core.Technique) e
 	return p.swapShard(mt, ss, tech)
 }
 
-// Current reports the named table's active technique when every shard
-// agrees on one; with shards on different plans it errors — use
-// ShardTechniques for the per-shard view.
-func (p *Planner) Current(table string) (core.Technique, error) {
-	techs, err := p.ShardTechniques(table)
-	if err != nil {
-		return 0, err
-	}
-	for _, t := range techs[1:] {
-		if t != techs[0] {
-			return 0, fmt.Errorf("planner: table %q shards run mixed techniques %v", table, techs)
-		}
-	}
-	return techs[0], nil
-}
-
 // ShardTechniques reports the named table's active technique per shard.
 func (p *Planner) ShardTechniques(table string) ([]core.Technique, error) {
 	mt, err := p.lookup(table)

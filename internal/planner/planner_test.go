@@ -240,8 +240,8 @@ func TestPlannerSwapsOnObservedCrossover(t *testing.T) {
 	if got := sw.Technique(); got != core.DHE {
 		t.Fatalf("replica serves %v after swap, want DHE", got)
 	}
-	if cur, _ := p.Current("t"); cur != core.DHE {
-		t.Fatalf("planner current = %v, want DHE", cur)
+	if techs, _ := p.ShardTechniques("t"); len(techs) != 1 || techs[0] != core.DHE {
+		t.Fatalf("planner shard techniques = %v, want [dhe]", techs)
 	}
 	if _, err := sw.Generate([]uint64{1, 2, 3}); err != nil {
 		t.Fatalf("post-swap Generate: %v", err)
@@ -251,7 +251,7 @@ func TestPlannerSwapsOnObservedCrossover(t *testing.T) {
 // TestPlannerShardsDivergeAndSwapIndependently is the tentpole contract:
 // two shards of one table, fed opposite observed signals, converge to
 // different techniques in a single re-plan pass, and the mixed state is
-// visible through ShardTechniques while Current refuses to flatten it.
+// visible through ShardTechniques.
 func TestPlannerShardsDivergeAndSwapIndependently(t *testing.T) {
 	reg := obs.NewRegistry()
 	rows, dim := 512, 16
@@ -306,9 +306,6 @@ func TestPlannerShardsDivergeAndSwapIndependently(t *testing.T) {
 	}
 	if techs[0] != core.DHE || techs[1] != core.LinearScanBatched {
 		t.Fatalf("ShardTechniques = %v, want [dhe scanb]", techs)
-	}
-	if _, err := p.Current("t"); err == nil {
-		t.Fatal("Current flattened a mixed per-shard plan without error")
 	}
 	// Shard-labeled metrics reflect the split.
 	a0 := reg.Gauge("planner_active_technique", obs.LabelTable, "t", obs.LabelShard, "0").Value()

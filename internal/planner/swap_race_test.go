@@ -157,7 +157,13 @@ func TestSwapUnderFire(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no requests served — the test never exercised the swap window")
 	}
-	if cur, _ := p.Current("fire"); cur != core.LinearScanBatched {
-		t.Fatalf("final technique %v, want scanb after an even swap count", cur)
+	techs, err := p.ShardTechniques("fire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tech := range techs {
+		if tech != core.LinearScanBatched {
+			t.Fatalf("final techniques %v, want all scanb after an even swap count", techs)
+		}
 	}
 }

@@ -25,10 +25,9 @@ func (db *DB) encoded() dbJSON {
 	return out
 }
 
-// Save writes the DB as JSON.
-func (db *DB) Save(w io.Writer) error { return writeJSON(w, db.encoded()) }
-
-// LoadDB reads a DB written by Save.
+// LoadDB reads a DB written by SaveFile. A threshold key must be spelled
+// exactly as ExecConfig.String renders it, with batch and threads ≥ 1, so
+// no two keys in a file can name one configuration.
 func LoadDB(r io.Reader) (*DB, error) {
 	var in dbJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -47,6 +46,9 @@ func LoadDB(r io.Reader) (*DB, error) {
 		var cfg ExecConfig
 		if _, err := fmt.Sscanf(key, "batch=%d,threads=%d", &cfg.Batch, &cfg.Threads); err != nil {
 			return nil, fmt.Errorf("profile: bad config key %q: %w", key, err)
+		}
+		if cfg.String() != key || cfg.Batch < 1 || cfg.Threads < 1 {
+			return nil, fmt.Errorf("profile: bad config key %q", key)
 		}
 		db.Thresholds[cfg] = thr
 	}

@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 		{Batch: 32, Threads: 16}: 4100,
 	}}
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := writeJSON(&buf, src.encoded()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadDB(&buf)
@@ -207,4 +208,56 @@ func TestLoadDBErrors(t *testing.T) {
 	if _, err := LoadDB(strings.NewReader(`{"kind":"Varied","thresholds":{"garbage":1}}`)); err == nil {
 		t.Fatal("bad key must error")
 	}
+}
+
+// TestLoadDBRejectsAliasedKeys: a key loads only in the one spelling
+// ExecConfig.String renders. Spellings that scan to the same config would
+// otherwise collide in the map, and which threshold wins would depend on
+// map iteration order.
+func TestLoadDBRejectsAliasedKeys(t *testing.T) {
+	const aliased = `{"dim":16,"kind":"Varied","thresholds":{` +
+		`"batch=8,threads=1":5,"batch=08,threads=1":100,"batch=8,threads=1junk":900}}`
+	if db, err := LoadDB(strings.NewReader(aliased)); err == nil {
+		t.Fatalf("aliased keys loaded, threshold %d", db.Threshold(ExecConfig{Batch: 8, Threads: 1}))
+	}
+	for _, key := range []string{"batch=08,threads=1", "batch=8,threads=1junk", " batch=8,threads=1",
+		"batch=+8,threads=1", "batch=0,threads=1", "batch=8,threads=0", "batch=-2,threads=1"} {
+		in := `{"kind":"Varied","thresholds":{"` + key + `":1}}`
+		if _, err := LoadDB(strings.NewReader(in)); err == nil {
+			t.Errorf("key %q loaded", key)
+		}
+	}
+}
+
+// FuzzLoadDB: whatever bytes profiler -load is given either fail to load,
+// or load to the same DB every time, survive a save → load round trip
+// unchanged, and answer Threshold, Allocate and HybridRange without
+// panicking.
+func FuzzLoadDB(f *testing.F) {
+	f.Add([]byte(`{"dim":16,"kind":"Varied","thresholds":{"batch=8,threads=1":1200,"batch=32,threads=16":4100}}`))
+	f.Add([]byte(`{"dim":64,"kind":"Uniform","thresholds":{"batch=1,threads=1":99}}`))
+	f.Add([]byte(`{"kind":"Varied","thresholds":{"batch=8,threads=1":5,"batch=08,threads=1":100}}`))
+	f.Add([]byte(`{"kind":"Uniform","thresholds":null}`))
+	f.Add([]byte(`{"kind":"Nope"}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := LoadDB(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if again, err := LoadDB(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(again, db) {
+			t.Fatalf("second load differs:\n%+v\n%+v (err %v)", db, again, err)
+		}
+		var buf bytes.Buffer
+		if err := writeJSON(&buf, db.encoded()); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadDB(&buf); err != nil || !reflect.DeepEqual(got, db) {
+			t.Fatalf("round trip changed the DB:\n%+v\n%+v (err %v)", db, got, err)
+		}
+		for _, cfg := range append(db.SortedConfigs(), ExecConfig{Batch: 1, Threads: 1}, ExecConfig{Batch: 1 << 20, Threads: 64}) {
+			db.Allocate([]int{0, 1, db.Threshold(cfg), 1 << 30}, cfg)
+		}
+		db.HybridRange()
+	})
 }

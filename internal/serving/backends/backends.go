@@ -217,10 +217,6 @@ func NewLLMDecode(p *llm.Pipeline, maxBatch int) *LLMDecode {
 	return &LLMDecode{pipe: p, maxBatch: maxBatch}
 }
 
-// Pipeline exposes the wrapped pipeline so callers can create sessions on
-// the replica their key routes to.
-func (b *LLMDecode) Pipeline() *llm.Pipeline { return b.pipe }
-
 // MaxBatch reports the fused-stream cap.
 func (b *LLMDecode) MaxBatch() int { return b.maxBatch }
 

@@ -19,8 +19,8 @@ func testLLMPipeline(t *testing.T) *llm.Pipeline {
 func TestLLMPrefillThenDecodeThroughAdapters(t *testing.T) {
 	p := testLLMPipeline(t)
 	decode := NewLLMDecode(p, 0)
-	if decode.Pipeline() != p {
-		t.Fatal("the adapter must expose its pipeline for session pinning")
+	if decode.pipe != p {
+		t.Fatal("the adapter must wrap the pipeline it was given")
 	}
 
 	// Prefill is per session, directly on the pinned replica (as llmbench

@@ -21,7 +21,7 @@ func naiveMatMulTransA(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Rows; k++ {
 				sum += a.At(k, i) * b.At(k, j)
 			}
-			out.Set(i, j, sum)
+			out.Row(i)[j] = sum
 		}
 	}
 	return out
@@ -35,7 +35,7 @@ func naiveMatMulTransB(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Cols; k++ {
 				sum += a.At(i, k) * b.At(j, k)
 			}
-			out.Set(i, j, sum)
+			out.Row(i)[j] = sum
 		}
 	}
 	return out

@@ -51,21 +51,25 @@ func MatMulInto(dst, a, b *Matrix, nthreads int) {
 // pass of the inner loop accumulates the contributions of four a-elements
 // into the output row, so every out[j] load/store is amortized over four
 // multiply-adds and the four b rows stream through cache together.
+//
+// Every product is computed, zero activations included: after a
+// branchless ReLU the zeros derive from the ids, so skipping them would
+// make time and the b rows loaded depend on secret sparsity. Shapes are
+// read from the public b and dst only.
+//
+// secemb:secret a
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
-	kd := a.Cols
+	kd := b.Rows
 	for i := lo; i < hi; i++ {
 		outRow := dst.Data[i*n : (i+1)*n]
 		for j := range outRow {
 			outRow[j] = 0
 		}
-		aRow := a.Row(i)
+		aRow := a.Data[i*kd : (i+1)*kd]
 		k := 0
 		for ; k+4 <= kd; k += 4 {
 			a0, a1, a2, a3 := aRow[k], aRow[k+1], aRow[k+2], aRow[k+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
 			b0 := b.Data[k*n : k*n+n]
 			b1 := b.Data[(k+1)*n : (k+1)*n+n]
 			b2 := b.Data[(k+2)*n : (k+2)*n+n]
@@ -76,9 +80,6 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		for ; k < kd; k++ {
 			av := aRow[k]
-			if av == 0 {
-				continue
-			}
 			bRow := b.Data[k*n : k*n+n]
 			for j, bv := range bRow {
 				outRow[j] += av * bv
@@ -114,10 +115,13 @@ func MatMulTransBInto(dst, a, b *Matrix, nthreads int) {
 // matMulTransBRange computes rows [lo,hi) of dst = a·bᵀ with four
 // independent column accumulators: the dot products of one a row against a
 // panel of four b rows proceed in lockstep, so the a row is loaded once
-// per panel instead of once per output column.
+// per panel instead of once per output column. Dense like matMulRange.
+//
+// secemb:secret a
 func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+	kd := b.Cols
 	for i := lo; i < hi; i++ {
-		aRow := a.Row(i)
+		aRow := a.Data[i*kd : (i+1)*kd]
 		outRow := dst.Row(i)
 		j := 0
 		for ; j+4 <= b.Rows; j += 4 {
@@ -169,24 +173,23 @@ func MatMulTransAInto(dst, a, b *Matrix, nthreads int) {
 }
 
 // matMulTransARange computes rows [lo,hi) of dst = aᵀ·b, register-blocked
-// four k-steps (rows of a and b) at a time like matMulRange.
+// four k-steps (rows of a and b) at a time and dense like matMulRange.
+//
+// secemb:secret a
 func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
-	ac := a.Cols
+	ac := dst.Rows
 	for i := lo; i < hi; i++ { // i indexes a column of a / row of dst
 		outRow := dst.Row(i)
 		for j := range outRow {
 			outRow[j] = 0
 		}
 		k := 0
-		for ; k+4 <= a.Rows; k += 4 {
+		for ; k+4 <= b.Rows; k += 4 {
 			a0 := a.Data[k*ac+i]
 			a1 := a.Data[(k+1)*ac+i]
 			a2 := a.Data[(k+2)*ac+i]
 			a3 := a.Data[(k+3)*ac+i]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
 			b0 := b.Data[k*n : k*n+n]
 			b1 := b.Data[(k+1)*n : (k+1)*n+n]
 			b2 := b.Data[(k+2)*n : (k+2)*n+n]
@@ -195,11 +198,8 @@ func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
 				outRow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
 		}
-		for ; k < a.Rows; k++ {
+		for ; k < b.Rows; k++ {
 			av := a.Data[k*ac+i]
-			if av == 0 {
-				continue
-			}
 			bRow := b.Data[k*n : k*n+n]
 			for j, bv := range bRow {
 				outRow[j] += av * bv

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -16,7 +17,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Cols; k++ {
 				sum += a.At(i, k) * b.At(k, j)
 			}
-			out.Set(i, j, sum)
+			out.Row(i)[j] = sum
 		}
 	}
 	return out
@@ -37,7 +38,7 @@ func TestMatMulIdentity(t *testing.T) {
 	a := NewUniform(5, 5, 1, rng)
 	id := New(5, 5)
 	for i := 0; i < 5; i++ {
-		id.Set(i, i, 1)
+		id.Row(i)[i] = 1
 	}
 	if !AllClose(MatMul(a, id, 1), a, 1e-6) {
 		t.Fatal("A·I != A")
@@ -105,6 +106,49 @@ func TestMatMulTransA(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFloatKernelsDenseOnZeroActivations: the float kernels multiply every
+// activation, zeros included. After a branchless ReLU the zeros derive
+// from the ids, so skipping them would make timing and the weight rows
+// loaded depend on secret sparsity. 0·Inf is NaN, so a skipped product
+// shows up as a finite output where every output must be NaN. The Inf
+// sits at inner index k-1 only: with k = 4 it is in a four-step block,
+// with k = 5 in the tail loop.
+func TestFloatKernelsDenseOnZeroActivations(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, k := range []int{4, 5} {
+		// weights is a k×3 (or, transposed, 3×k) matrix of ones with Inf
+		// at inner index k-1.
+		weights := func(transposed bool) *Matrix {
+			m := New(k, 3)
+			if transposed {
+				m = New(3, k)
+			}
+			for i := range m.Data {
+				m.Data[i] = 1
+			}
+			for j := 0; j < 3; j++ {
+				if transposed {
+					m.Row(j)[k-1] = inf
+				} else {
+					m.Row(k - 1)[j] = inf
+				}
+			}
+			return m
+		}
+		for name, got := range map[string]*Matrix{
+			"MatMul":       MatMul(New(2, k), weights(false), 1),
+			"MatMulTransA": MatMulTransA(New(k, 2), weights(false), 1),
+			"MatMulTransB": MatMulTransB(New(2, k), weights(true), 1),
+		} {
+			for i, v := range got.Data {
+				if !math.IsNaN(float64(v)) {
+					t.Errorf("k=%d %s: out[%d] = %v, want NaN (0·Inf)", k, name, i, v)
+				}
+			}
+		}
 	}
 }
 

@@ -33,27 +33,10 @@ func Sub(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Scale returns a*s element-wise.
-func Scale(a *Matrix, s float32) *Matrix {
-	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // ScaleInPlace computes a *= s element-wise.
 func ScaleInPlace(a *Matrix, s float32) {
 	for i := range a.Data {
 		a.Data[i] *= s
-	}
-}
-
-// AXPY computes y += alpha*x element-wise.
-func AXPY(alpha float32, x, y *Matrix) {
-	mustSameShape("AXPY", x, y)
-	for i, v := range x.Data {
-		y.Data[i] += alpha * v
 	}
 }
 
@@ -85,15 +68,6 @@ func ApplyInPlace(m *Matrix, fn func(float32) float32) {
 	for i, v := range m.Data {
 		m.Data[i] = fn(v)
 	}
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func Sum(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v)
-	}
-	return s
 }
 
 // ColSums returns the per-column sums of m as a length-Cols slice.

@@ -74,9 +74,6 @@ func NewGaussian(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
 
-// Set stores v at row r, column c.
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
 // Row returns the r-th row as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 

@@ -43,7 +43,7 @@ func TestNewPanicsOnNegative(t *testing.T) {
 
 func TestAtSetRow(t *testing.T) {
 	m := New(2, 3)
-	m.Set(1, 2, 7)
+	m.Row(1)[2] = 7
 	if m.At(1, 2) != 7 {
 		t.Fatalf("At(1,2)=%v, want 7", m.At(1, 2))
 	}
@@ -135,7 +135,11 @@ func TestXavierScale(t *testing.T) {
 func TestGaussianMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewGaussian(200, 200, 0.5, rng)
-	mean := Sum(m) / float64(len(m.Data))
+	var sum float64
+	for _, v := range m.Data {
+		sum += float64(v)
+	}
+	mean := sum / float64(len(m.Data))
 	if math.Abs(mean) > 0.01 {
 		t.Fatalf("mean %v too far from 0", mean)
 	}

@@ -107,9 +107,3 @@ func (t *Tokenizer) Decode(ids []int) string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// ID returns the token id for a word and whether it is in vocabulary.
-func (t *Tokenizer) ID(word string) (int, bool) {
-	id, ok := t.ids[strings.ToLower(word)]
-	return id, ok
-}

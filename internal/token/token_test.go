@@ -22,11 +22,11 @@ func (t *Tokenizer) word(id int) string {
 func TestBuildFrequencyRanking(t *testing.T) {
 	tk := Build(sample, 100)
 	// "the" (4×, incl. "The") must receive the first non-reserved id.
-	id, ok := tk.ID("the")
+	id, ok := tk.ids["the"]
 	if !ok || id != reserved {
 		t.Fatalf("'the' id=%d ok=%v, want %d", id, ok, reserved)
 	}
-	if _, ok := tk.ID("cat"); !ok {
+	if _, ok := tk.ids["cat"]; !ok {
 		t.Fatal("'cat' missing")
 	}
 	if tk.vocabSize() <= reserved {
@@ -83,7 +83,7 @@ func TestEncodeCaseAndPunctuation(t *testing.T) {
 
 func TestDecodeStopsAtEOS(t *testing.T) {
 	tk := Build(sample, 100)
-	catID, _ := tk.ID("cat")
+	catID, _ := tk.ids["cat"]
 	got := tk.Decode([]int{catID, EndID, catID})
 	if got != "cat" {
 		t.Fatalf("Decode past <eos>: %q", got)
