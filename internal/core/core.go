@@ -132,7 +132,8 @@ type Generator interface {
 // Options configures generator construction.
 type Options struct {
 	// Threads is the worker count for batch generation, fixed at
-	// construction (0 = all CPUs; the ORAMs are sequential regardless).
+	// construction (0 = up to all CPUs, as tensor.ParallelRows and the
+	// installed TuneConfig allow; the ORAMs are sequential regardless).
 	Threads int
 	// Seed fixes the default table's rows and an untrained DHE's
 	// weights; ORAM randomness comes from crypto/rand.

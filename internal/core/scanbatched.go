@@ -51,7 +51,10 @@ func newScanBatchedGen(table packedTable, opts Options) *scanBatchedGen {
 
 // Generate partitions the batch across workers; each worker streams the
 // table once for its queries (so with one worker, the whole batch shares a
-// single pass).
+// single pass). With Threads ≤ 0 the worker count comes from the installed
+// tensor.TuneConfig, one worker per BlockRows ids, so a batch at or below
+// BlockRows (64 by default; an 8-id request, for one) is a single pass on
+// the caller's goroutine.
 //
 // secemb:secret ids
 // secemb:audit scanb

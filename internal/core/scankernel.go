@@ -9,9 +9,9 @@ import (
 // packedTable is the table both oblivious scans blend, stored as uint64
 // words with two float32 bit patterns per word: element 2j of a row is the
 // low half of the row's word j and element 2j+1 the high half; an odd
-// dim's last high half is zero. Go does not vectorise, so the blend costs a
-// fixed number of scalar operations per word, and packing halves the word
-// count.
+// dim's last high half is zero. The blend costs a fixed number of
+// operations per word, so packing halves its work; oblivious.OrTile runs it
+// four words per AVX2 instruction on amd64 and in scalar Go elsewhere.
 type packedTable struct {
 	words []uint64
 	rows  int

@@ -221,7 +221,7 @@ func Fig7() Report {
 // thresholdRange returns the min/max model thresholds over the Fig. 6
 // configuration grid.
 func thresholdRange(dim int) (lo, hi int) {
-	lo, hi = math.MaxInt64, 0
+	lo, hi = math.MaxInt, 0
 	for _, b := range []int{1, 8, 32, 128, 512} {
 		for _, th := range []int{1, 2, 4, 8, 16} {
 			t := ModelThreshold(dim, b, th)

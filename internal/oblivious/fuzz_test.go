@@ -32,11 +32,12 @@ func FuzzEqLt(f *testing.F) {
 }
 
 // FuzzCondCopy checks the unrolled XOR blends of CondCopy and CondCopy64
-// against the one-line reference (s&m)|(d&^m), and OrTile against
-// a | t0&m0 | t1&m1 | t2&m2 | t3&m3, element by element on raw bits, for
-// arbitrary mask values (not only all-ones and zero), arbitrary lengths
-// (every 0–3-element tail; odd and even tiles) and sources that may run
-// longer than dst.
+// against the one-line reference (s&m)|(d&^m), and OrTile and its scalar
+// loop against a | t0&m0 | t1&m1 | t2&m2 | t3&m3, element by element on
+// raw bits, for arbitrary mask values (not only all-ones and zero),
+// arbitrary lengths (every 0–3-element tail, which is also every length
+// past OrTile's multiple-of-four vector prefix; odd and even tiles) and
+// sources that may run longer than dst.
 func FuzzCondCopy(f *testing.F) {
 	f.Add(uint64(0), []byte{}, uint8(0))
 	f.Add(^uint64(0), []byte("0123456789abcdefghijklmnopqrstuvwxyz0123"), uint8(1))
@@ -100,10 +101,17 @@ func FuzzCondCopy(f *testing.F) {
 		for i := range want {
 			want[i] = a[i] | t0[i]&m0 | t1[i]&m1 | t2[i]&m2 | t3[i]&m3
 		}
+		// The scalar loop is OrTile's tail and its fallback off AVX2, so
+		// it is checked on its own too.
+		sc := append([]uint64(nil), a...)
 		OrTile(a, t0, t1, t2, t3, m0, m1, m2, m3)
+		orTileScalar(sc, t0, t1, t2, t3, m0, m1, m2, m3)
 		for i := range want {
 			if a[i] != want[i] {
 				t.Fatalf("OrTile len %d mask %#x: word %d = %#x, want %#x", n64, mask, i, a[i], want[i])
+			}
+			if sc[i] != want[i] {
+				t.Fatalf("orTileScalar len %d mask %#x: word %d = %#x, want %#x", n64, mask, i, sc[i], want[i])
 			}
 		}
 	})

@@ -154,7 +154,11 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 
 // ParallelRows exposes the chunked row-parallel helper for other packages
 // (e.g. batched embedding generation). The worker count is clamped to
-// runtime.GOMAXPROCS(0) at call time.
+// runtime.GOMAXPROCS(0) and to rows at call time. A non-positive count
+// defers to the installed TuneConfig: rows at or below InlineRows run on
+// the caller, and the count is capped at Workers and at one worker per
+// BlockRows rows, so under the default config (BlockRows 64) a batch of at
+// most 64 rows runs on the caller alone.
 func ParallelRows(rows, workers int, fn func(lo, hi int)) {
 	parallelRows(rows, clampWorkers(workers, rows), fn)
 }
