@@ -32,8 +32,10 @@ vet:
 	$(GO) run ./cmd/obliviouslint -vet ./...
 
 # obliviouslint proves secret-independence statically: every unwaived
-# finding (secret-tainted branch, index, loop bound, call or return) fails
-# the build. The JSON findings report is uploaded by CI as an artifact.
+# finding (secret-tainted branch, index, loop bound, call or return, or an
+# amd64 assembly kernel that branches on or addresses with a declared
+# secret) fails the build. The JSON findings report is uploaded by CI as an
+# artifact.
 obliviouslint:
 	$(GO) run ./cmd/obliviouslint -v -json obliviouslint_report.json ./...
 

@@ -7,7 +7,7 @@
 // leakage regression blocks merges the same way a test failure does.
 //
 // It also cross-checks the static annotations against its own roster: any
-// `// secemb:audit <name>` directive in the source tree names a dynamic
+// `// secemb:audit <name>` directive in the module at -src names a dynamic
 // target that this command must know how to build. An annotated-but-
 // unrostered name means a generator claims dynamic coverage it does not
 // get, so the run fails before any trace is recorded.
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int("batch", 8, "ids per panel input")
 	seed := fs.Int64("seed", 1, "construction seed (table rows and DHE weights; ORAM leaves come from crypto/rand)")
 	gens := fs.String("gens", "", "comma-separated targets (default: all)")
-	src := fs.String("src", "", "source root to cross-check secemb:audit directives against the roster (empty: skip)")
+	src := fs.String("src", "", "module root to cross-check secemb:audit directives against the roster (empty: skip)")
 	out := fs.String("out", "leakcheck_report.json", "JSON report path (empty: skip)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -183,16 +183,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// auditRosterGhosts scans the source tree under root for `secemb:audit`
-// directives and returns, sorted, the annotated names that no leakcheck
-// factory implements, plus the total count of audit name occurrences.
+// auditRosterGhosts loads the module at root with obliviouslint's loader
+// and returns, sorted, the `secemb:audit` names that no leakcheck factory
+// implements, plus the total count of audit name occurrences.
 func auditRosterGhosts(root string, roster map[string]bool) (ghosts []string, audited int, err error) {
-	idx, _, err := analysis.ScanModuleDirectives(root)
+	set, err := analysis.LoadModule(root, "./...")
 	if err != nil {
 		return nil, 0, err
 	}
 	seen := map[string]bool{}
-	for _, d := range idx.All() {
+	for _, d := range set.Directives.All() {
 		for _, name := range d.Audit {
 			audited++
 			if !roster[name] && !seen[name] {

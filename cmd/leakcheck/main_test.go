@@ -72,6 +72,9 @@ func Generate(ids []uint64) {}
 	if err := os.WriteFile(filepath.Join(dir, "ghost.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module ghost\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-rows", "32", "-dim", "4", "-batch", "2", "-src", dir, "-out", ""},
 		&stdout, &stderr)

@@ -194,6 +194,7 @@ func (c *config) validate() error {
 		{"-drain-grace", c.drainGrace < 0},
 		{"-queue-depth", c.queueDepth < 0},
 		{"-conn-streams", c.connStr < 0},
+		{"-plan-interval", c.planEvery < 0},
 	} {
 		if f.neg {
 			return fmt.Errorf("%s must not be negative", f.name)

@@ -41,6 +41,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-soak", "-batch", "2", "-max-batch", "1"},
 		{"-soak", "-batch", "0", "-target", "127.0.0.1:1"},
 		{"-soak", "-conns", "0"},
+		// Short enough that a soak which wrongly starts still ends.
+		{"-soak", "-plan", "-plan-interval", "-1s", "-duration", "200ms", "-conns", "1",
+			"-rows", "256", "-dim", "8", "-backends", "1"},
 	} {
 		code, _, stderr := runCLI(args...)
 		if code != 2 {

@@ -21,6 +21,9 @@
 //     unaudited) functions, or into non-secret parameters of annotated ones
 //   - declass — tainted values returned from functions not annotated
 //     `secemb:secret return`
+//   - asm     — hand-written assembly that branches on, addresses with or
+//     leaks into a general-purpose register a secret its Go declaration
+//     names (asm.go)
 //
 // The branchless primitives of internal/oblivious (Select64, CondCopy, …)
 // are the sanctioned sinks: calls into that package (and into the pure
@@ -68,6 +71,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	asmFiles []string // paths of the .s files the host build compiles
 }
 
 // Pass carries one (Analyzer, Package) unit of work.

@@ -3,11 +3,8 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -64,7 +61,7 @@ func (ix *Index) Lookup(fn *types.Func) *FuncDirective {
 }
 
 // All returns every directive, sorted by key (for reports and the
-// leakcheck roster-sync scan).
+// leakcheck roster sync).
 func (ix *Index) All() []*FuncDirective {
 	out := make([]*FuncDirective, 0, len(ix.funcs))
 	for _, d := range ix.funcs {
@@ -314,49 +311,4 @@ func (ws *waiverSet) match(pos token.Position, rule string) (string, int, bool) 
 		}
 	}
 	return "", 0, false
-}
-
-// --- parser-only module scan (for cmd/leakcheck roster sync) -------------
-
-// ScanModuleDirectives walks every non-test .go file under root (skipping
-// testdata and hidden directories), parses comments only, and returns the
-// directive index. It needs no type information, so cmd/leakcheck can run
-// it against the working tree without a build — the static annotations and
-// the dynamic audit roster are compared on every run.
-func ScanModuleDirectives(root string) (*Index, []Diagnostic, error) {
-	ix := NewIndex()
-	var bad []Diagnostic
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if perr != nil {
-			return fmt.Errorf("parsing %s: %w", path, perr)
-		}
-		// Key by directory-relative package path: good enough for roster
-		// names, which only need uniqueness and stability.
-		rel, rerr := filepath.Rel(root, filepath.Dir(path))
-		if rerr != nil {
-			rel = filepath.Dir(path)
-		}
-		pkg := &Package{Path: filepath.ToSlash(rel), Fset: fset, Files: []*ast.File{file}}
-		bad = append(bad, CollectDirectives(ix, pkg)...)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ix, bad, nil
 }

@@ -29,6 +29,7 @@ type listedPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	SFiles     []string
 	Standard   bool
 	DepOnly    bool
 	Incomplete bool
@@ -56,7 +57,7 @@ func (set *ModuleSet) Program() *Program {
 // packages are consumed as export data only and are never analyzed.
 func LoadModule(moduleDir string, patterns ...string) (*ModuleSet, error) {
 	args := append([]string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Incomplete"}, patterns...)
+		"-json=ImportPath,Dir,Export,GoFiles,SFiles,Standard,DepOnly,Incomplete"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleDir
 	var stderr bytes.Buffer
@@ -108,6 +109,9 @@ func LoadModule(moduleDir string, patterns ...string) (*ModuleSet, error) {
 		pkg, cerr := typecheck(fset, lp.ImportPath, files, imp)
 		if cerr != nil {
 			return nil, fmt.Errorf("type-checking %s: %w", lp.ImportPath, cerr)
+		}
+		for _, name := range lp.SFiles {
+			pkg.asmFiles = append(pkg.asmFiles, filepath.Join(lp.Dir, name))
 		}
 		set.BadDirs = append(set.BadDirs, CollectDirectives(set.Directives, pkg)...)
 		set.All = append(set.All, pkg)

@@ -32,13 +32,14 @@ const (
 	RuleChan      = "obliviouslint/chan"
 	RuleShift     = "obliviouslint/shift"
 	RuleDrift     = "obliviouslint/drift"
+	RuleAsm       = "obliviouslint/asm"
 )
 
 // obliviouslintRules is every rule the taint analyzer can emit, used by the
 // stale-waiver pass to know which waivers this run could have consumed.
 var obliviouslintRules = []string{
 	RuleBranch, RuleIndex, RuleLoop, RuleCall, RuleDeclass, RuleDirective,
-	RuleAlloc, RuleMapKey, RuleChan, RuleShift, RuleDrift,
+	RuleAlloc, RuleMapKey, RuleChan, RuleShift, RuleDrift, RuleAsm,
 }
 
 // Obliviouslint returns the secret-independence taint analyzer. Audit roots
@@ -48,7 +49,8 @@ var obliviouslintRules = []string{
 // functions whose bodies are in the program, via bottom-up call-graph
 // summaries (see Program). Every flow into control flow, an index, a map
 // key, an allocation size, a shift amount, a channel, or an unauditable
-// callee is reported under one of the obliviouslint/* rules.
+// callee is reported under one of the obliviouslint/* rules. The same
+// directives drive obliviouslint/asm over the package's assembly (asm.go).
 func Obliviouslint() *Analyzer {
 	return &Analyzer{
 		Name:   "obliviouslint",
@@ -99,7 +101,7 @@ func runObliviouslint(pass *Pass) error {
 			t.stmt(fd.Body, returnCtx{sanctioned: dir.Return})
 		}
 	}
-	return nil
+	return auditAsm(pass)
 }
 
 // finishObliviouslint runs once after every target package: the

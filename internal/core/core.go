@@ -163,14 +163,11 @@ type Options struct {
 	// Int8 requests the quantized (int8 SWAR) decoder hot path for the DHE
 	// technique. The swap is gated: construction quantizes the decoder,
 	// replays a fixed public eval batch through both paths, and keeps int8
-	// only when the max-abs output error stays within Int8MaxErr — otherwise
-	// serving silently continues on float32 (the fallback is visible via
-	// Int8Active and, with Obs set, the dhe_int8_* counters).
+	// only when the max-abs output error stays within
+	// dhe.DefaultInt8MaxAbsErr — otherwise serving silently continues on
+	// float32 (the fallback is visible via Int8Active and, with Obs set, the
+	// dhe_int8_* counters).
 	Int8 bool
-
-	// Int8MaxErr overrides the accuracy gate's max-abs-error threshold
-	// (0 → dhe.DefaultInt8MaxAbsErr).
-	Int8MaxErr float64
 }
 
 func (o Options) region(def string) string {

@@ -30,7 +30,7 @@ func newDHEGen(d *dhe.DHE, rows int, opts Options) *dheGen {
 		// Quantize before cloning so the inference replica inherits the
 		// (gate-approved) int8 decoder. A rejected gate leaves the float
 		// path in place — serving degrades in speed, never in accuracy.
-		rep := d.EnableInt8(dhe.Int8Gate{MaxAbsErr: opts.Int8MaxErr})
+		rep := d.EnableInt8(dhe.Int8Gate{})
 		if opts.Obs != nil {
 			if rep.Enabled {
 				opts.Obs.Counter("dhe_int8_enabled_total").Inc()

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// modelPricedIDs are the reports that are pure functions of the analytic
-// cost model (internal/perf) and the footprint formulas: no wall clock, no
-// training, so their full-grid output is reproducible to the byte.
+// modelPricedIDs are the reports whose full-grid output is reproducible to
+// the byte: no wall clock, no training.
 var modelPricedIDs = []string{
 	"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "fig13", "fig15", "tableVI", "tableVII", "tableVIII", "llm-memory",
+	"ext-quant",
 }
 
 // committedSection returns one report's block of ../../results_full.txt:

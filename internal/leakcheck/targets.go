@@ -30,8 +30,7 @@ func TechniqueFactory(tech core.Technique, rows, dim int, seed int64) Factory {
 
 // Int8DHEFactory audits the quantized DHE hot path: same dense decoder
 // sweep as plain DHE, but the inner product runs the packed int8 SWAR
-// kernels. The gate threshold is generous — leakcheck probes traces, not
-// accuracy — but construction fails loudly if the quantized path did not
+// kernels. Construction fails loudly if the quantized path did not
 // actually engage (a silently-float "dhe-int8" target would audit nothing).
 func Int8DHEFactory(rows, dim int, seed int64) Factory {
 	return Factory{
@@ -40,7 +39,7 @@ func Int8DHEFactory(rows, dim int, seed int64) Factory {
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
 			g, err := core.New(core.DHE, rows, dim, core.Options{
-				Seed: seed, Tracer: tr, Threads: 1, Int8: true, Int8MaxErr: 0.5,
+				Seed: seed, Tracer: tr, Threads: 1, Int8: true,
 			})
 			if err != nil {
 				return nil, err

@@ -13,8 +13,8 @@
 // generator and the tests assert the trace is identical for all secret
 // inputs. These primitives make that property hold by construction at the
 // algorithm level. The one exception is OrTile's hot loop, which on amd64
-// with AVX2 is hand-written assembly; TestAsmAudit checks its branches and
-// addresses instead.
+// with AVX2 is hand-written assembly; obliviouslint's asm rule checks its
+// branches and addresses instead.
 package oblivious
 
 import "math"
@@ -126,11 +126,11 @@ func CondCopy64(mask uint64, dst, src []uint64) {
 // VPAND/VPOR; the scalar loop, orTileScalar, runs the 0–3-word tail, and
 // the whole tile on other architectures and CPUs. Both read and write
 // every word whatever the masks, and their results agree bit for bit. The
-// kernel is inside the trusted base with this package: obliviouslint does
-// not read assembly, so TestAsmAudit checks that its only conditional jump
-// is the loop back-edge on the public length, that no general-purpose
-// register holds a mask, and that it addresses memory only from its
-// pointer arguments and the loop counter.
+// kernel carries this function's secemb:secret list, and obliviouslint's
+// asm rule checks that its only conditional jump is the loop back-edge on
+// the public length, that no general-purpose register holds a mask, and
+// that it addresses memory only from its pointer arguments and the loop
+// counter.
 //
 // On a 2-vCPU Xeon VM (amd64, Go 1.24), with the two paths alternated in
 // one process, the batched scan over 4 096 rows × 32 words at batch 8

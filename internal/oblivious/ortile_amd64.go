@@ -24,6 +24,8 @@ func detectAVX2() bool {
 // orTileAVX2 ORs t0&m0 | t1&m1 | t2&m2 | t3&m3 into the n words at a, four
 // per instruction; n must be a positive multiple of 4 (ortile_amd64.s).
 //
+// secemb:secret a m0 m1 m2 m3
+//
 //go:noescape
 func orTileAVX2(a, t0, t1, t2, t3 *uint64, n int, m0, m1, m2, m3 uint64)
 

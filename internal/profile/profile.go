@@ -46,12 +46,13 @@ func (k DHEKind) String() string {
 }
 
 // Thread-scaling exponents. The profiling host for this reproduction is a
-// single-core container, so multi-thread latency cannot be *measured*;
-// instead the single-thread measurement is scaled by an analytic model
-// calibrated to the paper's observation (§IV-C1): linear scan parallelizes
-// near-linearly across batch queries and gains cache reuse of the shared
-// table, while DHE's batched matmul scales sublinearly. This makes the
-// scan/DHE threshold *rise* with thread count, as in Figure 6.
+// 2-vCPU VM, too few cores to *measure* multi-thread latency at the
+// paper's thread counts; instead the single-thread measurement is scaled
+// by an analytic model calibrated to the paper's observation (§IV-C1):
+// linear scan parallelizes near-linearly across batch queries and gains
+// cache reuse of the shared table, while DHE's batched matmul scales
+// sublinearly. This makes the scan/DHE threshold *rise* with thread count,
+// as in Figure 6.
 const (
 	scanThreadExponent = 0.95
 	dheThreadExponent  = 0.70
