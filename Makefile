@@ -84,8 +84,8 @@ bench-build:
 
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/obs ./internal/serving \
-		./internal/serving/backends ./internal/core ./internal/dlrm ./internal/wire \
-		./internal/leakcheck ./internal/planner ./cmd/secembd
+		./internal/serving/backends ./internal/core ./internal/dhe ./internal/dlrm \
+		./internal/wire ./internal/leakcheck ./internal/planner ./cmd/secembd
 
 # fmt-check fails (listing offenders) when any file needs gofmt.
 fmt-check:

@@ -58,6 +58,10 @@ func main() {
 	planAssert := flag.Bool("plan-assert", false, "with -plan: exit non-zero unless ≥2 shards reach distinct techniques at steady state (CI regression mode)")
 	flag.Parse()
 
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "-reps must be at least 1, got %d\n", *reps)
+		os.Exit(2)
+	}
 	switch *autotune {
 	case "on":
 		tensor.Autotune()

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -100,5 +104,40 @@ func TestBuildPipelineUnknownErrors(t *testing.T) {
 func TestMaxInt(t *testing.T) {
 	if maxInt([]int{3, 9, 1}) != 9 {
 		t.Fatal("maxInt wrong")
+	}
+}
+
+// DLRMBENCH_RUN_MAIN set to 1 makes the test binary run main instead of its tests, so
+// a test can drive the command's own flag handling in a subprocess.
+const runMainEnv = "DLRMBENCH_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadFlagsExitTwo: a bad numeric flag is a usage error — exit 2 and
+// one stderr line naming the flag. A panic exits 2 as well, so the stderr
+// line is what tells the two apart.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-reps", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%q: exit %v, want 2", args, err)
+		}
+		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+		if len(lines) != 1 || strings.Contains(lines[0], "panic:") || !strings.HasPrefix(lines[0], args[0]) {
+			t.Errorf("%q: stderr %q, want one line naming %s", args, stderr.String(), args[0])
+		}
 	}
 }

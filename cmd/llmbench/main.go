@@ -58,6 +58,17 @@ func main() {
 	autotune := flag.String("autotune", "on", "probe matmul kernel configs before timing (on/off)")
 	flag.Parse()
 
+	switch {
+	case *vocab < 1:
+		fmt.Fprintf(os.Stderr, "-vocab must be at least 1, got %d\n", *vocab)
+		os.Exit(2)
+	case *dim < 1:
+		fmt.Fprintf(os.Stderr, "-dim must be at least 1, got %d\n", *dim)
+		os.Exit(2)
+	case *heads < 1 || *dim%*heads != 0:
+		fmt.Fprintf(os.Stderr, "-heads must divide -dim %d, got %d\n", *dim, *heads)
+		os.Exit(2)
+	}
 	switch *autotune {
 	case "on":
 		tensor.Autotune()

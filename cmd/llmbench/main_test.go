@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"secemb/internal/core"
@@ -61,5 +66,41 @@ func TestBuildGeneratorInstrumented(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("per-technique generate counter missing: %+v", snap.Counters)
+	}
+}
+
+// LLMBENCH_RUN_MAIN set to 1 makes the test binary run main instead of its tests, so
+// a test can drive the command's own flag handling in a subprocess.
+const runMainEnv = "LLMBENCH_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadFlagsExitTwo: a bad numeric flag is a usage error — exit 2 and
+// one stderr line naming the flag. A panic exits 2 as well, so the stderr
+// line is what tells the two apart.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-vocab", "0"},
+		{"-heads", "3", "-dim", "32"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%q: exit %v, want 2", args, err)
+		}
+		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+		if len(lines) != 1 || strings.Contains(lines[0], "panic:") || !strings.HasPrefix(lines[0], args[0]) {
+			t.Errorf("%q: stderr %q, want one line naming %s", args, stderr.String(), args[0])
+		}
 	}
 }

@@ -53,6 +53,13 @@ func main() {
 	load := flag.String("load", "", "print a previously saved threshold DB instead of profiling")
 	flag.Parse()
 
+	if *dim < 1 {
+		usageErr("dim", fmt.Errorf("must be at least 1, got %d", *dim))
+	}
+	if *reps < 1 {
+		usageErr("reps", fmt.Errorf("must be at least 1, got %d", *reps))
+	}
+
 	if *load != "" {
 		db, err := profile.LoadFile(*load)
 		if err != nil {

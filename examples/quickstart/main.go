@@ -33,6 +33,7 @@ func main() {
 	}
 
 	reference, _ := gens[0].Generate(queries)
+	reference = reference.Clone() // valid only until Lookup's next Generate
 	fmt.Println("technique                    latency      footprint   matches table   trace hides index")
 	for _, g := range gens {
 		start := time.Now()

@@ -8,7 +8,8 @@
 //     Its access pattern leaks the index (§III); it exists as the
 //     performance baseline and the attack target.
 //   - LinearScan / LinearScanBatched: storage + oblivious full-table scan
-//     per query, or once per batch (§IV-A1).
+//     (§IV-A1), one table pass per query or one per worker for its share
+//     of the batch.
 //   - PathORAM / CircuitORAM: storage + tree-ORAM protection (§IV-A2).
 //   - DHE: compute-based generation with input-independent access
 //     patterns (§IV-A3).
@@ -43,8 +44,9 @@ const (
 	// DHE computes embeddings with Deep Hash Embedding.
 	DHE
 	// LinearScanBatched is the batch-amortized scan variant: one table
-	// stream per batch instead of one per query (this repository's scan
-	// ablation; same masked work and security argument as LinearScan).
+	// stream per worker's share of the batch instead of one per query
+	// (this repository's scan ablation; same masked work and security
+	// argument as LinearScan).
 	LinearScanBatched
 )
 
@@ -108,11 +110,10 @@ func (t Technique) Secure() bool { return t != Lookup }
 // never fatal. Implementations must keep their memory access pattern
 // independent of the id values (except Lookup, by design).
 //
-// Hot-path implementations (DHE, batched scan, Path and Circuit ORAM)
-// reuse their output storage: the returned matrix is valid until the
-// generator's next Generate call, and callers that retain results across
-// calls must copy them. A generator
-// serves one Generate at a time; concurrent callers need replicas.
+// Every implementation reuses its output storage: the returned matrix is
+// valid until the generator's next Generate call, and callers that retain
+// a result across calls must copy it. A generator serves one Generate at
+// a time; concurrent callers need replicas.
 type Generator interface {
 	// Generate embeds a batch of secret feature ids; the ids must never
 	// influence control flow or addresses (Lookup excepted, by design).

@@ -89,10 +89,8 @@ func New(tech Technique, rows, dim int, opts Options) (Generator, error) {
 				table = tensor.NewGaussian(rows, dim, 0.02, rand.New(rand.NewSource(opts.Seed)))
 			}
 			g = newLookupGen(table, opts)
-		case LinearScan:
-			g = newScanGen(packTable(rows, dim, opts.rowSource()), opts)
-		case LinearScanBatched:
-			g = newScanBatchedGen(packTable(rows, dim, opts.rowSource()), opts)
+		case LinearScan, LinearScanBatched:
+			g = newScanGen(tech, packTable(rows, dim, opts.rowSource()), opts)
 		case PathORAM, CircuitORAM:
 			g = newORAMGen(rows, dim, tech, opts)
 		}

@@ -20,10 +20,7 @@ type oramGen struct {
 	dim  int
 	tech Technique
 
-	// out is the reusable output: its Data slab grows on demand and is
-	// otherwise resliced (every row is overwritten). The returned matrix
-	// is valid until this generator's next Generate.
-	out tensor.Matrix
+	out tensor.Matrix // the reused output of each Generate
 }
 
 // newORAMGen keys the leaves from crypto/rand: whoever knew opts.Seed would
@@ -59,13 +56,7 @@ func (g *oramGen) Generate(ids []uint64) (*tensor.Matrix, error) {
 	if err := ValidateIDs(ids, g.rows); err != nil {
 		return nil, err
 	}
-	out := &g.out
-	if need := len(ids) * g.dim; cap(out.Data) < need {
-		out.Data = make([]float32, need)
-	} else {
-		out.Data = out.Data[:need]
-	}
-	out.Rows, out.Cols = len(ids), g.dim
+	out := reslice(&g.out, len(ids), g.dim)
 	for r, id := range ids {
 		dst := out.Row(r)
 		g.o.Update(id, func(words []uint32) {

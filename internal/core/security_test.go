@@ -123,25 +123,32 @@ func TestORAMGeneratorsAccessShape(t *testing.T) {
 	}
 }
 
-// TestScanTraceCoversWholeTablePerQuery: the scan must touch every row for
-// every query — not just until the match.
+// TestScanTraceCoversWholeTablePerQuery: the scan must touch every row in
+// every pass — not just until the match. With one worker, LinearScan makes
+// one 50-row pass per query and LinearScanBatched one for the whole batch;
+// the sweep count is what tells the two techniques apart.
 func TestScanTraceCoversWholeTablePerQuery(t *testing.T) {
 	tbl := testTable(50, 4, 6)
-	tracer := memtrace.NewEnabled()
-	g := newStorage(LinearScan, tbl, Options{Tracer: tracer, Threads: 1})
-	tr := traceOf(tracer, g, []uint64{0, 49})
-	if len(tr) != 100 {
-		t.Fatalf("scan touched %d blocks, want 2 queries × 50 rows", len(tr))
-	}
-	h := map[int64]int{}
-	for _, a := range tr {
-		if a.Region == "scan" {
-			h[a.Block]++
+	for _, c := range []struct {
+		tech   Technique
+		sweeps int
+	}{{LinearScan, 2}, {LinearScanBatched, 1}} {
+		tracer := memtrace.NewEnabled()
+		g := newStorage(c.tech, tbl, Options{Tracer: tracer, Threads: 1})
+		tr := traceOf(tracer, g, []uint64{0, 49})
+		if len(tr) != c.sweeps*50 {
+			t.Fatalf("%s touched %d blocks, want %d sweeps × 50 rows", c.tech.Key(), len(tr), c.sweeps)
 		}
-	}
-	for r := int64(0); r < 50; r++ {
-		if h[r] != 2 {
-			t.Fatalf("row %d touched %d times, want 2", r, h[r])
+		h := map[int64]int{}
+		for _, a := range tr {
+			if a.Region == c.tech.Key() {
+				h[a.Block]++
+			}
+		}
+		for r := int64(0); r < 50; r++ {
+			if h[r] != c.sweeps {
+				t.Fatalf("%s: row %d touched %d times, want %d", c.tech.Key(), r, h[r], c.sweeps)
+			}
 		}
 	}
 }

@@ -299,23 +299,6 @@ func (d *DHE) NumBytes() int64 {
 	return enc + d.Decoder.NumBytes()
 }
 
-// Quantize returns an inference-only copy of the DHE whose decoder uses
-// packed quantized weights (≈2× smaller, ~4× faster on scalar CPUs — the
-// CPU-deployment optimization the paper motivates in §II-A). The encoder
-// is shared; the quantized copy cannot be trained further. The serving
-// path prefers EnableInt8, which keeps the float decoder for training and
-// gates the swap on measured accuracy.
-func (d *DHE) Quantize() *DHE {
-	return &DHE{
-		Enc:     d.Enc,
-		GEnc:    d.GEnc,
-		Decoder: nn.QuantizeSequential(d.Decoder),
-		K:       d.K,
-		Dim:     d.Dim,
-		Threads: d.Threads,
-	}
-}
-
 // ToTable materializes the trained DHE into a rows×Dim embedding table by
 // evaluating every valid input — the paper's offline hybrid-model
 // preparation ("use the trained DHEs to create table representations

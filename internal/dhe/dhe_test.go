@@ -254,12 +254,14 @@ func TestGaussianVariantTrains(t *testing.T) {
 	}
 }
 
+// TestQuantizedDHE: a DHE serving from its quantized decoder stays close
+// to the float one, is well below its footprint, and cannot train.
 func TestQuantizedDHE(t *testing.T) {
 	d := smallDHE(70)
-	q := d.Quantize()
+	q := nn.QuantizeSequential(d.Decoder)
 	ids := []uint64{0, 15, 99}
 	want := d.Generate(ids)
-	got := q.Generate(ids)
+	got := q.Forward(d.EncodeBatch(ids))
 	if got.Rows != 3 || got.Cols != 8 {
 		t.Fatalf("shape %dx%d", got.Rows, got.Cols)
 	}
@@ -269,8 +271,8 @@ func TestQuantizedDHE(t *testing.T) {
 	}
 	// Packed 16-bit weight lanes: ≈2× smaller than float32 (the packing
 	// trades half the flat-int8 compression for the ~4× SWAR speedup).
-	if q.NumBytes() >= d.NumBytes()*3/4 {
-		t.Fatalf("quantized footprint %d not well below float %d", q.NumBytes(), d.NumBytes())
+	if qBytes := d.NumBytes() - d.Decoder.NumBytes() + q.NumBytes(); qBytes >= d.NumBytes()*3/4 {
+		t.Fatalf("quantized footprint %d not well below float %d", qBytes, d.NumBytes())
 	}
 	// Inference-only.
 	defer func() {

@@ -100,11 +100,12 @@ func ExtQuantization(quick bool) Report {
 		{"LLM (k=2048, dim 1024)", dhe.LLMConfig(1024, 70)},
 	} {
 		d := dhe.New(c.cfg, rand.New(rand.NewSource(70)))
-		q := d.Quantize()
+		q := nn.QuantizeSequential(d.Decoder)
 		ids := []uint64{1, 2, 3, 4}
-		drift := tensor.MaxAbsDiff(d.Generate(ids), q.Generate(ids))
-		r.AddRow(c.name, mb(d.NumBytes()), mb(q.NumBytes()),
-			fmt.Sprintf("%.2fx", float64(d.NumBytes())/float64(q.NumBytes())),
+		drift := tensor.MaxAbsDiff(d.Generate(ids), q.Forward(d.EncodeBatch(ids)))
+		qBytes := d.NumBytes() - d.Decoder.NumBytes() + q.NumBytes()
+		r.AddRow(c.name, mb(d.NumBytes()), mb(qBytes),
+			fmt.Sprintf("%.2fx", float64(d.NumBytes())/float64(qBytes)),
 			fmt.Sprintf("%.4f", drift))
 	}
 	r.AddNote("quantized decoders keep the dense, input-independent data flow — same side-channel argument")

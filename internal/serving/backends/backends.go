@@ -180,8 +180,8 @@ func (b *Embedding) Execute(payloads []any) ([]serving.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Always clone: generator outputs may alias internal workspaces (the
-	// DHE inference buffer is valid only until the next Generate).
+	// Always clone: a generator's output is storage it owns, valid only
+	// until its next Generate.
 	r0 := 0
 	for k, i := range idx {
 		results[i].Value = tensor.SliceRows(emb, r0, r0+counts[k]).Clone()
