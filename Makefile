@@ -96,7 +96,6 @@ fmt-check:
 # campaign. One invocation per package because -fuzz takes a single target.
 FUZZTIME ?= 20s
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/memtrace
 	$(GO) test -run='^$$' -fuzz=FuzzEqLt -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzCondCopy -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/core

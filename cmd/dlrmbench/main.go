@@ -58,8 +58,24 @@ func main() {
 	planAssert := flag.Bool("plan-assert", false, "with -plan: exit non-zero unless ≥2 shards reach distinct techniques at steady state (CI regression mode)")
 	flag.Parse()
 
-	if *reps < 1 {
+	switch {
+	case *reps < 1:
 		fmt.Fprintf(os.Stderr, "-reps must be at least 1, got %d\n", *reps)
+		os.Exit(2)
+	case *batch < 1:
+		fmt.Fprintf(os.Stderr, "-batch must be at least 1, got %d\n", *batch)
+		os.Exit(2)
+	case *shards < 1:
+		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", *shards)
+		os.Exit(2)
+	case *clients < 1:
+		fmt.Fprintf(os.Stderr, "-clients must be at least 1, got %d\n", *clients)
+		os.Exit(2)
+	case *coalesce < 0:
+		fmt.Fprintf(os.Stderr, "-coalesce must not be negative, got %d\n", *coalesce)
+		os.Exit(2)
+	case *wait < 0:
+		fmt.Fprintf(os.Stderr, "-wait must not be negative, got %v\n", *wait)
 		os.Exit(2)
 	}
 	switch *autotune {
@@ -364,14 +380,14 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		wg.Wait()
 		return float64(load.clients*load.reps) / time.Since(start).Seconds()
 	}
-	newBackends := func(name string) ([]serving.Backend, error) {
+	newBackends := func(name string, maxBatch int) ([]serving.Backend, error) {
 		bes := make([]serving.Backend, load.shards)
 		for i := range bes {
 			p, err := buildPipeline(m, name, threshold, seed+int64(i), reg)
 			if err != nil {
 				return nil, err
 			}
-			bes[i] = backends.NewDLRM(p, load.coalesce)
+			bes[i] = backends.NewDLRM(p, maxBatch)
 		}
 		return bes, nil
 	}
@@ -379,24 +395,22 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 	fmt.Println("technique        per-request req/s   coalesced req/s   speedup")
 	for _, name := range techniques {
 		name = strings.TrimSpace(name)
-		bes, err := newBackends(name)
+		bes, err := newBackends(name, 1)
 		if err != nil {
 			return err
 		}
-		pool := serving.NewGroup(bes, serving.GroupConfig{
-			Shards: 1, QueueDepth: load.clients, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
-		})
+		pool := serving.NewGroup(bes, serving.GroupConfig{Shards: 1, QueueDepth: load.clients})
 		perReq := drive(func(_ uint64, r *backends.DLRMRequest) serving.Response {
 			return pool.Do(context.Background(), 0, r)
 		})
 		pool.Close()
 
-		if bes, err = newBackends(name); err != nil {
+		if bes, err = newBackends(name, load.coalesce); err != nil {
 			return err
 		}
 		group := serving.NewGroup(bes, serving.GroupConfig{
 			Shards:   load.shards,
-			Coalesce: serving.CoalesceConfig{MaxBatch: load.coalesce, MaxWait: load.wait},
+			Coalesce: serving.CoalesceConfig{MaxWait: load.wait},
 		}, serving.WithObserver(reg))
 		fused := drive(func(key uint64, r *backends.DLRMRequest) serving.Response {
 			return group.Do(context.Background(), key, r)

@@ -125,8 +125,14 @@ func TestMain(m *testing.M) {
 func TestBadFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-reps", "0"},
+		{"-batch", "0"},
+		{"-shards", "0", "-coalesce", "4"},
+		{"-shards", "-2", "-coalesce", "4"},
+		{"-clients", "0", "-coalesce", "4"},
+		{"-coalesce", "-1"},
+		{"-wait", "-1ms", "-coalesce", "4"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off"}, args...)...)
+		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-reps", "1", "-techniques", "scan"}, args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

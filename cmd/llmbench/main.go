@@ -68,6 +68,18 @@ func main() {
 	case *heads < 1 || *dim%*heads != 0:
 		fmt.Fprintf(os.Stderr, "-heads must divide -dim %d, got %d\n", *dim, *heads)
 		os.Exit(2)
+	case *batch < 1:
+		fmt.Fprintf(os.Stderr, "-batch must be at least 1, got %d\n", *batch)
+		os.Exit(2)
+	case *shards < 1:
+		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", *shards)
+		os.Exit(2)
+	case *coalesce < 0:
+		fmt.Fprintf(os.Stderr, "-coalesce must not be negative, got %d\n", *coalesce)
+		os.Exit(2)
+	case *wait < 0:
+		fmt.Fprintf(os.Stderr, "-wait must not be negative, got %v\n", *wait)
+		os.Exit(2)
 	}
 	switch *autotune {
 	case "on":
@@ -200,18 +212,11 @@ func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prom
 			}
 			bes := make([]serving.Backend, load.shards)
 			for i := range bes {
-				fuse := perShard[i]
-				if fuse < 1 {
-					fuse = 1
-				}
-				if maxBatch > 0 && maxBatch < fuse {
-					fuse = maxBatch
-				}
-				bes[i] = backends.NewLLMDecode(pipes[i], fuse)
+				bes[i] = backends.NewLLMDecode(pipes[i], max(min(perShard[i], maxBatch), 1))
 			}
 			group := serving.NewGroup(bes, serving.GroupConfig{
 				Shards:   load.shards,
-				Coalesce: serving.CoalesceConfig{MaxBatch: maxBatch, MaxWait: load.wait},
+				Coalesce: serving.CoalesceConfig{MaxWait: load.wait},
 			}, serving.WithObserver(reg))
 			defer group.Close()
 

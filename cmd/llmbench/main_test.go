@@ -88,8 +88,13 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-vocab", "0"},
 		{"-heads", "3", "-dim", "32"},
+		{"-batch", "0", "-coalesce", "4"},
+		{"-shards", "0", "-coalesce", "4"},
+		{"-shards", "-1", "-coalesce", "4"},
+		{"-coalesce", "-1"},
+		{"-wait", "-1ms", "-coalesce", "4"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off"}, args...)...)
+		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-vocab", "200", "-dim", "16", "-heads", "2", "-techniques", "scan"}, args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -14,8 +14,11 @@
 // Usage:
 //
 //	obliviouslint [-C dir] [-vet] [-v] [-json report.json] [-sarif report.sarif] [packages...]
-//	obliviouslint -dir path/to/package   (standalone, import-free directory)
 //	obliviouslint -summaries [packages...]   (dump the interprocedural taint summaries)
+//
+// Packages are `go list` patterns in the module at -C (default ./...).
+// ./... skips testdata, so an analyzer fixture is linted by its explicit
+// path, e.g. ./internal/analysis/testdata/src/leaky.
 package main
 
 import (
@@ -45,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("obliviouslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	moduleDir := fs.String("C", ".", "module directory to lint")
-	dir := fs.String("dir", "", "lint a single bare directory (no module, imports disallowed)")
 	vet := fs.Bool("vet", false, "also run the strict-vet shadow analyzer")
 	verbose := fs.Bool("v", false, "print waived findings too")
 	out := fs.String("json", "", "JSON report path (empty: skip)")
@@ -60,37 +62,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyzers = append(analyzers, analysis.Shadow())
 	}
 
-	var prog *analysis.Program
-	var targets []*analysis.Package
-	relBase := ""
-	if *dir != "" {
-		if fs.NArg() > 0 {
-			fmt.Fprintln(stderr, "obliviouslint: -dir takes no package patterns")
-			return 2
-		}
-		pkg, ix, err := analysis.LoadDir(*dir, filepath.Base(*dir), "")
-		if err != nil {
-			fmt.Fprintln(stderr, "obliviouslint:", err)
-			return 2
-		}
-		targets = []*analysis.Package{pkg}
-		prog = analysis.NewProgram(targets, targets, ix)
-	} else {
-		patterns := fs.Args()
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		set, err := analysis.LoadModule(*moduleDir, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "obliviouslint:", err)
-			return 2
-		}
-		targets = set.Targets
-		prog = set.Program()
-		if abs, aerr := filepath.Abs(*moduleDir); aerr == nil {
-			relBase = abs
-		}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
+	set, err := analysis.LoadModule(*moduleDir, patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "obliviouslint:", err)
+		return 2
+	}
+	prog := set.Program()
+	relBase, _ := filepath.Abs(*moduleDir) // "" on error: positions stay absolute
 
 	if *summaries {
 		dumpSummaries(stdout, prog, relBase)
@@ -109,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	relativize(relBase, res.Waived)
 
 	report := fileReport{OK: len(res.Findings) == 0, Findings: res.Findings, Waived: res.Waived}
-	for _, p := range targets {
+	for _, p := range set.Targets {
 		report.Packages = append(report.Packages, p.Path)
 	}
 	if report.Findings == nil {
@@ -154,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "obliviouslint: %d package(s), %d finding(s), %d waived\n",
-		len(targets), len(res.Findings), len(res.Waived))
+		len(set.Targets), len(res.Findings), len(res.Waived))
 	if len(res.Findings) > 0 {
 		fmt.Fprintln(stderr, "obliviouslint: FAILED — fix the findings or add a reviewed //lint:allow waiver")
 		return 1

@@ -9,13 +9,29 @@ import (
 	"secemb/internal/analysis"
 )
 
-const leakyFixture = "../../internal/analysis/testdata/src/leaky"
+// leakyArgs lints the deliberately leaky fixture, named by its explicit
+// testdata path (./... skips testdata).
+var leakyArgs = []string{"-C", "../..", "./internal/analysis/testdata/src/leaky"}
+
+// tempModule writes src as a one-file module "name" and returns its
+// directory, for linting with -C.
+func tempModule(t *testing.T, name, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name+".go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module "+name+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
 // The acceptance gate: the driver must exit non-zero on the deliberately
 // leaky fixture and name both the position and the violated check.
 func TestLeakyFixtureFails(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := run([]string{"-dir", leakyFixture}, &stdout, &stderr)
+	code := run(leakyArgs, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -34,20 +50,16 @@ func TestLeakyFixtureFails(t *testing.T) {
 }
 
 func TestCleanDirPasses(t *testing.T) {
-	dir := t.TempDir()
-	src := `package clean
+	dir := tempModule(t, "clean", `package clean
 
 // secemb:secret id return
 func Select(a, b uint64, id uint64) uint64 {
 	m := -(id & 1)
 	return (a & m) | (b &^ m)
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "clean.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", dir}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-C", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 }
@@ -55,8 +67,7 @@ func Select(a, b uint64, id uint64) uint64 {
 // A package whose only findings are waived exits zero — waivers are the
 // sanctioned escape hatch, not a failure.
 func TestWaivedOnlyPasses(t *testing.T) {
-	dir := t.TempDir()
-	src := `package waivedonly
+	dir := tempModule(t, "waivedonly", `package waivedonly
 
 // secemb:secret id
 func Guard(id uint64, n uint64) {
@@ -65,12 +76,9 @@ func Guard(id uint64, n uint64) {
 		panic("out of range")
 	}
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "w.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", dir, "-v"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-C", dir, "-v"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	if out := stdout.String(); !strings.Contains(out, "1 waived") || !strings.Contains(out, "(waived:") {
@@ -80,8 +88,7 @@ func Guard(id uint64, n uint64) {
 
 // -vet folds the strict-vet analyzers into the same run and exit code.
 func TestVetFlag(t *testing.T) {
-	dir := t.TempDir()
-	src := `package vetdemo
+	dir := tempModule(t, "vetdemo", `package vetdemo
 
 func Resolve(xs []int) int {
 	total := 0
@@ -93,17 +100,14 @@ func Resolve(xs []int) int {
 	}
 	return total
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "v.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", dir}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-C", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("without -vet: exit code = %d, want 0\n%s", code, stdout.String())
 	}
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-dir", dir, "-vet"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", dir, "-vet"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("with -vet: exit code = %d, want 1\n%s", code, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "vet/shadow") {
@@ -111,13 +115,13 @@ func Resolve(xs []int) int {
 	}
 }
 
-// Usage errors (bad flags, -dir mixed with patterns, unloadable module)
+// Usage errors (bad flags, no module, a package that does not exist)
 // exit 2, distinct from the findings exit 1.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
-		{"-dir", leakyFixture, "./..."},
-		{"-dir", filepath.Join(leakyFixture, "does-not-exist")},
+		{"-C", t.TempDir()},
+		{"-C", "../..", "./internal/analysis/testdata/src/does-not-exist"},
 	} {
 		var stdout, stderr strings.Builder
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -129,7 +133,7 @@ func TestUsageErrors(t *testing.T) {
 func TestJSONReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", leakyFixture, "-json", out}, &stdout, &stderr); code != 1 {
+	if code := run(append([]string{"-json", out}, leakyArgs...), &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	data, err := os.ReadFile(out)
@@ -148,7 +152,7 @@ func TestJSONReport(t *testing.T) {
 func TestJSONReportUnwritable(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "no-such-subdir", "report.json")
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", leakyFixture, "-json", out}, &stdout, &stderr); code != 2 {
+	if code := run(append([]string{"-json", out}, leakyArgs...), &stdout, &stderr); code != 2 {
 		t.Fatalf("exit code = %d, want 2\nstderr:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "obliviouslint:") {
@@ -161,7 +165,7 @@ func TestJSONReportUnwritable(t *testing.T) {
 func TestSARIFReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.sarif")
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", leakyFixture, "-sarif", out}, &stdout, &stderr); code != 1 {
+	if code := run(append([]string{"-sarif", out}, leakyArgs...), &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	data, err := os.ReadFile(out)
@@ -181,18 +185,14 @@ func TestSARIFReport(t *testing.T) {
 // -summaries dumps the interprocedural taint summaries: the unannotated
 // helper's flow-through and conditional leak sites must be visible.
 func TestSummariesDump(t *testing.T) {
-	dir := t.TempDir()
-	src := `package sums
+	dir := tempModule(t, "sums", `package sums
 
 func gather(t []float32, i int) float32 {
 	return t[i]
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "s.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", dir, "-summaries"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-C", dir, "-summaries"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr.String())
 	}
 	out := stdout.String()

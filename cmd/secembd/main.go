@@ -75,7 +75,6 @@ type config struct {
 	seed       int64
 	tlsCert    string
 	tlsKey     string
-	autotune   string
 	int8       bool
 	plan       bool
 	planEvery  time.Duration
@@ -116,7 +115,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.Int64Var(&c.seed, "seed", 1, "serve: fixes the table rows and DHE weights; ORAM randomness comes from crypto/rand / soak: id stream seed")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve: PEM certificate file; with -tls-key, terminate TLS on the listener")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "serve: PEM private key file for -tls-cert")
-	fs.StringVar(&c.autotune, "autotune", "on", "serve: probe matmul kernel configs at startup (on/off)")
 	fs.BoolVar(&c.int8, "int8", true, "serve: quantized int8 DHE decoder when the accuracy gate passes (dhe and dual techniques)")
 	fs.BoolVar(&c.plan, "plan", false, "serve: adaptive planner re-fits the technique choice online and hot-swaps tables (replaces the static dual hybrid)")
 	fs.DurationVar(&c.planEvery, "plan-interval", 10*time.Second, "serve: planner re-plan period (with -plan)")
@@ -154,11 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // validate rejects the flag values the serving and wire constructors treat
-// as programmer errors (they panic), a malformed -autotune, negative
-// durations and depths (which the stack would silently read as "off" or
-// "default"), and a soak that cannot send a well-formed request, so an
-// operator typo is a usage error. An external -target's id cap is unknown
-// here, so only a self-hosted soak's -batch is checked against -max-batch.
+// as programmer errors (they panic), negative durations and depths (which
+// the stack would silently read as "off" or "default"), and a soak that
+// cannot send a well-formed request, so an operator typo is a usage error.
+// An external -target's id cap is unknown here, so only a self-hosted
+// soak's -batch is checked against -max-batch.
 // Rows, dim and technique are checked by core.New, which returns an error.
 func (c *config) validate() error {
 	shards := c.shards
@@ -174,8 +172,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("%d shards exceed the wire shard field's cap of 256; group the backends with -shards", shards)
 	case c.maxBatch < 1:
 		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
-	case c.autotune != "on" && c.autotune != "off":
-		return fmt.Errorf("-autotune must be on or off, got %q", c.autotune)
 	case c.soak && (c.conns < 1 || c.duration <= 0 || c.rows < 1):
 		return fmt.Errorf("-soak needs -conns ≥1, -duration >0 and -rows ≥1")
 	case c.soak && c.batch < 1:
@@ -395,10 +391,8 @@ func runServe(c *config, stdout, stderr io.Writer) int {
 		return 2
 	}
 	reg := obs.NewRegistry()
-	if c.autotune == "on" {
-		// The ≤100 ms kernel probe times public architecture shapes only.
-		fmt.Fprintf(stdout, "secembd: kernel autotune: %+v\n", tensor.Autotune())
-	}
+	// The ≤100 ms kernel probe times public architecture shapes only.
+	fmt.Fprintf(stdout, "secembd: kernel autotune: %+v\n", tensor.Autotune())
 	addr, group, drain, err := startServer(c, reg, c.addr,
 		wire.ServerConfig{Key: key, RequireToken: require, TLS: tlsCfg}, stdout, stderr)
 	if err != nil {

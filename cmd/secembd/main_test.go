@@ -24,7 +24,6 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
-		{"-autotune", "maybe"},
 		{"-tls-cert", "cert.pem"},
 		{"-backends", "0"},
 		{"-shards", "9", "-backends", "2"},

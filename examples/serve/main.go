@@ -73,12 +73,12 @@ func main() {
 			techs[i] = core.DHE
 		}
 	}
-	newBackends := func(seedBase int64) []serving.Backend {
+	newBackends := func(seedBase int64, maxBatch int) []serving.Backend {
 		bes := make([]serving.Backend, replicas)
 		for i := range bes {
 			p := dlrm.BuildHybrid(model, techs, core.Options{Seed: seedBase + int64(i), Obs: reg})
 			p.SetObserver(reg)
-			bes[i] = backends.NewDLRM(p, *coalesce)
+			bes[i] = backends.NewDLRM(p, maxBatch)
 		}
 		return bes
 	}
@@ -129,10 +129,8 @@ func main() {
 			q(0.50), q(0.95), q(0.99), r.lat[requests-1], sla, q(0.95) <= sla)
 	}
 
-	// Baseline: one request per backend execution.
-	pool := serving.NewGroup(newBackends(30), serving.GroupConfig{
-		Shards: 1, QueueDepth: 2 * replicas, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
-	})
+	// Baseline: one request per backend execution (backends with cap 1).
+	pool := serving.NewGroup(newBackends(30, 1), serving.GroupConfig{Shards: 1, QueueDepth: 2 * replicas})
 	base := drive(func(_ uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response {
 		return pool.Do(context.Background(), 0, &backends.DLRMRequest{Dense: dense, Sparse: sparse})
 	})
@@ -140,9 +138,9 @@ func main() {
 	report("per-request", base, pool.Stats())
 
 	// Layered stack: sharded replica groups with cross-request coalescing.
-	group := serving.NewGroup(newBackends(60), serving.GroupConfig{
+	group := serving.NewGroup(newBackends(60, *coalesce), serving.GroupConfig{
 		Shards:   *shards,
-		Coalesce: serving.CoalesceConfig{MaxBatch: *coalesce, MaxWait: *wait},
+		Coalesce: serving.CoalesceConfig{MaxWait: *wait},
 	}, serving.WithObserver(reg))
 	coal := drive(func(key uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response {
 		return group.Do(context.Background(), key, &backends.DLRMRequest{Dense: dense, Sparse: sparse})

@@ -4,31 +4,38 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// RunFixture loads srcRoot/<importPath> (the analysistest convention:
-// fixtures live under testdata/src), runs the analyzers, and compares the
-// unwaived findings against `// want "regexp"` comments: every finding must
-// be expected on its line and every expectation must be matched. Waived
-// findings never match a want — a fixture exercising //lint:allow expects
-// silence.
-func RunFixture(t *testing.T, srcRoot, importPath string, analyzers ...*Analyzer) *Result {
+// lintFixture loads testdata/src/<name> through LoadModule, the loader
+// every audit uses, as the only target (its imports are the real module
+// packages and the real standard library), and runs the analyzers on it.
+// `go list ./...` skips testdata, so only the explicit path reaches it.
+func lintFixture(t *testing.T, name string, analyzers ...*Analyzer) (*ModuleSet, *Result) {
 	t.Helper()
-	dir := filepath.Join(srcRoot, filepath.FromSlash(importPath))
-	pkg, idx, err := LoadDir(dir, importPath, srcRoot)
+	set, err := LoadModule(".", "./testdata/src/"+name)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", importPath, err)
+		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	res, err := RunProgram(analyzers, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
+	res, err := RunProgram(analyzers, set.Program())
 	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", importPath, err)
+		t.Fatalf("running analyzers on %s: %v", name, err)
 	}
+	return set, res
+}
 
+// RunFixture lints testdata/src/<name> (the analysistest convention) and
+// compares the unwaived findings against `// want "regexp"` comments:
+// every finding must be expected on its line and every expectation must
+// be matched. Waived findings never match a want — a fixture exercising
+// //lint:allow expects silence.
+func RunFixture(t *testing.T, name string, analyzers ...*Analyzer) *Result {
+	t.Helper()
+	set, res := lintFixture(t, name, analyzers...)
+	pkg := set.Targets[0]
 	wants := collectWants(t, pkg.Fset, pkg.Files)
 	for _, d := range res.Findings {
 		if !wants.match(d) {

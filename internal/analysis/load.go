@@ -17,11 +17,11 @@ import (
 	"strings"
 )
 
-// The loaders below exist because this module carries no third-party
+// The loader below exists because this module carries no third-party
 // dependencies: instead of golang.org/x/tools/go/packages, module packages
 // are enumerated with `go list -export` and type-checked from source
-// against the toolchain's gc export data, and fixture packages are loaded
-// from bare directories with a map-based importer.
+// against the toolchain's gc export data. The analyzers' fixtures load the
+// same way, each named by its explicit ./testdata/src/<name> path.
 
 // listedPkg is the subset of `go list -json` this loader consumes.
 type listedPkg struct {
@@ -43,7 +43,6 @@ type ModuleSet struct {
 	All        []*Package // every non-standard package, in import-path order
 	Targets    []*Package // the subset matching the load patterns
 	Directives *Index
-	BadDirs    []Diagnostic // malformed directives anywhere in the module
 }
 
 // Program builds the interprocedural view over the loaded module.
@@ -113,78 +112,13 @@ func LoadModule(moduleDir string, patterns ...string) (*ModuleSet, error) {
 		for _, name := range lp.SFiles {
 			pkg.asmFiles = append(pkg.asmFiles, filepath.Join(lp.Dir, name))
 		}
-		set.BadDirs = append(set.BadDirs, CollectDirectives(set.Directives, pkg)...)
+		CollectDirectives(set.Directives, pkg) // malformed ones are findings of the run
 		set.All = append(set.All, pkg)
 		if !lp.DepOnly {
 			set.Targets = append(set.Targets, pkg)
 		}
 	}
 	return set, nil
-}
-
-// LoadDir loads a single package from a bare directory. Imports are
-// resolved against srcRoot (dir layout srcRoot/<import/path>/*.go), the
-// convention of this package's analysistest fixtures; with srcRoot == ""
-// the package must be import-free. The returned index covers the package
-// and everything it (transitively) imported.
-func LoadDir(dir, importPath, srcRoot string) (*Package, *Index, error) {
-	fset := token.NewFileSet()
-	ix := NewIndex()
-	loader := &dirLoader{fset: fset, srcRoot: srcRoot, idx: ix, loaded: map[string]*types.Package{}}
-	pkg, err := loader.load(dir, importPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, ix, nil
-}
-
-type dirLoader struct {
-	fset    *token.FileSet
-	srcRoot string
-	idx     *Index
-	loaded  map[string]*types.Package
-}
-
-func (l *dirLoader) Import(path string) (*types.Package, error) {
-	if p, ok := l.loaded[path]; ok {
-		return p, nil
-	}
-	if l.srcRoot == "" {
-		return nil, fmt.Errorf("import %q not allowed: standalone packages must be self-contained", path)
-	}
-	pkg, err := l.load(filepath.Join(l.srcRoot, filepath.FromSlash(path)), path)
-	if err != nil {
-		return nil, err
-	}
-	return pkg.Types, nil
-}
-
-func (l *dirLoader) load(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	sort.Strings(names)
-	files, err := parseDir(l.fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := typecheck(l.fset, importPath, files, l)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
-	}
-	l.loaded[importPath] = pkg.Types
-	CollectDirectives(l.idx, pkg)
-	return pkg, nil
 }
 
 func parseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {

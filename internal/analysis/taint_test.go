@@ -5,42 +5,40 @@ import (
 	"testing"
 )
 
-const fixtureRoot = "testdata/src"
-
 func TestObliviouslintBranch(t *testing.T) {
-	RunFixture(t, fixtureRoot, "branch", Obliviouslint())
+	RunFixture(t, "branch", Obliviouslint())
 }
 
 func TestObliviouslintIndex(t *testing.T) {
-	RunFixture(t, fixtureRoot, "index", Obliviouslint())
+	RunFixture(t, "index", Obliviouslint())
 }
 
 func TestObliviouslintLoop(t *testing.T) {
-	RunFixture(t, fixtureRoot, "loop", Obliviouslint())
+	RunFixture(t, "loop", Obliviouslint())
 }
 
 func TestObliviouslintCall(t *testing.T) {
-	RunFixture(t, fixtureRoot, "call", Obliviouslint())
+	RunFixture(t, "call", Obliviouslint())
 }
 
 func TestObliviouslintDeclass(t *testing.T) {
-	RunFixture(t, fixtureRoot, "declass", Obliviouslint())
+	RunFixture(t, "declass", Obliviouslint())
 }
 
 func TestObliviouslintAlloc(t *testing.T) {
-	RunFixture(t, fixtureRoot, "alloc", Obliviouslint())
+	RunFixture(t, "alloc", Obliviouslint())
 }
 
 func TestObliviouslintMapKey(t *testing.T) {
-	RunFixture(t, fixtureRoot, "mapkey", Obliviouslint())
+	RunFixture(t, "mapkey", Obliviouslint())
 }
 
 func TestObliviouslintChan(t *testing.T) {
-	RunFixture(t, fixtureRoot, "chan", Obliviouslint())
+	RunFixture(t, "chan", Obliviouslint())
 }
 
 func TestObliviouslintDrift(t *testing.T) {
-	RunFixture(t, fixtureRoot, "drift", Obliviouslint())
+	RunFixture(t, "drift", Obliviouslint())
 }
 
 // TestInterproceduralTeeth is the acceptance check for the summary engine:
@@ -49,7 +47,7 @@ func TestObliviouslintDrift(t *testing.T) {
 // intraprocedural engine provably never saw (it stopped with a blanket
 // obliviouslint/call at the root's call, which must now be gone).
 func TestInterproceduralTeeth(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "interproc", Obliviouslint())
+	res := RunFixture(t, "interproc", Obliviouslint())
 	foundInHelper := false
 	for _, d := range res.Findings {
 		if d.Rule == RuleCall {
@@ -68,7 +66,7 @@ func TestInterproceduralTeeth(t *testing.T) {
 // policy inspects the ids it fuses must be flagged (the §V-B scheduler
 // invariant), while the count-only policy stays clean.
 func TestObliviouslintFlushPolicy(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "flush", Obliviouslint())
+	res := RunFixture(t, "flush", Obliviouslint())
 	if len(res.Findings) == 0 {
 		t.Fatal("id-dependent flush policies produced no findings; the checker has lost its teeth")
 	}
@@ -79,14 +77,14 @@ func TestObliviouslintFlushPolicy(t *testing.T) {
 // (the internal/planner public-signal invariant), while the
 // shape-and-EWMA-only policy stays clean.
 func TestObliviouslintPlanPolicy(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "plan", Obliviouslint())
+	res := RunFixture(t, "plan", Obliviouslint())
 	if len(res.Findings) == 0 {
 		t.Fatal("secret-dependent plan policies produced no findings; the checker has lost its teeth")
 	}
 }
 
 func TestObliviouslintLeakyFixture(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "leaky", Obliviouslint())
+	res := RunFixture(t, "leaky", Obliviouslint())
 	if len(res.Findings) == 0 {
 		t.Fatal("leaky fixture produced no findings; the checker has lost its teeth")
 	}
@@ -96,21 +94,14 @@ func TestObliviouslintLeakyFixture(t *testing.T) {
 // an error, so this test is the false-positive guard for len/cap, nil
 // comparisons, range positions, and heap laundering.
 func TestObliviouslintPublicQuantities(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "public", Obliviouslint())
+	res := RunFixture(t, "public", Obliviouslint())
 	if len(res.Waived) != 0 {
 		t.Errorf("public fixture has no waivers, got %d waived findings", len(res.Waived))
 	}
 }
 
 func TestObliviouslintWaivers(t *testing.T) {
-	pkg, idx, err := LoadDir(fixtureRoot+"/waived", "waived", fixtureRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunProgram([]*Analyzer{Obliviouslint()}, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := lintFixture(t, "waived", Obliviouslint())
 	if got := len(res.Waived); got != 2 {
 		t.Errorf("want 2 waived findings (Checked, Trailing), got %d: %v", got, res.Waived)
 	}
@@ -147,14 +138,7 @@ func TestObliviouslintWaivers(t *testing.T) {
 // line with a secemb:secret directive (the parser would read the want text
 // as parameter names).
 func TestObliviouslintMalformedDirectives(t *testing.T) {
-	pkg, idx, err := LoadDir(fixtureRoot+"/directive", "directive", fixtureRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunProgram([]*Analyzer{Obliviouslint()}, NewProgram([]*Package{pkg}, []*Package{pkg}, idx))
-	if err != nil {
-		t.Fatal(err)
-	}
+	set, res := lintFixture(t, "directive", Obliviouslint())
 	if len(res.Findings) != 2 {
 		t.Fatalf("want 2 directive findings, got %d: %v", len(res.Findings), res.Findings)
 	}
@@ -169,7 +153,7 @@ func TestObliviouslintMalformedDirectives(t *testing.T) {
 	if !strings.Contains(res.Findings[1].Message, `unknown parameter "nosuch"`) {
 		t.Errorf("unknown param: got %q", res.Findings[1].Message)
 	}
-	if idx.funcs["directive.WellFormed"] == nil {
+	if set.Directives.funcs["secemb/internal/analysis/testdata/src/directive.WellFormed"] == nil {
 		t.Error("well-formed directive was not indexed")
 	}
 }

@@ -2,7 +2,11 @@
 // plus the whitelist-sink and annotated-contract behaviors (check class 4).
 package call
 
-import "secemb/internal/oblivious"
+import (
+	"strconv"
+
+	"secemb/internal/oblivious"
+)
 
 func helper(v uint64) uint64 { return v }
 
@@ -17,13 +21,14 @@ func Escapes(id uint64) {
 	}
 }
 
-// opaque has no body in this build (external implementation), so no
-// summary exists and the conservative call finding survives.
-func opaque(v uint64)
-
+// Opaque hands the secret to a standard-library function: the loader reads
+// the standard library as export data only, so the callee has no body in
+// the program, no summary exists and the conservative call finding
+// survives.
+//
 // secemb:secret id
 func Opaque(id uint64) {
-	opaque(id) // want `obliviouslint/call: secret-tainted argument escapes into unannotated function opaque`
+	_ = strconv.FormatUint(id, 10) // want `obliviouslint/call: secret-tainted argument escapes into unannotated function FormatUint`
 }
 
 // Sanctioned routes the secret through the whitelisted oblivious package:

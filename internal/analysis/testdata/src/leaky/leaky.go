@@ -2,8 +2,8 @@
 // leakcheck's plain-lookup negative control. Every function below leaks its
 // secret through an address or a branch, and obliviouslint must flag each
 // one; cmd/obliviouslint's exit-code test runs this package and fails if
-// the checker has lost its teeth. The package is import-free so it can be
-// loaded standalone with -dir.
+// the checker has lost its teeth. Every test loads it through the module
+// loader, by its explicit testdata path.
 package leaky
 
 // Lookup gathers a table row directly by the secret index — the §III

@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestShadow(t *testing.T) {
-	RunFixture(t, fixtureRoot, "shadow", Shadow())
+	RunFixture(t, "shadow", Shadow())
 }
 
 // The strict-vet analyzer must stay quiet on the deliberately taint-leaky
@@ -11,7 +11,7 @@ func TestShadow(t *testing.T) {
 // run must still be one of leaky's obliviouslint wants, with no vet noise
 // on top.
 func TestVetQuietOnLeakyFixture(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "leaky", Obliviouslint(), Shadow())
+	res := RunFixture(t, "leaky", Obliviouslint(), Shadow())
 	for _, d := range res.Findings {
 		if d.Rule == RuleShadow {
 			t.Errorf("vet finding on the vet-clean leaky fixture: %s", d)
@@ -24,7 +24,7 @@ func TestVetQuietOnLeakyFixture(t *testing.T) {
 // taint escape. The combined run must land every rule family at the
 // annotated lines.
 func TestVetLeakyFixture(t *testing.T) {
-	res := RunFixture(t, fixtureRoot, "vetleaky", Obliviouslint(), Shadow())
+	res := RunFixture(t, "vetleaky", Obliviouslint(), Shadow())
 	seen := map[string]bool{}
 	for _, d := range res.Findings {
 		seen[d.Rule] = true

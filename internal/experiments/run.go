@@ -1,68 +1,60 @@
 package experiments
 
-// All runs every experiment in paper order. quick trims grids and
-// training steps (used by tests and the default CLI mode; pass -full to
-// cmd/experiments for the complete sweep).
+// registry lists every experiment once, in paper (render) order. quick
+// trims grids and training steps (used by tests and the default CLI mode;
+// pass -full to cmd/experiments for the complete sweep).
+var registry = []struct {
+	id  string
+	run func(quick bool) Report
+}{
+	{"fig2", func(bool) Report { return Fig2() }},
+	{"fig3", func(bool) Report { return Fig3() }},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", func(bool) Report { return Fig7() }},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", func(bool) Report { return Fig11() }},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15", func(bool) Report { return Fig15() }},
+	{"tableV", TableV},
+	{"tableVI", func(bool) Report { return TableVI() }},
+	{"tableVIII", TableVIII},
+	{"tableVII", func(bool) Report { return TableVII() }},
+	{"llm-memory", func(bool) Report { return LLMMemory() }},
+	{"ext-encoding", ExtEncodingAblation},
+	{"ext-scanorder", ExtScanOrderAblation},
+	{"ext-quant", ExtQuantization},
+}
+
+// All runs every experiment in paper order.
 func All(quick bool) []Report {
-	return []Report{
-		Fig2(),
-		Fig3(),
-		Fig4(quick),
-		Fig5(quick),
-		Fig6(quick),
-		Fig7(),
-		Fig8(quick),
-		Fig9(quick),
-		Fig10(quick),
-		Fig11(),
-		Fig12(quick),
-		Fig13(quick),
-		Fig14(quick),
-		Fig15(),
-		TableV(quick),
-		TableVI(),
-		TableVIII(quick),
-		TableVII(),
-		LLMMemory(),
-		ExtEncodingAblation(quick),
-		ExtScanOrderAblation(quick),
-		ExtQuantization(quick),
+	out := make([]Report, len(registry))
+	for i, e := range registry {
+		out[i] = e.run(quick)
 	}
+	return out
 }
 
 // ByID returns the experiment runner for a given report ID, or nil.
 func ByID(id string) func(quick bool) Report {
-	m := map[string]func(bool) Report{
-		"fig2":          func(bool) Report { return Fig2() },
-		"fig3":          func(bool) Report { return Fig3() },
-		"fig4":          Fig4,
-		"fig5":          Fig5,
-		"fig6":          Fig6,
-		"fig7":          func(bool) Report { return Fig7() },
-		"fig8":          Fig8,
-		"fig9":          Fig9,
-		"fig10":         Fig10,
-		"fig11":         func(bool) Report { return Fig11() },
-		"fig12":         Fig12,
-		"fig13":         Fig13,
-		"fig14":         Fig14,
-		"fig15":         func(bool) Report { return Fig15() },
-		"tableV":        TableV,
-		"tableVI":       func(bool) Report { return TableVI() },
-		"tableVII":      func(bool) Report { return TableVII() },
-		"tableVIII":     TableVIII,
-		"llm-memory":    func(bool) Report { return LLMMemory() },
-		"ext-encoding":  ExtEncodingAblation,
-		"ext-scanorder": ExtScanOrderAblation,
-		"ext-quant":     ExtQuantization,
+	for _, e := range registry {
+		if e.id == id {
+			return e.run
+		}
 	}
-	return m[id]
+	return nil
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"tableV", "tableVI", "tableVII", "tableVIII", "llm-memory",
-		"ext-encoding", "ext-scanorder", "ext-quant"}
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
+	}
+	return out
 }

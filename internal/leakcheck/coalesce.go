@@ -53,10 +53,7 @@ func newCoalescedGen(gen core.Generator) *coalescedGen {
 			// hold's density gate stays armed throughout — a fresh shard
 			// holds, and the gaps between the panel's submissions are
 			// orders of magnitude inside the window.
-			Coalesce: serving.CoalesceConfig{
-				MaxBatch: coalesceMaxBatch,
-				MaxWait:  5 * time.Second,
-			},
+			Coalesce: serving.CoalesceConfig{MaxWait: 5 * time.Second},
 		})
 	return &coalescedGen{Generator: gen, group: g}
 }

@@ -1,10 +1,8 @@
 package memtrace
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -145,38 +143,5 @@ func TestMutualInformationSecureScheme(t *testing.T) {
 	}
 	if MutualInformationBits(nil) != 0 {
 		t.Fatal("MI(nil) must be 0")
-	}
-}
-
-func TestTraceExportRoundTrip(t *testing.T) {
-	tr := Trace{{"tbl", 3, Read}, {"oram.tree", 17, Write}, {"stash", 0, Read}}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(tr) {
-		t.Fatalf("round trip: %v vs %v", got, tr)
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	cases := []string{
-		"R onlytwo",
-		"X region 3",
-		"R region notanumber",
-	}
-	for i, in := range cases {
-		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
-			t.Fatalf("case %d must error", i)
-		}
-	}
-	// Blank lines tolerated.
-	got, err := ReadTrace(strings.NewReader("\nR a 1\n\n"))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("blank-line handling: %v %v", got, err)
 	}
 }

@@ -51,19 +51,17 @@ func dlrmBackends(reps []*dlrm.Pipeline, maxBatch int) []serving.Backend {
 	return out
 }
 
-// perRequestGroup is the per-request baseline: one shard, coalescing
-// disabled, one request per backend execution — the deployment shape the
-// paper's co-location study measures (§IV-C2) and the control arm every
-// coalescing benchmark compares against.
+// perRequestGroup is the per-request baseline over backends built with
+// cap 1: one shard, one request per backend execution — the deployment
+// shape the paper's co-location study measures (§IV-C2) and the control
+// arm every coalescing benchmark compares against.
 func perRequestGroup(bes []serving.Backend, queueDepth int) *serving.Group {
-	return serving.NewGroup(bes, serving.GroupConfig{
-		Shards: 1, QueueDepth: queueDepth, Coalesce: serving.CoalesceConfig{MaxBatch: 1},
-	})
+	return serving.NewGroup(bes, serving.GroupConfig{Shards: 1, QueueDepth: queueDepth})
 }
 
 func TestDLRMPoolServesCorrectly(t *testing.T) {
 	reps, cfg := newReplicas(t, 2, core.LinearScan)
-	pool := perRequestGroup(dlrmBackends(reps, 0), 4)
+	pool := perRequestGroup(dlrmBackends(reps, 1), 4)
 	defer pool.Close()
 	dense, sparse := sampleRequest(cfg, 3)
 	want, err := reps[0].Predict(dense, sparse)
@@ -126,7 +124,7 @@ func TestDLRMMalformedPayloadFailsIndividually(t *testing.T) {
 
 func TestDLRMPoolSurvivesOutOfRangeIDs(t *testing.T) {
 	reps, cfg := newReplicas(t, 1, core.LinearScan)
-	pool := perRequestGroup(dlrmBackends(reps, 0), 2)
+	pool := perRequestGroup(dlrmBackends(reps, 1), 2)
 	defer pool.Close()
 
 	dense, sparse := sampleRequest(cfg, 9)

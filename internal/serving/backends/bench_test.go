@@ -32,9 +32,9 @@ const (
 	benchThreshold = 8
 )
 
-// dualBackends builds one Dual-DHE Embedding backend per replica
+// dualBackends builds one Dual-DHE Embedding backend with cap maxBatch per replica
 // (independent generators: ORAM position maps must not be shared).
-func dualBackends(b *testing.B) []serving.Backend {
+func dualBackends(b *testing.B, maxBatch int) []serving.Backend {
 	b.Helper()
 	bes := make([]serving.Backend, benchReplicas)
 	for i := range bes {
@@ -42,7 +42,7 @@ func dualBackends(b *testing.B) []serving.Backend {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bes[i] = NewEmbedding(core.NewDual(dheGen, benchThreshold, core.Options{Seed: int64(50 + i)}), benchClients)
+		bes[i] = NewEmbedding(core.NewDual(dheGen, benchThreshold, core.Options{Seed: int64(50 + i)}), maxBatch)
 	}
 	return bes
 }
@@ -76,7 +76,7 @@ func wave(b *testing.B, do func(key uint64, ids []uint64) serving.Response) {
 // baseline's requests/sec (its ns/op at most half).
 func BenchmarkServe64SingleRowClients(b *testing.B) {
 	b.Run("per-request", func(b *testing.B) {
-		pool := perRequestGroup(dualBackends(b), benchClients)
+		pool := perRequestGroup(dualBackends(b, 1), benchClients)
 		defer pool.Close()
 		wave(b, func(_ uint64, ids []uint64) serving.Response {
 			return pool.Do(context.Background(), 0, ids)
@@ -87,12 +87,9 @@ func BenchmarkServe64SingleRowClients(b *testing.B) {
 		// Each wave exactly fills MaxBatch, so the gather loop always
 		// flushes on full — one fused DHE-regime Generate per wave — and
 		// MaxWait is only the safety valve, never on the critical path.
-		group := serving.NewGroup(dualBackends(b), serving.GroupConfig{
-			Shards: 1,
-			Coalesce: serving.CoalesceConfig{
-				MaxBatch: benchClients,
-				MaxWait:  5 * time.Millisecond,
-			},
+		group := serving.NewGroup(dualBackends(b, benchClients), serving.GroupConfig{
+			Shards:   1,
+			Coalesce: serving.CoalesceConfig{MaxWait: 5 * time.Millisecond},
 		})
 		defer group.Close()
 		wave(b, func(key uint64, ids []uint64) serving.Response {

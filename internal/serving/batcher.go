@@ -98,7 +98,7 @@ var flushCauseNames = [numFlushCauses]string{"full", "drained", "deadline", "clo
 // across rounds so steady-state scheduling is allocation-free.
 func (g *Group) worker(s *shard, be Backend, cfg CoalesceConfig) {
 	defer g.wg.Done()
-	maxBatch := effectiveMaxBatch(be, cfg.MaxBatch)
+	maxBatch := effectiveMaxBatch(be)
 	batch := make([]*task, 0, maxBatch)
 	payloads := make([]any, 0, maxBatch)
 	// gather leaves hold stopped on every return; go.mod ≥ 1.23 means a

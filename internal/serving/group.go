@@ -10,12 +10,10 @@ import (
 	"secemb/internal/obs"
 )
 
-// CoalesceConfig shapes the scheduler layer's micro-batching.
+// CoalesceConfig shapes the scheduler layer's micro-batching. How many
+// requests fuse into one backend execution is each backend's own MaxBatch;
+// a backend with cap 1 is the per-request baseline.
 type CoalesceConfig struct {
-	// MaxBatch caps how many requests fuse into one backend execution.
-	// 0 uses the backend's own MaxBatch; the effective cap is always the
-	// smaller of the two. 1 disables coalescing (per-request baseline).
-	MaxBatch int
 	// MaxWait is the longest a partial batch may be held for co-batching
 	// before it flushes. It is an upper bound, not a fixed delay: the hold
 	// is armed only while arrivals on the shard are dense enough to fill
@@ -155,7 +153,7 @@ func NewGroup(backends []Backend, cfg GroupConfig, opts ...Option) *Group {
 	perShard := (len(backends) + cfg.Shards - 1) / cfg.Shards
 	maxBatch := 1
 	for _, be := range backends {
-		if mb := effectiveMaxBatch(be, cfg.Coalesce.MaxBatch); mb > maxBatch {
+		if mb := effectiveMaxBatch(be); mb > maxBatch {
 			maxBatch = mb
 		}
 	}
@@ -195,16 +193,7 @@ func (g *Group) ShardBackends(i int) []Backend {
 	return append([]Backend(nil), g.shards[i].backends...)
 }
 
-func effectiveMaxBatch(be Backend, limit int) int {
-	mb := be.MaxBatch()
-	if mb < 1 {
-		mb = 1
-	}
-	if limit > 0 && limit < mb {
-		mb = limit
-	}
-	return mb
-}
+func effectiveMaxBatch(be Backend) int { return max(be.MaxBatch(), 1) }
 
 // splitmix64 is the routing hash: cheap, well-mixed, and keyed only on the
 // caller-supplied (public) routing key.

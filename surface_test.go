@@ -30,11 +30,6 @@ var surfaceAllow = map[string]string{
 	"memtrace.ChiSquareCritical999": "oram's leaf-uniformity tests",
 	"oram.Controller.TreeLevels":    "perf's tests check MemWords against it",
 	"analysis.ValidateSARIF":        "cmd/obliviouslint's tests validate the SARIF output with it",
-	// Trace export (DESIGN §6): the writing half and the reading half.
-	"memtrace.Trace.WriteTo": "trace export for offline diffing",
-	"memtrace.ReadTrace":     "trace import for offline diffing; FuzzReadTrace's round-trip oracle",
-	// Interface implementations the compiler, not a call, reaches.
-	"analysis.dirLoader.Import": "dirLoader implements types.Importer",
 }
 
 // TestExportedSurfaceIsReached: every package-level func, method, type,
