@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check ci ci-gate ci-heavy vet obliviouslint lint-sarif report-check \
-	build cross-build test bench-build race fmt-check \
+	build cross-build test test-purego bench-build race fmt-check \
 	fuzz-short fuzz-long leakcheck soak-short soak-long plan-sim bench bench-all
 
 check: vet obliviouslint build test race
@@ -21,7 +21,7 @@ check: vet obliviouslint build test race
 # must be compared against a fresh run before that target gets a chance
 # to paper over any drift.
 ci: ci-gate ci-heavy
-ci-gate: fmt-check vet report-check obliviouslint build cross-build test bench-build
+ci-gate: fmt-check vet report-check obliviouslint build cross-build test test-purego bench-build
 ci-heavy: race fuzz-short leakcheck soak-short plan-sim bench
 
 # vet runs the stock go vet suite, with unusedresult's function list
@@ -65,8 +65,9 @@ build:
 	$(GO) build ./...
 
 # cross-build compiles the module and bench/ for two other architectures:
-# arm64, where internal/oblivious has no assembly and OrTile's scalar loop
-# is the only path, and 386, where int is 32 bits wide.
+# arm64, where internal/oblivious has no assembly and the scalar loops of
+# OrTile and ScanBlock are the only paths, and 386, where int is 32 bits
+# wide.
 cross-build:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
@@ -74,6 +75,12 @@ cross-build:
 
 test:
 	$(GO) test ./...
+
+# test-purego runs the packages with assembly kernels, and the packages
+# that call them, on their portable Go paths: the purego tag leaves
+# internal/oblivious's amd64 assembly out, as arm64 does.
+test-purego:
+	$(GO) test -tags purego ./internal/oblivious ./internal/core ./internal/oram
 
 # bench-build compiles and tests the repo's benchmark against this tree.
 # bench/ is a nested module (own go.mod, replace secemb => ../), so the

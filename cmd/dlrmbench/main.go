@@ -59,6 +59,9 @@ func main() {
 	flag.Parse()
 
 	switch {
+	case !(*scale > 0):
+		fmt.Fprintf(os.Stderr, "-scale must be positive, got %g\n", *scale)
+		os.Exit(2)
 	case *reps < 1:
 		fmt.Fprintf(os.Stderr, "-reps must be at least 1, got %d\n", *reps)
 		os.Exit(2)

@@ -131,6 +131,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-clients", "0", "-coalesce", "4"},
 		{"-coalesce", "-1"},
 		{"-wait", "-1ms", "-coalesce", "4"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-reps", "1", "-techniques", "scan"}, args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

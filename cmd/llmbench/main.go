@@ -68,6 +68,15 @@ func main() {
 	case *heads < 1 || *dim%*heads != 0:
 		fmt.Fprintf(os.Stderr, "-heads must divide -dim %d, got %d\n", *dim, *heads)
 		os.Exit(2)
+	case *layers < 0:
+		fmt.Fprintf(os.Stderr, "-layers must not be negative, got %d\n", *layers)
+		os.Exit(2)
+	case *prompt < 1:
+		fmt.Fprintf(os.Stderr, "-prompt must be at least 1, got %d\n", *prompt)
+		os.Exit(2)
+	case *gen < 0:
+		fmt.Fprintf(os.Stderr, "-gen must not be negative, got %d\n", *gen)
+		os.Exit(2)
 	case *batch < 1:
 		fmt.Fprintf(os.Stderr, "-batch must be at least 1, got %d\n", *batch)
 		os.Exit(2)

@@ -93,6 +93,10 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-shards", "-1", "-coalesce", "4"},
 		{"-coalesce", "-1"},
 		{"-wait", "-1ms", "-coalesce", "4"},
+		{"-layers", "-1"},
+		{"-prompt", "-1"},
+		{"-prompt", "0"},
+		{"-gen", "-1"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-vocab", "200", "-dim", "16", "-heads", "2", "-techniques", "scan"}, args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -16,7 +17,7 @@ import (
 // (what it points at may be secret, the address is not), a non-secret int
 // a public length, a secret non-pointer a mask, and anything else, a
 // secret int included, is a "param" finding, so a secret cannot pass as a
-// loop bound. The block is then held to four checks:
+// loop bound. The block is then held to five checks:
 //
 //   - jump: a conditional jump must be a back-edge to a label above it,
 //     right after CMPQ of the loop counter with a length register;
@@ -24,9 +25,14 @@ import (
 //     register, and no vector register may move into a general-purpose
 //     one;
 //   - memory: every memory operand's base is a register loaded once from
-//     a pointer argument, and any index is the loop counter;
-//   - register: a loop counter is written only by XORQ, MOVQ $c or
-//     ADDQ $c.
+//     a pointer argument, and any index is a loop counter;
+//   - register: a loop counter is written only by XORQ, MOVQ $c, ADDQ $c,
+//     ADDQ of a length register (a row cursor stepping by a public width)
+//     or MOVQ from another loop counter (a cursor reset to a column);
+//   - vector: in a block that reads memory behind a pointer argument,
+//     every vector instruction (a V opcode, or one with a vector register
+//     operand) is on asmVectorOps, so none reads a vector into flags, and
+//     there is no masked or gather load.
 //
 // go vet's asmdecl checks the frame offsets against the declarations.
 
@@ -60,8 +66,25 @@ var (
 // asmImplicitWrites lists the general-purpose registers an instruction
 // writes without naming them.
 var asmImplicitWrites = map[string][]string{
-	"CPUID":  {"AX", "BX", "CX", "DX"},
-	"XGETBV": {"AX", "DX"},
+	"CPUID":      {"AX", "BX", "CX", "DX"},
+	"XGETBV":     {"AX", "DX"},
+	"PCMPESTRI":  {"CX"},
+	"PCMPISTRI":  {"CX"},
+	"VPCMPESTRI": {"CX"},
+	"VPCMPISTRI": {"CX"},
+}
+
+// asmVectorOps are the vector instructions a block that reads memory
+// behind a pointer argument may use: broadcasts, lane-wise compares and
+// logic, 64-bit lane arithmetic and plain moves. None sets flags or takes
+// an address from a vector; VMOVQ may load a vector from a general-purpose
+// register, and the mask check rejects the other direction.
+var asmVectorOps = map[string]bool{
+	"VPBROADCASTQ": true, "VPCMPEQQ": true,
+	"VPAND": true, "VPANDN": true, "VPOR": true, "VPXOR": true,
+	"VPADDQ": true, "VPSUBQ": true,
+	"VMOVDQU": true, "VMOVDQA": true, "VMOVQ": true,
+	"VZEROUPPER": true,
 }
 
 // auditAsm splits each assembly file of the pass's package into TEXT
@@ -192,16 +215,29 @@ func auditAsmBlock(pass *Pass, name string, text int, block []asmInstr, labels m
 	}
 	for c := range counters {
 		for _, in := range writes[c] {
-			counterWrite := (in.op == "XORQ" && len(in.args) == 2 && in.args[0] == c) ||
-				((in.op == "MOVQ" || in.op == "ADDQ") && strings.HasPrefix(in.args[0], "$"))
+			src := in.args[0]
+			counterWrite := (in.op == "XORQ" && len(in.args) == 2 && src == c) ||
+				((in.op == "MOVQ" || in.op == "ADDQ") && strings.HasPrefix(src, "$")) ||
+				(in.op == "ADDQ" && isLength(src)) ||
+				(in.op == "MOVQ" && counters[src] && src != c)
 			if !counterWrite {
 				finding(in.line, "register", "loop counter %s written by %s", c, in.op)
 			}
 		}
 	}
 
+	readsPointer := slices.ContainsFunc(block, func(in asmInstr) bool {
+		return slices.ContainsFunc(in.args, func(a string) bool {
+			m := asmMemRE.FindStringSubmatch(a)
+			return m != nil && isBase(m[1])
+		})
+	})
 	for _, in := range block {
 		d := dest(in)
+		vector := strings.HasPrefix(in.op, "V") || slices.ContainsFunc(in.args, asmVecRE.MatchString)
+		if readsPointer && vector && !asmVectorOps[in.op] {
+			finding(in.line, "vector", "%s is not an allowed vector instruction", in.op)
+		}
 		for j, a := range in.args {
 			if m := asmFrameRE.FindStringSubmatch(a); m != nil {
 				if params[m[1]] == asmMask && (in.op != "VPBROADCASTQ" || j != 0 || !asmVecRE.MatchString(d)) {

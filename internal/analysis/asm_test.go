@@ -13,7 +13,8 @@ import (
 // ortile_amd64.s must pass, and over mutations of that file, each of which
 // must fail the named checks of obliviouslint/asm: broken kernels, one
 // broken instruction in each helper (so every TEXT block is shown to be
-// read), and the honest kernel under a directive that marks n secret.
+// read), and the honest kernels under directives that mark a length
+// secret.
 func TestObliviouslintAsm(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the module has assembly only for amd64")
@@ -53,15 +54,11 @@ func TestObliviouslintAsm(t *testing.T) {
 	if got := lint(t, src); len(got) != 0 {
 		t.Errorf("real package: %q", got)
 	}
-	kernel := set.Directives.funcs["secemb/internal/oblivious.orTileAVX2"]
-	if kernel == nil {
-		t.Fatal("orTileAVX2 carries no directive")
-	}
 
 	cases := []struct {
 		name     string
 		old, new string // a replacement in the real file
-		secret   string // a parameter to add to orTileAVX2's directive
+		secret   string // "kernel param": a parameter to add to a kernel's directive
 		checks   []string
 	}{
 		{"branch on a mask", "\tXORQ AX, AX\n", "\tMOVQ m0+48(FP), BX\n\tTESTQ BX, BX\n\tJNE loop\n\tXORQ AX, AX\n", "",
@@ -80,16 +77,35 @@ func TestObliviouslintAsm(t *testing.T) {
 			[]string{"cpuid: jump"}},
 		{"computed address in xgetbv", "\tXGETBV\n", "\tXGETBV\n\tMOVL (AX), AX\n", "",
 			[]string{"xgetbv: memory"}},
-		{"secret length", "", "", "n", []string{"orTileAVX2: param", "orTileAVX2: jump"}},
+		{"secret length", "", "", "orTileAVX2 n", []string{"orTileAVX2: param", "orTileAVX2: jump"}},
+		{"scan mask into a register", "\tVPCMPEQQ Y8, Y9, Y7\n", "\tVPCMPEQQ Y8, Y9, Y7\n\tVPMOVMSKB Y7, AX\n", "",
+			[]string{"scanBlockAVX2: mask", "scanBlockAVX2: vector"}},
+		{"scan mask via VMOVQ", "\tVPCMPEQQ Y8, Y9, Y7\n", "\tVPCMPEQQ Y8, Y9, Y7\n\tVMOVQ X7, AX\n", "",
+			[]string{"scanBlockAVX2: mask"}},
+		{"scan VPTEST and JNE", "\tVPCMPEQQ Y8, Y9, Y7\n", "\tVPCMPEQQ Y8, Y9, Y7\n\tVPTEST Y7, Y7\n\tJNE rows16\n", "",
+			[]string{"scanBlockAVX2: vector", "scanBlockAVX2: jump"}},
+		{"scan id as a gather index", "VPAND    (SI)(R12*8), Y7, Y4", "VPGATHERQQ Y7, (SI)(Y8*8), Y4", "",
+			[]string{"scanBlockAVX2: memory", "scanBlockAVX2: vector"}},
+		{"scan cursor stepped by the id", "\tADDQ     BX, R12\n", "\tMOVQ     (DX), R13\n\tADDQ     R13, R12\n", "",
+			[]string{"scanBlockAVX2: register"}},
+		{"scan cursor reset from the id", "\tMOVQ    CX, R12\n", "\tMOVQ    (DX), R12\n", "",
+			[]string{"scanBlockAVX2: register"}},
+		{"scan string compare into the counter", "\tVPCMPEQQ Y8, Y9, Y7\n", "\tVPCMPEQQ Y8, Y9, Y7\n\tVPCMPESTRI $0, X7, X8\n", "",
+			[]string{"scanBlockAVX2: vector", "scanBlockAVX2: register"}},
+		{"scan secret width", "", "", "scanBlockAVX2 width", []string{"scanBlockAVX2: param", "scanBlockAVX2: register"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if !strings.Contains(src, tc.old) {
 				t.Fatalf("the kernel no longer contains %q", tc.old)
 			}
-			if tc.secret != "" {
-				kernel.Secret[tc.secret] = true
-				defer delete(kernel.Secret, tc.secret)
+			if fn, param, ok := strings.Cut(tc.secret, " "); ok {
+				kernel := set.Directives.funcs["secemb/internal/oblivious."+fn]
+				if kernel == nil {
+					t.Fatalf("%s carries no directive", fn)
+				}
+				kernel.Secret[param] = true
+				defer delete(kernel.Secret, param)
 			}
 			got := lint(t, strings.Replace(src, tc.old, tc.new, 1))
 			for _, check := range tc.checks {

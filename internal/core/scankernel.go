@@ -10,8 +10,8 @@ import (
 // words with two float32 bit patterns per word: element 2j of a row is the
 // low half of the row's word j and element 2j+1 the high half; an odd
 // dim's last high half is zero. The blend costs a fixed number of
-// operations per word, so packing halves its work; oblivious.OrTile runs it
-// four words per AVX2 instruction on amd64 and in scalar Go elsewhere.
+// operations per word, so packing halves its work; oblivious.ScanBlock runs
+// it four words per AVX2 instruction on amd64 and in portable Go elsewhere.
 type packedTable struct {
 	words []uint64
 	rows  int
@@ -47,31 +47,27 @@ func (p *packedTable) Rows() int       { return p.rows }
 func (p *packedTable) Dim() int        { return p.dim }
 func (p *packedTable) NumBytes() int64 { return int64(len(p.words)) * 8 }
 
+// scanBlockWords is the size of the row block the scan blends in one
+// oblivious.ScanBlock call: 2 048 words, 16 KiB, half of a 32 KiB L1 data
+// cache, so a block stays cached while every query of the batch reads it
+// (64 rows at dim 64).
+const scanBlockWords = 2048
+
 // scan ORs row ids[q] of the table into acc[q*width:(q+1)*width] for every
 // query q; acc must hold len(ids)*width zeroed words and every id must be
-// below rows. Every row is read and masked for every query: rows go by in
-// tiles of four, and for each query oblivious.OrTile loads and stores an
-// accumulator word once per tile, so it stays in a register across the
-// tile's four rows. Starting from zero, with exactly one matching row per
-// id, the OR equals CondCopy's d ^= (d^s)&m bit for bit. Addresses and
-// control flow depend only on rows, width and len(ids).
+// below rows. The table goes by in blocks of scanBlockWords/width rows (at
+// least one), and one oblivious.ScanBlock call per block reads and masks
+// every row of it for every query. Starting from zero, with exactly one
+// matching row per id, the OR equals CondCopy's d ^= (d^s)&m bit for bit.
+// Addresses and control flow depend only on rows, width and len(ids).
 //
 // secemb:secret ids acc
 func (p *packedTable) scan(ids, acc []uint64) {
-	w, last := p.width, p.rows-1
+	w := p.width
 	acc = acc[:len(ids)*w]
-	for r := 0; r < p.rows; r += 4 {
-		// A final tile short of four rows repeats row last; the masks of
-		// its missing rows compare ids with numbers ≥ rows, so they are 0.
-		t0 := p.words[r*w : (r+1)*w]
-		t1 := p.words[min(r+1, last)*w:][:w]
-		t2 := p.words[min(r+2, last)*w:][:w]
-		t3 := p.words[min(r+3, last)*w:][:w]
-		for q, id := range ids {
-			oblivious.OrTile(acc[q*w:(q+1)*w], t0, t1, t2, t3,
-				oblivious.Eq(uint64(r), id), oblivious.Eq(uint64(r+1), id),
-				oblivious.Eq(uint64(r+2), id), oblivious.Eq(uint64(r+3), id))
-		}
+	step := max(1, scanBlockWords/w)
+	for r := 0; r < p.rows; r += step {
+		oblivious.ScanBlock(acc, p.words[r*w:min(r+step, p.rows)*w], ids, w, r)
 	}
 }
 

@@ -109,15 +109,19 @@ func TestTracedBatchTraceIndependentOfThreads(t *testing.T) {
 }
 
 // FuzzScanKernel checks the packed kernel against the float CondCopy
-// reference over arbitrary shapes (rows % 4 ≠ 0, odd dim), duplicate ids,
-// and tables mixing fuzzed bit patterns with scanSpecials.
+// reference over arbitrary shapes (rows % 4 ≠ 0, odd dim, up to three row
+// blocks and a partial one, so ids fall on both sides of block edges),
+// duplicate ids, and tables mixing fuzzed bit patterns with scanSpecials.
 func FuzzScanKernel(f *testing.F) {
-	f.Add(uint8(3), uint8(63), []byte{0, 3, 3}, []byte{})      // 4 rows, dim 64
-	f.Add(uint8(6), uint8(2), []byte{6, 0, 6, 2, 0}, []byte{}) // 7 rows, dim 3
-	f.Add(uint8(0), uint8(0), []byte{0, 0}, []byte{})          // 1 row, dim 1
-	f.Add(uint8(64), uint8(64), []byte{64, 0, 33}, []byte{1, 0, 0, 0, 0, 0, 0xc0, 0x7f})
-	f.Fuzz(func(t *testing.T, rowsB, dimB uint8, idBytes, payload []byte) {
-		rows, dim := 1+int(rowsB)%100, 1+int(dimB)%70
+	f.Add(uint16(3), uint8(63), []byte{0, 3, 3}, []byte{})      // 4 rows, dim 64
+	f.Add(uint16(6), uint8(2), []byte{6, 0, 6, 2, 0}, []byte{}) // 7 rows, dim 3
+	f.Add(uint16(0), uint8(0), []byte{0, 0}, []byte{})          // 1 row, dim 1
+	f.Add(uint16(64), uint8(64), []byte{64, 0, 33}, []byte{1, 0, 0, 0, 0, 0, 0xc0, 0x7f})
+	f.Add(uint16(223), uint8(63), []byte{63, 64, 127, 128, 191, 192, 223, 0}, []byte{}) // 3½ blocks of 64 rows, dim 64
+	f.Fuzz(func(t *testing.T, rowsB uint16, dimB uint8, idBytes, payload []byte) {
+		dim := 1 + int(dimB)%70
+		step := max(1, scanBlockWords/((dim+1)/2))
+		rows := 1 + int(rowsB)%(3*step+step/2)
 		tbl := tensor.New(rows, dim)
 		for k := range tbl.Data {
 			bits := uint32(k) * 0x9e3779b9
@@ -131,7 +135,8 @@ func FuzzScanKernel(f *testing.F) {
 		}
 		ids := make([]uint64, min(len(idBytes), 64))
 		for i := range ids {
-			ids[i] = uint64(idBytes[i]) % uint64(rows)
+			// Past 256 rows a byte spreads over the table instead of wrapping.
+			ids[i] = uint64(idBytes[i]) * uint64(max(rows, 256)) / 256 % uint64(rows)
 		}
 		p := packTable(tbl.Rows, tbl.Cols, Options{Table: tbl}.rowSource())
 		acc := make([]uint64, len(ids)*p.width)

@@ -12,9 +12,10 @@
 // instruments the block-granular access pattern of every secure embedding
 // generator and the tests assert the trace is identical for all secret
 // inputs. These primitives make that property hold by construction at the
-// algorithm level. The one exception is OrTile's hot loop, which on amd64
-// with AVX2 is hand-written assembly; obliviouslint's asm rule checks its
-// branches and addresses instead.
+// algorithm level. The exceptions are the hot loops of OrTile and
+// ScanBlock, which on amd64 with AVX2 are hand-written assembly;
+// obliviouslint's asm rule checks their branches, addresses and vector
+// instructions instead.
 package oblivious
 
 import "math"
@@ -115,8 +116,8 @@ func CondCopy64(mask uint64, dst, src []uint64) {
 }
 
 // OrTile ORs t0&m0 | t1&m1 | t2&m2 | t3&m3 into a: the four-row tile that
-// the packed-word scans (internal/core) and Circuit ORAM's read phase
-// (internal/oram) accumulate with. Every t must be at least as long as a.
+// Circuit ORAM's read phase (internal/oram) accumulates with. Every t must
+// be at least as long as a.
 // Starting from a zeroed a, with at most one all-ones mask across all the
 // tiles a sees, the OR equals CondCopy's d ^= (d^s)&m bit for bit.
 //
@@ -131,12 +132,6 @@ func CondCopy64(mask uint64, dst, src []uint64) {
 // the public length, that no general-purpose register holds a mask, and
 // that it addresses memory only from its pointer arguments and the loop
 // counter.
-//
-// On a 2-vCPU Xeon VM (amd64, Go 1.24), with the two paths alternated in
-// one process, the batched scan over 4 096 rows × 32 words at batch 8
-// took ≈ 307 µs with the kernel and ≈ 770 µs with the scalar loop alone
-// (0.40×); Circuit ORAM's Generate, whose read phase ORs one 32-word block
-// per bucket, did not move beyond noise.
 //
 // secemb:secret a m0 m1 m2 m3
 func OrTile(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
@@ -155,12 +150,12 @@ func OrTile(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
 	}
 }
 
-// orTileScalar is OrTile in portable Go, two words per step, and the tests'
-// reference for the kernel. It is a call, not inlined, because inside the
-// scans' nested loops the compiler spills these operands to the stack: on a
-// 2 GHz Xeon (amd64, Go 1.24), 4 096 rows × 32 words at batch 8 took
-// ≈ 470 µs inlined one word per step, ≈ 415 µs inlined two per step and
-// ≈ 345 µs as a call.
+// orTileScalar is OrTile in portable Go, two words per step, the tests'
+// reference for the kernel, and scanBlockScalar's blend. It is a call, not
+// inlined, because inside the scans' nested loops the compiler spills these
+// operands to the stack: on a 2 GHz Xeon (amd64, Go 1.24), 4 096 rows × 32
+// words at batch 8 took ≈ 470 µs inlined one word per step, ≈ 415 µs
+// inlined two per step and ≈ 345 µs as a call.
 //
 // secemb:secret a m0 m1 m2 m3
 func orTileScalar(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
@@ -172,6 +167,74 @@ func orTileScalar(a, t0, t1, t2, t3 []uint64, m0, m1, m2, m3 uint64) {
 	}
 	if j := n - 1; n%2 == 1 {
 		a[j] |= t0[j]&m0 | t1[j]&m1 | t2[j]&m2 | t3[j]&m3
+	}
+}
+
+// ScanBlock ORs, for every query q, each row of the block words that
+// holds ids[q] into acc[q*width:(q+1)*width]: the block is rows of width
+// words numbered from r0, and row r0+i is ANDed with Eq(r0+i, ids[q]) and
+// ORed in. acc must hold len(ids)*width words and width must be positive;
+// a partial row at the end of words is ignored. Calling it once per block
+// over a zeroed acc is the packed-word linear scan of internal/core:
+// with exactly one matching row per id, the OR equals CondCopy's
+// d ^= (d^s)&m bit for bit. Every (row, query, word) is read and masked,
+// and addresses and control flow depend only on len(words), width and
+// len(ids).
+//
+// On amd64 CPUs with AVX2 each query's first width&^3 words per row run in
+// an assembly kernel, scanBlockAVX2 in ortile_amd64.s, that makes each
+// row's mask in vector registers from the id and a row counter, keeps its
+// accumulators in registers across the block, and blends sixteen, then
+// four, words per row step; scanBlockScalar runs the 0–3-word tail, and
+// every word on other architectures, under the purego tag and on CPUs
+// without AVX2. Their results agree bit for bit. obliviouslint's asm rule
+// audits the kernel as it does OrTile's.
+//
+// On a 2-vCPU Xeon VM (amd64, Go 1.24), alternating builds, the batched
+// scan over 4 096 rows × 32 words at batch 8 took ≈ 186 µs through this
+// function against ≈ 352 µs through a per-tile OrTile loop (×0.53), and
+// ≈ 810 µs on the portable path alone.
+//
+// secemb:secret acc ids
+func ScanBlock(acc, words, ids []uint64, width, r0 int) {
+	n := len(words) / width * width
+	words, acc = words[:n], acc[:len(ids)*width]
+	k := 0
+	if hasAVX2 && n > 0 {
+		k = width &^ 3
+	}
+	// The tail goes first so that nothing is live across the kernel calls.
+	if k < width {
+		scanBlockScalar(acc, words, ids, width, r0, k)
+	}
+	if k > 0 {
+		for q := range ids {
+			scanBlockAVX2(&acc[q*width], &words[0], &ids[q], width, width&^15, k, r0, n)
+		}
+	}
+}
+
+// scanBlockScalar is ScanBlock in portable Go over words [lo, width) of
+// each row, and the tests' reference for the kernel. It blends four rows
+// per orTileScalar call, which loads and stores each accumulator word once
+// per tile; a final tile short of four rows repeats the block's last row
+// under mask 0, since the numbers past the block may be ids of the next.
+//
+// secemb:secret acc ids
+func scanBlockScalar(acc, words, ids []uint64, width, r0, lo int) {
+	nrows := len(words) / width
+	for q, id := range ids {
+		a := acc[q*width+lo : (q+1)*width]
+		for i := 0; i < nrows; i += 4 {
+			var t [4][]uint64
+			var m [4]uint64
+			for k := range t {
+				r := min(i+k, nrows-1)
+				t[k] = words[r*width+lo : (r+1)*width]
+				m[k] = Eq(uint64(r0+i+k), id) & Mask64(i+k < nrows)
+			}
+			orTileScalar(a, t[0], t[1], t[2], t[3], m[0], m[1], m[2], m[3])
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
+//go:build amd64 && !purego
+
 package oblivious
 
 // hasAVX2 reports whether the CPU and the OS support AVX2, read once at
-// package init; it selects OrTile's vector kernel.
+// package init; it selects OrTile's and ScanBlock's vector kernels.
 var hasAVX2 = detectAVX2()
 
 // detectAVX2 needs CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28), the OS
@@ -28,6 +30,16 @@ func detectAVX2() bool {
 //
 //go:noescape
 func orTileAVX2(a, t0, t1, t2, t3 *uint64, n int, m0, m1, m2, m3 uint64)
+
+// scanBlockAVX2 is ScanBlock for the one query whose id is at id, over the
+// first w4 words of each row of the n-word block; w16 and w4 are width
+// rounded down to multiples of 16 and 4, w4 > 0 and n ≥ width
+// (ortile_amd64.s).
+//
+// secemb:secret acc id
+//
+//go:noescape
+func scanBlockAVX2(acc, words, id *uint64, width, w16, w4, r0, n int)
 
 // cpuid returns the CPUID registers of leaf at sub-leaf 0.
 func cpuid(leaf int) (eax, ebx, ecx, edx uint32)

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // func orTileAVX2(a, t0, t1, t2, t3 *uint64, n int, m0, m1, m2, m3 uint64)
@@ -32,6 +34,93 @@ loop:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     loop
+
+	VZEROUPPER
+	RET
+
+// func scanBlockAVX2(acc, words, id *uint64, width, w16, w4, r0, n int)
+//
+// ORs every row of the block at words (n words, rows of width, numbered
+// from r0) that holds the id at *id into the accumulator at acc, over the
+// first w4 words of each row: sixteen words per column group below w16,
+// then four. The id goes from memory straight into Y8, and the row number
+// lives only in Y9, seeded from r0 and stepped by subtracting all-ones, so
+// each row's mask is one VPCMPEQQ made in registers; no general-purpose
+// register holds the id or a mask. A group's accumulators stay in Y0–Y3
+// while the row cursor R12, reset from the column counter CX, steps down
+// the block by width. The four conditional jumps are back-edges on public
+// counters; a JMP enters each group loop at its test, so a loop may run
+// zero times.
+TEXT ·scanBlockAVX2(SB), NOSPLIT, $0-64
+	MOVQ         acc+0(FP), DI
+	MOVQ         words+8(FP), SI
+	MOVQ         id+16(FP), DX
+	MOVQ         width+24(FP), BX
+	MOVQ         w16+32(FP), R8
+	MOVQ         w4+40(FP), R9
+	MOVQ         r0+48(FP), R11
+	MOVQ         n+56(FP), R10
+	VPBROADCASTQ (DX), Y8
+	VMOVQ        R11, X11
+	VPBROADCASTQ X11, Y11
+	VPCMPEQQ     Y10, Y10, Y10
+	XORQ         CX, CX
+	JMP          g16test
+
+g16:
+	VMOVDQU (DI)(CX*8), Y0
+	VMOVDQU 32(DI)(CX*8), Y1
+	VMOVDQU 64(DI)(CX*8), Y2
+	VMOVDQU 96(DI)(CX*8), Y3
+	VMOVDQU Y11, Y9
+	MOVQ    CX, R12
+
+rows16:
+	VPCMPEQQ Y8, Y9, Y7
+	VPAND    (SI)(R12*8), Y7, Y4
+	VPAND    32(SI)(R12*8), Y7, Y5
+	VPOR     Y4, Y0, Y0
+	VPOR     Y5, Y1, Y1
+	VPAND    64(SI)(R12*8), Y7, Y4
+	VPAND    96(SI)(R12*8), Y7, Y5
+	VPOR     Y4, Y2, Y2
+	VPOR     Y5, Y3, Y3
+	VPSUBQ   Y10, Y9, Y9
+	ADDQ     BX, R12
+	CMPQ     R12, R10
+	JLT      rows16
+
+	VMOVDQU Y0, (DI)(CX*8)
+	VMOVDQU Y1, 32(DI)(CX*8)
+	VMOVDQU Y2, 64(DI)(CX*8)
+	VMOVDQU Y3, 96(DI)(CX*8)
+	ADDQ    $16, CX
+
+g16test:
+	CMPQ CX, R8
+	JLT  g16
+	JMP  g4test
+
+g4:
+	VMOVDQU (DI)(CX*8), Y0
+	VMOVDQU Y11, Y9
+	MOVQ    CX, R12
+
+rows4:
+	VPCMPEQQ Y8, Y9, Y7
+	VPAND    (SI)(R12*8), Y7, Y4
+	VPOR     Y4, Y0, Y0
+	VPSUBQ   Y10, Y9, Y9
+	ADDQ     BX, R12
+	CMPQ     R12, R10
+	JLT      rows4
+
+	VMOVDQU Y0, (DI)(CX*8)
+	ADDQ    $4, CX
+
+g4test:
+	CMPQ CX, R9
+	JLT  g4
 
 	VZEROUPPER
 	RET

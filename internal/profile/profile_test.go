@@ -124,10 +124,13 @@ func TestBuildDBDeterministicKeys(t *testing.T) {
 }
 
 func TestProfileLLMAndBestSecure(t *testing.T) {
-	// Tiny vocabulary so the test is quick; the relationships still hold:
-	// at large batch sizes DHE's amortization beats the ORAM's sequential
-	// accesses.
-	res := ProfileLLM(2048, 32, []int{1, 64}, 2, 4)
+	// A small vocabulary so the test is quick, but past the scan's
+	// crossover: at large batch sizes DHE's amortization beats the ORAM's
+	// sequential accesses, and both beat the O(n) scan. At 2 048 rows the
+	// AVX2 scan kernel runs level with Circuit ORAM at batch 64 (a 2-vCPU
+	// Xeon: ≈ 0.3–0.4 ms each); at 16 384 it takes ≈ 5 ms, against
+	// ≈ 0.8 ms for Circuit ORAM and ≈ 0.7 ms for DHE.
+	res := ProfileLLM(16384, 32, []int{1, 64}, 2, 4)
 	if len(res.DHENs) != 2 || len(res.CircuitNs) != 2 {
 		t.Fatalf("missing curves: %+v", res)
 	}
