@@ -21,12 +21,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/data"
 	"secemb/internal/dlrm"
@@ -39,112 +42,105 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "kaggle", "kaggle or terabyte")
-	scale := flag.Float64("scale", 1e-4, "cardinality scale factor")
-	batch := flag.Int("batch", 32, "inference batch size")
-	reps := flag.Int("reps", 5, "timing repetitions")
-	techniques := flag.String("techniques", "lookup,scan,circuit,dhe,hybrid", "comma list")
-	seed := flag.Int64("seed", 1, "PRNG seed")
-	criteo := flag.String("criteo", "", "optional path to a Criteo-format TSV; its first -batch rows drive the timing instead of synthetic traffic")
-	coalesce := flag.Int("coalesce", 0, "serving mode: fuse up to N concurrent single-row requests per backend execution (0: direct Predict timing)")
-	shards := flag.Int("shards", 2, "serving mode: replica groups with consistent key routing")
-	clients := flag.Int("clients", 64, "serving mode: concurrent single-row clients")
-	wait := flag.Duration("wait", 2*time.Millisecond, "serving mode: max coalesce wait before a partial batch flushes")
-	metrics := flag.Bool("metrics", false, "print an observability snapshot (per-technique counts, latency percentiles) after the runs")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and pprof on this address during the runs")
-	autotune := flag.String("autotune", "on", "probe matmul kernel configs before timing (on/off)")
-	plan := flag.Bool("plan", false, "adaptive planner demo: drive a shard-skewed drifting workload and print each per-shard re-plan decision as shards hot-swap techniques independently")
-	planFile := flag.String("plan-file", "", "with -plan: persist/reuse the fitted cost model at this path (a matching file skips the analytic-prior warmup)")
-	planAssert := flag.Bool("plan-assert", false, "with -plan: exit non-zero unless ≥2 shards reach distinct techniques at steady state (CI regression mode)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	switch {
-	case !(*scale > 0):
-		fmt.Fprintf(os.Stderr, "-scale must be positive, got %g\n", *scale)
-		os.Exit(2)
-	case *reps < 1:
-		fmt.Fprintf(os.Stderr, "-reps must be at least 1, got %d\n", *reps)
-		os.Exit(2)
-	case *batch < 1:
-		fmt.Fprintf(os.Stderr, "-batch must be at least 1, got %d\n", *batch)
-		os.Exit(2)
-	case *shards < 1:
-		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
-	case *clients < 1:
-		fmt.Fprintf(os.Stderr, "-clients must be at least 1, got %d\n", *clients)
-		os.Exit(2)
-	case *coalesce < 0:
-		fmt.Fprintf(os.Stderr, "-coalesce must not be negative, got %d\n", *coalesce)
-		os.Exit(2)
-	case *wait < 0:
-		fmt.Fprintf(os.Stderr, "-wait must not be negative, got %v\n", *wait)
-		os.Exit(2)
+// options holds dlrmbench's flags.
+type options struct {
+	dataset, techniques, criteo, metricsAddr, autotune, planFile string
+	scale                                                        float64
+	batch, reps, coalesce, shards, clients                       int
+	seed                                                         int64
+	wait                                                         time.Duration
+	metrics, plan, planAssert                                    bool
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	o := &options{}
+	fs := flag.NewFlagSet("dlrmbench", flag.ContinueOnError)
+	fs.StringVar(&o.dataset, "dataset", "kaggle", "kaggle or terabyte")
+	cli.Bounded(fs, &o.scale, "scale", 1e-4, math.SmallestNonzeroFloat64, "cardinality scale factor (> 0)")
+	cli.Bounded(fs, &o.batch, "batch", 32, 1, "inference batch size")
+	cli.Bounded(fs, &o.reps, "reps", 5, 1, "timing repetitions")
+	fs.StringVar(&o.techniques, "techniques", "lookup,scan,circuit,dhe,hybrid", "comma list")
+	fs.Int64Var(&o.seed, "seed", 1, "PRNG seed (any value)")
+	fs.StringVar(&o.criteo, "criteo", "", "optional path to a Criteo-format TSV; its first -batch rows drive the timing instead of synthetic traffic")
+	cli.Bounded(fs, &o.coalesce, "coalesce", 0, 0, "serving mode: fuse up to N concurrent single-row requests per backend execution (0: direct Predict timing)")
+	cli.Bounded(fs, &o.shards, "shards", 2, 1, "serving mode: replica groups with consistent key routing")
+	cli.Bounded(fs, &o.clients, "clients", 64, 1, "serving mode: concurrent single-row clients")
+	cli.Bounded(fs, &o.wait, "wait", 2*time.Millisecond, 0, "serving mode: max coalesce wait before a partial batch flushes")
+	fs.BoolVar(&o.metrics, "metrics", false, "print an observability snapshot (per-technique counts, latency percentiles) after the runs")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and pprof on this address during the runs")
+	fs.StringVar(&o.autotune, "autotune", "on", "probe matmul kernel configs before timing (on/off)")
+	fs.BoolVar(&o.plan, "plan", false, "adaptive planner demo: drive a shard-skewed drifting workload and print each per-shard re-plan decision as shards hot-swap techniques independently")
+	fs.StringVar(&o.planFile, "plan-file", "", "with -plan: persist/reuse the fitted cost model at this path (a matching file skips the analytic-prior warmup)")
+	fs.BoolVar(&o.planAssert, "plan-assert", false, "with -plan: exit non-zero unless ≥2 shards reach distinct techniques at steady state (CI regression mode)")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	switch *autotune {
+	switch o.autotune {
 	case "on":
 		tensor.Autotune()
 	case "off":
 	default:
-		fmt.Fprintf(os.Stderr, "-autotune must be on or off, got %q\n", *autotune)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-autotune must be on or off, got %q\n", o.autotune)
+		return 2
 	}
 
 	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
+	if o.metrics || o.metricsAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	if *metricsAddr != "" {
-		addr, _, err := obs.Serve(*metricsAddr, reg)
+	if o.metricsAddr != "" {
+		addr, _, err := obs.Serve(o.metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics server:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "metrics server:", err)
+			return 1
 		}
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", addr)
 	}
 
 	var cfg dlrm.Config
-	switch *dataset {
+	switch o.dataset {
 	case "kaggle":
-		cfg = dlrm.KaggleConfig(data.ScaleCardinalities(data.KaggleCardinalities, *scale), *seed)
+		cfg = dlrm.KaggleConfig(data.ScaleCardinalities(data.KaggleCardinalities, o.scale), o.seed)
 	case "terabyte":
-		cfg = dlrm.TerabyteConfig(data.ScaleCardinalities(data.TerabyteCardinalities, *scale), *seed)
+		cfg = dlrm.TerabyteConfig(data.ScaleCardinalities(data.TerabyteCardinalities, o.scale), o.seed)
 	default:
-		fmt.Fprintf(os.Stderr, "-dataset must be kaggle or terabyte, got %q\n", *dataset)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-dataset must be kaggle or terabyte, got %q\n", o.dataset)
+		return 2
 	}
-	fmt.Printf("%s miniature (scale %g): %d sparse features, dim %d, max table %d rows\n\n",
-		*dataset, *scale, len(cfg.Cardinalities), cfg.EmbDim, maxInt(cfg.Cardinalities))
+	fmt.Fprintf(stdout, "%s miniature (scale %g): %d sparse features, dim %d, max table %d rows\n\n",
+		o.dataset, o.scale, len(cfg.Cardinalities), cfg.EmbDim, maxInt(cfg.Cardinalities))
 
-	if *plan {
-		planDemo(cfg, *seed, *planFile, *planAssert)
-		return
+	if o.plan {
+		return planDemo(cfg, o, stdout, stderr)
 	}
 
 	// An all-DHE-Varied trained model can materialize every representation.
 	model := dlrm.New(cfg, dlrm.DHEVariedEmb)
-	rng := rand.New(rand.NewSource(*seed + 7))
+	rng := rand.New(rand.NewSource(o.seed + 7))
 	var dense *tensor.Matrix
 	var sparse [][]uint64
-	if *criteo != "" {
-		f, err := os.Open(*criteo)
+	if o.criteo != "" {
+		f, err := os.Open(o.criteo)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "-criteo:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-criteo:", err)
+			return 2
 		}
-		b, err := data.LoadCriteo(f, cfg.Cardinalities, *batch)
+		b, err := data.LoadCriteo(f, cfg.Cardinalities, o.batch)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "-criteo:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-criteo:", err)
+			return 2
 		}
 		dense, sparse = b.Dense, b.Sparse
-		fmt.Printf("driving with %d Criteo records from %s\n", dense.Rows, *criteo)
+		fmt.Fprintf(stdout, "driving with %d Criteo records from %s\n", dense.Rows, o.criteo)
 	} else {
-		dense = tensor.NewUniform(*batch, cfg.DenseDim, 1, rng)
+		dense = tensor.NewUniform(o.batch, cfg.DenseDim, 1, rng)
 		sparse = make([][]uint64, len(cfg.Cardinalities))
 		for f, n := range cfg.Cardinalities {
-			sparse[f] = make([]uint64, *batch)
+			sparse[f] = make([]uint64, o.batch)
 			for r := range sparse[f] {
 				sparse[f][r] = data.ZipfValue(rng, n)
 			}
@@ -154,52 +150,44 @@ func main() {
 	// Host-profiled threshold for the hybrid allocation (Algorithm 2). In
 	// serving mode the generators see fused batches, so profile at the
 	// coalesce cap rather than the caller batch.
-	profBatch := *batch
-	if *coalesce > 0 {
-		profBatch = *coalesce
+	profBatch := o.batch
+	if o.coalesce > 0 {
+		profBatch = o.coalesce
 	}
 	db := profile.BuildDB(cfg.EmbDim, profile.Varied, []int{profBatch}, []int{1},
-		[]int{64, 512, 4096, 32768}, 3, *seed)
+		[]int{64, 512, 4096, 32768}, 3, o.seed)
 	thr := db.Threshold(profile.ExecConfig{Batch: profBatch, Threads: 1})
-	fmt.Printf("host-profiled scan/DHE threshold at batch %d: %d rows\n\n", profBatch, thr)
+	fmt.Fprintf(stdout, "host-profiled scan/DHE threshold at batch %d: %d rows\n\n", profBatch, thr)
 
-	if *coalesce > 0 {
-		if err := serveComparison(model, strings.Split(*techniques, ","), thr, *seed, reg, serveLoad{
-			coalesce: *coalesce, shards: *shards, clients: *clients,
-			reps: *reps, wait: *wait,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "-techniques:", err)
-			os.Exit(2)
+	if o.coalesce > 0 {
+		if code := serveComparison(model, strings.Split(o.techniques, ","), thr, reg, o, stdout, stderr); code != 0 {
+			return code
 		}
-		if *metrics {
-			fmt.Println("\n--- observability snapshot ---")
-			reg.WriteText(os.Stdout)
+	} else {
+		fmt.Fprintln(stdout, "technique        latency/batch     model memory (MB)")
+		for _, name := range strings.Split(o.techniques, ",") {
+			p, err := buildPipeline(model, strings.TrimSpace(name), thr, o.seed, reg)
+			if err != nil {
+				fmt.Fprintln(stderr, "-techniques:", err)
+				return 2
+			}
+			if _, err := p.Predict(dense, sparse); err != nil { // warm-up
+				fmt.Fprintln(stderr, "predict:", err)
+				return 1
+			}
+			start := time.Now()
+			for i := 0; i < o.reps; i++ {
+				p.Predict(dense, sparse)
+			}
+			lat := time.Since(start) / time.Duration(o.reps)
+			fmt.Fprintf(stdout, "%-15s  %14v  %14.2f\n", name, lat, float64(p.NumBytes())/1e6)
 		}
-		return
 	}
-
-	fmt.Println("technique        latency/batch     model memory (MB)")
-	for _, name := range strings.Split(*techniques, ",") {
-		p, err := buildPipeline(model, strings.TrimSpace(name), thr, *seed, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-techniques:", err)
-			os.Exit(2)
-		}
-		if _, err := p.Predict(dense, sparse); err != nil { // warm-up
-			fmt.Fprintln(os.Stderr, "predict:", err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		for i := 0; i < *reps; i++ {
-			p.Predict(dense, sparse)
-		}
-		lat := time.Since(start) / time.Duration(*reps)
-		fmt.Printf("%-15s  %14v  %14.2f\n", name, lat, float64(p.NumBytes())/1e6)
+	if o.metrics {
+		fmt.Fprintln(stdout, "\n--- observability snapshot ---")
+		reg.WriteText(stdout)
 	}
-	if *metrics {
-		fmt.Println("\n--- observability snapshot ---")
-		reg.WriteText(os.Stdout)
-	}
+	return 0
 }
 
 // planDemo drives the per-shard adaptive planner with a shard-skewed
@@ -213,7 +201,9 @@ func main() {
 // (second run's first re-plan predicts from the saved EWMAs instead of the
 // analytic priors); with -plan-assert the per-shard split is a CI gate.
 // The -plan serving path in cmd/secembd runs the same loop on a timer.
-func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
+// It returns the exit status.
+func planDemo(cfg dlrm.Config, o *options, stdout, stderr io.Writer) int {
+	seed, planFile := o.seed, o.planFile
 	rows, dim := maxInt(cfg.Cardinalities), cfg.EmbDim
 	if rows < 1<<15 {
 		// Big-table regime: a tiny miniature would (correctly) pin every
@@ -255,17 +245,17 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 	if planFile != "" {
 		m, installed, err := profile.InstallCostModelFile(planFile, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "-plan-file:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-plan-file:", err)
+			return 2
 		}
 		if installed {
 			pl.SeedCostModel(m)
-			fmt.Printf("cost model loaded from %s (%d streams) — first re-plan predicts from persisted EWMAs\n",
+			fmt.Fprintf(stdout, "cost model loaded from %s (%d streams) — first re-plan predicts from persisted EWMAs\n",
 				planFile, len(m.Entries))
 		}
 	}
 
-	fmt.Printf("planner demo: %dx%d table, %d shards starting on scanb; shard 0 trickles single rows, shard 1 soaks bursts\n\n",
+	fmt.Fprintf(stdout, "planner demo: %dx%d table, %d shards starting on scanb; shard 0 trickles single rows, shard 1 soaks bursts\n\n",
 		rows, dim, nShards)
 	rng := rand.New(rand.NewSource(seed + 13))
 	phases := []struct {
@@ -295,9 +285,9 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 			}
 		}
 		for _, d := range pl.ReplanNow() {
-			printDecision(ph.name, ph.batch[d.Shard], d)
+			printDecision(stdout, ph.name, ph.batch[d.Shard], d)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	techs, err := pl.ShardTechniques(table)
@@ -310,22 +300,23 @@ func planDemo(cfg dlrm.Config, seed int64, planFile string, assert bool) {
 		distinct[t] = true
 		keys[i] = t.Key()
 	}
-	fmt.Printf("steady state: per-shard plan %v — %d distinct techniques on one table\n", keys, len(distinct))
+	fmt.Fprintf(stdout, "steady state: per-shard plan %v — %d distinct techniques on one table\n", keys, len(distinct))
 
 	if planFile != "" {
 		if err := profile.SaveCostModelFile(planFile, pl.ExportCostModel()); err != nil {
-			fmt.Fprintln(os.Stderr, "-plan-file save:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-plan-file save:", err)
+			return 2
 		}
-		fmt.Printf("cost model saved to %s\n", planFile)
+		fmt.Fprintf(stdout, "cost model saved to %s\n", planFile)
 	}
-	if assert && len(distinct) < 2 {
-		fmt.Fprintf(os.Stderr, "plan-assert: expected ≥2 distinct per-shard techniques at steady state, got %v\n", keys)
-		os.Exit(1)
+	if o.planAssert && len(distinct) < 2 {
+		fmt.Fprintf(stderr, "plan-assert: expected ≥2 distinct per-shard techniques at steady state, got %v\n", keys)
+		return 1
 	}
+	return 0
 }
 
-func printDecision(phase string, batch int, d planner.Decision) {
+func printDecision(w io.Writer, phase string, batch int, d planner.Decision) {
 	costs := make([]string, 0, len(d.PerIDNs))
 	for _, tech := range planner.DefaultCandidates() {
 		costs = append(costs, fmt.Sprintf("%s=%.0fµs", tech.Key(), d.PerIDNs[tech]/1e3))
@@ -334,28 +325,22 @@ func printDecision(phase string, batch int, d planner.Decision) {
 	if d.Swapped {
 		verdict = fmt.Sprintf("SWAP %s→%s (%s)", d.Current.Key(), d.Chosen.Key(), d.Reason)
 	}
-	fmt.Printf("%-16s shard %d  batch %-4d  perID{%s}  %s\n",
+	fmt.Fprintf(w, "%-16s shard %d  batch %-4d  perID{%s}  %s\n",
 		phase, d.Shard, batch, strings.Join(costs, " "), verdict)
-}
-
-// serveLoad is the serving-mode workload shape.
-type serveLoad struct {
-	coalesce, shards, clients, reps int
-	wait                            time.Duration
 }
 
 // serveComparison serves the same concurrent single-row stream twice per
 // technique — per-request, then coalesced over sharded replica groups —
-// and reports the requests/sec each sustains. It fails on an unknown
-// technique name.
-func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int64, reg *obs.Registry, load serveLoad) error {
-	fmt.Printf("serving mode: %d concurrent single-row clients × %d requests, %d replica shard(s), fuse ≤%d\n\n",
-		load.clients, load.reps, load.shards, load.coalesce)
+// and reports the requests/sec each sustains. It returns the exit status:
+// 2 for an unknown technique name, 1 when a request fails.
+func serveComparison(m *dlrm.Model, techniques []string, threshold int, reg *obs.Registry, o *options, stdout, stderr io.Writer) int {
+	fmt.Fprintf(stdout, "serving mode: %d concurrent single-row clients × %d requests, %d replica shard(s), fuse ≤%d\n\n",
+		o.clients, o.reps, o.shards, o.coalesce)
 
 	// One single-row request per client, reused across its repetitions:
 	// the timed region is pure serving work.
-	rng := rand.New(rand.NewSource(seed + 11))
-	reqs := make([]*backends.DLRMRequest, load.clients)
+	rng := rand.New(rand.NewSource(o.seed + 11))
+	reqs := make([]*backends.DLRMRequest, o.clients)
 	for c := range reqs {
 		dense := tensor.NewUniform(1, m.Cfg.DenseDim, 1, rng)
 		sparse := make([][]uint64, len(m.Cfg.Cardinalities))
@@ -365,28 +350,33 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		reqs[c] = &backends.DLRMRequest{Dense: dense, Sparse: sparse}
 	}
 
-	drive := func(do func(key uint64, r *backends.DLRMRequest) serving.Response) float64 {
+	// drive returns the request rate, or the first failed request's error.
+	drive := func(do func(key uint64, r *backends.DLRMRequest) serving.Response) (float64, error) {
 		start := time.Now()
+		errs := make([]error, o.clients)
 		var wg sync.WaitGroup
-		for c := 0; c < load.clients; c++ {
+		for c := 0; c < o.clients; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				for i := 0; i < load.reps; i++ {
-					if resp := do(uint64(c), reqs[c]); resp.Err != nil {
-						fmt.Fprintln(os.Stderr, "serve:", resp.Err)
-						os.Exit(1)
-					}
+				for i := 0; i < o.reps && errs[c] == nil; i++ {
+					errs[c] = do(uint64(c), reqs[c]).Err
 				}
 			}(c)
 		}
 		wg.Wait()
-		return float64(load.clients*load.reps) / time.Since(start).Seconds()
+		rate := float64(o.clients*o.reps) / time.Since(start).Seconds()
+		for _, err := range errs {
+			if err != nil {
+				return rate, err
+			}
+		}
+		return rate, nil
 	}
 	newBackends := func(name string, maxBatch int) ([]serving.Backend, error) {
-		bes := make([]serving.Backend, load.shards)
+		bes := make([]serving.Backend, o.shards)
 		for i := range bes {
-			p, err := buildPipeline(m, name, threshold, seed+int64(i), reg)
+			p, err := buildPipeline(m, name, threshold, o.seed+int64(i), reg)
 			if err != nil {
 				return nil, err
 			}
@@ -395,33 +385,40 @@ func serveComparison(m *dlrm.Model, techniques []string, threshold int, seed int
 		return bes, nil
 	}
 
-	fmt.Println("technique        per-request req/s   coalesced req/s   speedup")
+	fmt.Fprintln(stdout, "technique        per-request req/s   coalesced req/s   speedup")
 	for _, name := range techniques {
 		name = strings.TrimSpace(name)
 		bes, err := newBackends(name, 1)
 		if err != nil {
-			return err
+			fmt.Fprintln(stderr, "-techniques:", err)
+			return 2
 		}
-		pool := serving.NewGroup(bes, serving.GroupConfig{Shards: 1, QueueDepth: load.clients})
-		perReq := drive(func(_ uint64, r *backends.DLRMRequest) serving.Response {
+		pool := serving.NewGroup(bes, serving.GroupConfig{Shards: 1, QueueDepth: o.clients})
+		perReq, err := drive(func(_ uint64, r *backends.DLRMRequest) serving.Response {
 			return pool.Do(context.Background(), 0, r)
 		})
 		pool.Close()
-
-		if bes, err = newBackends(name, load.coalesce); err != nil {
-			return err
+		if err != nil {
+			fmt.Fprintln(stderr, "serve:", err)
+			return 1
 		}
+
+		bes, _ = newBackends(name, o.coalesce) // built once above, so the name resolves
 		group := serving.NewGroup(bes, serving.GroupConfig{
-			Shards:   load.shards,
-			Coalesce: serving.CoalesceConfig{MaxWait: load.wait},
+			Shards:   o.shards,
+			Coalesce: serving.CoalesceConfig{MaxWait: o.wait},
 		}, serving.WithObserver(reg))
-		fused := drive(func(key uint64, r *backends.DLRMRequest) serving.Response {
+		fused, err := drive(func(key uint64, r *backends.DLRMRequest) serving.Response {
 			return group.Do(context.Background(), key, r)
 		})
 		group.Close()
-		fmt.Printf("%-15s  %17.0f  %16.0f  %6.2fx\n", name, perReq, fused, fused/perReq)
+		if err != nil {
+			fmt.Fprintln(stderr, "serve:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%-15s  %17.0f  %16.0f  %6.2fx\n", name, perReq, fused, fused/perReq)
 	}
-	return nil
+	return 0
 }
 
 // buildPipeline builds the named technique's pipeline over m: "hybrid"

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/dlrm"
 	"secemb/internal/obs"
@@ -107,45 +104,9 @@ func TestMaxInt(t *testing.T) {
 	}
 }
 
-// DLRMBENCH_RUN_MAIN set to 1 makes the test binary run main instead of its tests, so
-// a test can drive the command's own flag handling in a subprocess.
-const runMainEnv = "DLRMBENCH_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(runMainEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// TestBadFlagsExitTwo: a bad numeric flag is a usage error — exit 2 and
-// one stderr line naming the flag. A panic exits 2 as well, so the stderr
-// line is what tells the two apart.
+// TestBadFlagsExitTwo sweeps every numeric flag at and past its bounds,
+// in serving mode so the at-bound runs drive serveComparison (-coalesce 0,
+// its own minimum, drives the direct Predict timing).
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-reps", "0"},
-		{"-batch", "0"},
-		{"-shards", "0", "-coalesce", "4"},
-		{"-shards", "-2", "-coalesce", "4"},
-		{"-clients", "0", "-coalesce", "4"},
-		{"-coalesce", "-1"},
-		{"-wait", "-1ms", "-coalesce", "4"},
-		{"-scale", "0"},
-		{"-scale", "-1"},
-	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-reps", "1", "-techniques", "scan"}, args...)...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%q: exit %v, want 2", args, err)
-		}
-		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
-		if len(lines) != 1 || strings.Contains(lines[0], "panic:") || !strings.HasPrefix(lines[0], args[0]) {
-			t.Errorf("%q: stderr %q, want one line naming %s", args, stderr.String(), args[0])
-		}
-	}
+	cli.Sweep(t, run, "-autotune", "off", "-reps", "1", "-techniques", "scan", "-coalesce", "4")
 }

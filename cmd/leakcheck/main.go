@@ -24,11 +24,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 
 	"secemb/internal/analysis"
+	"secemb/internal/cli"
 	"secemb/internal/leakcheck"
 )
 
@@ -49,48 +51,44 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("leakcheck", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	rows := fs.Int("rows", 512, "table cardinality")
-	dim := fs.Int("dim", 16, "embedding dimension")
-	batch := fs.Int("batch", 8, "ids per panel input")
-	seed := fs.Int64("seed", 1, "construction seed (table rows and DHE weights; ORAM leaves come from crypto/rand)")
+	var rows, dim, batch int
+	cli.Bounded(fs, &rows, "rows", 512, 2, "table cardinality")
+	cli.Bounded(fs, &dim, "dim", 16, 1, "embedding dimension (the wire target's dim field caps it at 65535)", math.MaxUint16)
+	cli.Bounded(fs, &batch, "batch", 8, 1, "ids per panel input")
+	seed := fs.Int64("seed", 1, "construction seed (table rows and DHE weights; ORAM leaves come from crypto/rand; any value)")
 	gens := fs.String("gens", "", "comma-separated targets (default: all)")
 	src := fs.String("src", "", "module root to cross-check secemb:audit directives against the roster (empty: skip)")
 	out := fs.String("out", "leakcheck_report.json", "JSON report path (empty: skip)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *rows < 2 || *dim < 1 || *batch < 1 {
-		fmt.Fprintln(stderr, "leakcheck: need -rows ≥2, -dim ≥1, -batch ≥1")
-		return 2
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
 
-	factories := leakcheck.StandardFactories(*rows, *dim, *seed)
+	factories := leakcheck.StandardFactories(rows, dim, *seed)
 	// The quantized DHE hot path: identical dense sweep, packed int8 SWAR
 	// inner product. Audited separately from dhe because the kernels (and
 	// the activation-quantization step) are a different code path.
-	factories = append(factories, leakcheck.Int8DHEFactory(*rows, *dim, *seed))
+	factories = append(factories, leakcheck.Int8DHEFactory(rows, dim, *seed))
 	// The hybrid dispatches on batch size; threshold = batch puts the
 	// panel in its ORAM regime (the DHE regime is already covered by the
 	// dhe target, which shares the representation).
-	factories = append(factories, leakcheck.DualFactory(*rows, *dim, *batch, *seed))
+	factories = append(factories, leakcheck.DualFactory(rows, dim, batch, *seed))
 	// The serving micro-batcher: panel ids arrive as single-id requests
 	// and the coalescer's fused batch composition must be id-independent.
 	// Fastest when -batch is a multiple of the coalesce batch (4): every
 	// fused batch fills and flushes without waiting out the flush timer.
-	factories = append(factories, leakcheck.CoalescedFactory(*rows, *dim, *seed))
+	factories = append(factories, leakcheck.CoalescedFactory(rows, dim, *seed))
 	// The network front door: panel batches traverse the wire codec, the
 	// h2c server and the serving stack; the padded response size the
 	// client observes joins the trace, so an id-dependent response size
 	// (or backend access) diverges.
-	factories = append(factories, leakcheck.WireFactory(*rows, *dim, *seed))
+	factories = append(factories, leakcheck.WireFactory(rows, dim, *seed))
 	// Circuit ORAM past its recursion cutoff, at its own table size: the
 	// shared -rows table never reaches a recursive position map.
-	factories = append(factories, leakcheck.CircuitRecFactory(*dim, *seed))
+	factories = append(factories, leakcheck.CircuitRecFactory(dim, *seed))
 	// The adaptive planner's hot-swap path: every panel input crosses a
 	// forced scan→DHE re-plan boundary, so a swap whose existence or timing
 	// depended on the ids would move the boundary and diverge.
-	factories = append(factories, leakcheck.PlannerFactory(*rows, *dim, *seed))
+	factories = append(factories, leakcheck.PlannerFactory(rows, dim, *seed))
 
 	// Roster sync runs against the full factory set, before any -gens
 	// narrowing: a directive is valid as long as *some* leakcheck run can
@@ -133,9 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		factories = filtered
 	}
 
-	report := fileReport{Rows: *rows, Dim: *dim, Batch: *batch, Seed: *seed, OK: true}
+	report := fileReport{Rows: rows, Dim: dim, Batch: batch, Seed: *seed, OK: true}
 	for _, f := range factories {
-		panel := leakcheck.AdversarialPanel(f.Rows, *batch)
+		panel := leakcheck.AdversarialPanel(f.Rows, batch)
 		report.PanelSize = len(panel)
 		rep, err := leakcheck.Verify(f, panel)
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"secemb/internal/cli"
 )
 
 func TestRunFullRosterPasses(t *testing.T) {
@@ -102,4 +104,10 @@ func TestRunGensFilterAndErrors(t *testing.T) {
 	if code := run([]string{"-rows", "1", "-out", ""}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad shape should exit 2, got %d", code)
 	}
+}
+
+// TestBadFlagsExitTwo sweeps every numeric flag at and past its bounds,
+// auditing the scan target alone.
+func TestBadFlagsExitTwo(t *testing.T) {
+	cli.Sweep(t, run, "-rows", "32", "-dim", "4", "-batch", "2", "-gens", "scan", "-out", "")
 }

@@ -25,12 +25,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/llm"
 	"secemb/internal/obs"
@@ -40,127 +42,112 @@ import (
 )
 
 func main() {
-	vocab := flag.Int("vocab", 50257, "vocabulary size")
-	dim := flag.Int("dim", 128, "embedding dimension")
-	layers := flag.Int("layers", 2, "transformer layers")
-	heads := flag.Int("heads", 4, "attention heads")
-	prompt := flag.Int("prompt", 64, "prompt length (tokens)")
-	gen := flag.Int("gen", 16, "tokens to generate")
-	batch := flag.Int("batch", 1, "request batch size")
-	techniques := flag.String("techniques", "lookup,scan,circuit,dhe", "comma list (dual: §IV-D DHE+CircuitORAM threshold scheme)")
-	seed := flag.Int64("seed", 1, "PRNG seed")
-	coalesce := flag.Int("coalesce", 0, "serving mode: fuse up to N concurrent decode steps per backend execution (0: direct Generate timing)")
-	shards := flag.Int("shards", 1, "serving mode: replica pipelines, one per shard (streams pin to shards by key)")
-	dualThreshold := flag.Int("dual-threshold", 4, "dual technique: largest embedding batch still served by Circuit ORAM")
-	wait := flag.Duration("wait", 2*time.Millisecond, "serving mode: max coalesce wait before a partial batch flushes")
-	metrics := flag.Bool("metrics", false, "print an observability snapshot after the runs")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and pprof on this address during the runs")
-	autotune := flag.String("autotune", "on", "probe matmul kernel configs before timing (on/off)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	switch {
-	case *vocab < 1:
-		fmt.Fprintf(os.Stderr, "-vocab must be at least 1, got %d\n", *vocab)
-		os.Exit(2)
-	case *dim < 1:
-		fmt.Fprintf(os.Stderr, "-dim must be at least 1, got %d\n", *dim)
-		os.Exit(2)
-	case *heads < 1 || *dim%*heads != 0:
-		fmt.Fprintf(os.Stderr, "-heads must divide -dim %d, got %d\n", *dim, *heads)
-		os.Exit(2)
-	case *layers < 0:
-		fmt.Fprintf(os.Stderr, "-layers must not be negative, got %d\n", *layers)
-		os.Exit(2)
-	case *prompt < 1:
-		fmt.Fprintf(os.Stderr, "-prompt must be at least 1, got %d\n", *prompt)
-		os.Exit(2)
-	case *gen < 0:
-		fmt.Fprintf(os.Stderr, "-gen must not be negative, got %d\n", *gen)
-		os.Exit(2)
-	case *batch < 1:
-		fmt.Fprintf(os.Stderr, "-batch must be at least 1, got %d\n", *batch)
-		os.Exit(2)
-	case *shards < 1:
-		fmt.Fprintf(os.Stderr, "-shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
-	case *coalesce < 0:
-		fmt.Fprintf(os.Stderr, "-coalesce must not be negative, got %d\n", *coalesce)
-		os.Exit(2)
-	case *wait < 0:
-		fmt.Fprintf(os.Stderr, "-wait must not be negative, got %v\n", *wait)
-		os.Exit(2)
+// options holds llmbench's flags.
+type options struct {
+	vocab, dim, layers, heads, prompt, gen, batch, coalesce, shards, dualThreshold int
+	techniques, metricsAddr, autotune                                              string
+	seed                                                                           int64
+	wait                                                                           time.Duration
+	metrics                                                                        bool
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	o := &options{}
+	fs := flag.NewFlagSet("llmbench", flag.ContinueOnError)
+	cli.Bounded(fs, &o.vocab, "vocab", 50257, 1, "vocabulary size")
+	cli.Bounded(fs, &o.dim, "dim", 128, 1, "embedding dimension")
+	cli.Bounded(fs, &o.layers, "layers", 2, 0, "transformer layers")
+	cli.Bounded(fs, &o.heads, "heads", 4, 1, "attention heads (must divide -dim)")
+	cli.Bounded(fs, &o.prompt, "prompt", 64, 1, "prompt length (tokens)")
+	cli.Bounded(fs, &o.gen, "gen", 16, 0, "tokens to generate")
+	cli.Bounded(fs, &o.batch, "batch", 1, 1, "request batch size")
+	fs.StringVar(&o.techniques, "techniques", "lookup,scan,circuit,dhe", "comma list (dual: §IV-D DHE+CircuitORAM threshold scheme)")
+	fs.Int64Var(&o.seed, "seed", 1, "PRNG seed (any value)")
+	cli.Bounded(fs, &o.coalesce, "coalesce", 0, 0, "serving mode: fuse up to N concurrent decode steps per backend execution (0: direct Generate timing)")
+	cli.Bounded(fs, &o.shards, "shards", 1, 1, "serving mode: replica pipelines, one per shard (streams pin to shards by key)")
+	cli.Bounded(fs, &o.dualThreshold, "dual-threshold", 4, 0, "dual technique: largest embedding batch still served by Circuit ORAM")
+	cli.Bounded(fs, &o.wait, "wait", 2*time.Millisecond, 0, "serving mode: max coalesce wait before a partial batch flushes")
+	fs.BoolVar(&o.metrics, "metrics", false, "print an observability snapshot after the runs")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and pprof on this address during the runs")
+	fs.StringVar(&o.autotune, "autotune", "on", "probe matmul kernel configs before timing (on/off)")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	switch *autotune {
+	if o.dim%o.heads != 0 {
+		fmt.Fprintf(stderr, "-heads must divide -dim %d, got %d\n", o.dim, o.heads)
+		return 2
+	}
+	switch o.autotune {
 	case "on":
 		tensor.Autotune()
 	case "off":
 	default:
-		fmt.Fprintf(os.Stderr, "-autotune must be on or off, got %q\n", *autotune)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-autotune must be on or off, got %q\n", o.autotune)
+		return 2
 	}
 
 	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
+	if o.metrics || o.metricsAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	if *metricsAddr != "" {
-		addr, _, err := obs.Serve(*metricsAddr, reg)
+	if o.metricsAddr != "" {
+		addr, _, err := obs.Serve(o.metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics server:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "metrics server:", err)
+			return 1
 		}
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", addr)
 	}
 
 	cfg := llm.Config{
-		Vocab: *vocab, Dim: *dim, Heads: *heads, Layers: *layers,
-		MaxSeq: *prompt + *gen + 1, Seed: *seed,
+		Vocab: o.vocab, Dim: o.dim, Heads: o.heads, Layers: o.layers,
+		MaxSeq: o.prompt + o.gen + 1, Seed: o.seed,
 	}
-	fmt.Printf("transformer: vocab %d, dim %d, %d layers; prompt %d, generate %d, batch %d\n\n",
-		cfg.Vocab, cfg.Dim, cfg.Layers, *prompt, *gen, *batch)
+	fmt.Fprintf(stdout, "transformer: vocab %d, dim %d, %d layers; prompt %d, generate %d, batch %d\n\n",
+		cfg.Vocab, cfg.Dim, cfg.Layers, o.prompt, o.gen, o.batch)
 
-	rng := rand.New(rand.NewSource(*seed + 3))
+	rng := rand.New(rand.NewSource(o.seed + 3))
 	table := tensor.NewGaussian(cfg.Vocab, cfg.Dim, 0.02, rng)
-	prompts := make([][]int, *batch)
+	prompts := make([][]int, o.batch)
 	for b := range prompts {
-		prompts[b] = make([]int, *prompt)
+		prompts[b] = make([]int, o.prompt)
 		for i := range prompts[b] {
 			prompts[b][i] = rng.Intn(cfg.Vocab)
 		}
 	}
 
-	if *coalesce > 0 {
-		serveDecode(cfg, table, strings.Split(*techniques, ","), prompts, *gen, *seed, reg, decodeLoad{
-			coalesce: *coalesce, shards: *shards, threshold: *dualThreshold, wait: *wait,
-		})
-		if *metrics {
-			fmt.Println("\n--- observability snapshot ---")
-			reg.WriteText(os.Stdout)
+	if o.coalesce > 0 {
+		if err := serveDecode(cfg, table, strings.Split(o.techniques, ","), prompts, reg, o, stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
-	}
-
-	fmt.Println("technique   TTFT (prefill)   TBT (decode)   emb memory (MB)")
-	for _, name := range strings.Split(*techniques, ",") {
-		g, err := buildGenerator(strings.TrimSpace(name), table, cfg, *seed, *dualThreshold, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	} else {
+		fmt.Fprintln(stdout, "technique   TTFT (prefill)   TBT (decode)   emb memory (MB)")
+		for _, name := range strings.Split(o.techniques, ",") {
+			g, err := buildGenerator(strings.TrimSpace(name), table, cfg, o.seed, o.dualThreshold, reg)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			p := llm.NewRandomPipeline(cfg, g)
+			s, _, err := p.Generate(prompts, o.gen)
+			if err != nil {
+				fmt.Fprintln(stderr, "generate:", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "%-10s  %14v  %13v  %14.2f\n",
+				name, s.PrefillTime, s.MeanDecodeTime(), float64(g.NumBytes())/1e6)
 		}
-		p := llm.NewRandomPipeline(cfg, g)
-		s, _, err := p.Generate(prompts, *gen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "generate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-10s  %14v  %13v  %14.2f\n",
-			name, s.PrefillTime, s.MeanDecodeTime(), float64(g.NumBytes())/1e6)
+		fmt.Fprintln(stdout, "\npaper Fig. 15 shape: DHE leads prefill; Circuit ORAM is competitive only at decode batch 1")
 	}
-	fmt.Println("\npaper Fig. 15 shape: DHE leads prefill; Circuit ORAM is competitive only at decode batch 1")
-	if *metrics {
-		fmt.Println("\n--- observability snapshot ---")
-		reg.WriteText(os.Stdout)
+	if o.metrics {
+		fmt.Fprintln(stdout, "\n--- observability snapshot ---")
+		reg.WriteText(stdout)
 	}
+	return 0
 }
 
 // buildGenerator resolves one -techniques entry at the model's shape: the
@@ -171,12 +158,6 @@ func buildGenerator(name string, table *tensor.Matrix, cfg llm.Config, seed int6
 		core.Options{Seed: seed, Table: table, DHEArch: core.ArchLLM, Obs: reg})
 }
 
-// decodeLoad is the serving-mode workload shape.
-type decodeLoad struct {
-	coalesce, shards, threshold int
-	wait                        time.Duration
-}
-
 // serveDecode prefills one single-sequence session per prompt, pins each
 // to a replica shard, and decodes every stream's tokens through the
 // serving stack — per-request, then coalesced — reporting the decode
@@ -184,27 +165,26 @@ type decodeLoad struct {
 // above 1: a fused step hands the generator one id per participating
 // stream, which for "dual" is the difference between its Circuit ORAM and
 // DHE regimes.
-func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prompts [][]int, steps int, seed int64, reg *obs.Registry, load decodeLoad) {
-	streams := len(prompts)
-	fmt.Printf("serving mode: %d decode stream(s) × %d tokens, %d replica shard(s), fuse ≤%d\n\n",
-		streams, steps, load.shards, load.coalesce)
+func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prompts [][]int, reg *obs.Registry, o *options, stdout io.Writer) error {
+	streams, steps := len(prompts), o.gen
+	fmt.Fprintf(stdout, "serving mode: %d decode stream(s) × %d tokens, %d replica shard(s), fuse ≤%d\n\n",
+		streams, steps, o.shards, o.coalesce)
 	if streams < 2 {
-		fmt.Println("note: with -batch 1 there is a single stream and nothing to fuse; try -batch 8")
+		fmt.Fprintln(stdout, "note: with -batch 1 there is a single stream and nothing to fuse; try -batch 8")
 	}
 
-	fmt.Println("technique   per-request tok/s   coalesced tok/s   speedup")
+	fmt.Fprintln(stdout, "technique   per-request tok/s   coalesced tok/s   speedup")
 	for _, name := range techniques {
 		name = strings.TrimSpace(name)
 		// One pipeline per shard, all replicas of the same model: the
 		// random trunk is seeded by cfg.Seed and the generators share seed
 		// and table, so every shard serves identical weights.
-		pipes := make([]*llm.Pipeline, load.shards)
+		pipes := make([]*llm.Pipeline, o.shards)
 		var dual *core.Dual
 		for i := range pipes {
-			g, err := buildGenerator(name, table, cfg, seed, load.threshold, reg)
+			g, err := buildGenerator(name, table, cfg, o.seed, o.dualThreshold, reg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			if d, ok := g.(*core.Dual); ok {
 				dual = d
@@ -212,20 +192,21 @@ func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prom
 			pipes[i] = llm.NewRandomPipeline(cfg, g)
 		}
 
-		run := func(maxBatch int) float64 {
+		// run returns the decode rate, or the first failed step's error.
+		run := func(maxBatch int) (float64, error) {
 			// Per-shard stream counts size each backend's fused batch so
 			// full-stride decode steps flush on full, not on the timer.
-			perShard := make([]int, load.shards)
+			perShard := make([]int, o.shards)
 			for s := 0; s < streams; s++ {
-				perShard[serving.RouteShard(uint64(s), load.shards)]++
+				perShard[serving.RouteShard(uint64(s), o.shards)]++
 			}
-			bes := make([]serving.Backend, load.shards)
+			bes := make([]serving.Backend, o.shards)
 			for i := range bes {
 				bes[i] = backends.NewLLMDecode(pipes[i], max(min(perShard[i], maxBatch), 1))
 			}
 			group := serving.NewGroup(bes, serving.GroupConfig{
-				Shards:   load.shards,
-				Coalesce: serving.CoalesceConfig{MaxWait: load.wait},
+				Shards:   o.shards,
+				Coalesce: serving.CoalesceConfig{MaxWait: o.wait},
 			}, serving.WithObserver(reg))
 			defer group.Close()
 
@@ -238,14 +219,14 @@ func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prom
 				sess := p.NewSession(1)
 				logits, err := sess.Prefill([][]int{prompts[s]})
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "prefill:", err)
-					os.Exit(1)
+					return 0, fmt.Errorf("prefill: %w", err)
 				}
 				sessions[s] = sess
 				next[s] = llm.GreedyNext(logits)[0]
 			}
 
 			start := time.Now()
+			errs := make([]error, streams)
 			var wg sync.WaitGroup
 			for s := 0; s < streams; s++ {
 				wg.Add(1)
@@ -256,23 +237,36 @@ func serveDecode(cfg llm.Config, table *tensor.Matrix, techniques []string, prom
 						resp := group.Do(context.Background(), uint64(s),
 							&backends.LLMDecodeRequest{Session: sessions[s], Token: tok})
 						if resp.Err != nil {
-							fmt.Fprintln(os.Stderr, "decode:", resp.Err)
-							os.Exit(1)
+							errs[s] = fmt.Errorf("decode: %w", resp.Err)
+							return
 						}
 						tok = llm.GreedyNext(resp.Value.(*tensor.Matrix))[0]
 					}
 				}(s)
 			}
 			wg.Wait()
-			return float64(streams*steps) / time.Since(start).Seconds()
+			rate := float64(streams*steps) / time.Since(start).Seconds()
+			for _, err := range errs {
+				if err != nil {
+					return rate, err
+				}
+			}
+			return rate, nil
 		}
 
-		perReq := run(1)
-		fused := run(load.coalesce)
-		fmt.Printf("%-10s  %17.0f  %16.0f  %6.2fx\n", name, perReq, fused, fused/perReq)
+		perReq, err := run(1)
+		if err != nil {
+			return err
+		}
+		fused, err := run(o.coalesce)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%-10s  %17.0f  %16.0f  %6.2fx\n", name, perReq, fused, fused/perReq)
 		if dual != nil {
-			fmt.Printf("            dual regimes: per-request batch 1 → %v, fused batch %d → %v\n",
-				dual.Active(1), min(streams, load.coalesce), dual.Active(min(streams, load.coalesce)))
+			fmt.Fprintf(stdout, "            dual regimes: per-request batch 1 → %v, fused batch %d → %v\n",
+				dual.Active(1), min(streams, o.coalesce), dual.Active(min(streams, o.coalesce)))
 		}
 	}
+	return nil
 }

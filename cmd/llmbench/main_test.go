@@ -2,13 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
+	"io"
 	"math/rand"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/llm"
 	"secemb/internal/obs"
@@ -69,47 +68,18 @@ func TestBuildGeneratorInstrumented(t *testing.T) {
 	}
 }
 
-// LLMBENCH_RUN_MAIN set to 1 makes the test binary run main instead of its tests, so
-// a test can drive the command's own flag handling in a subprocess.
-const runMainEnv = "LLMBENCH_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(runMainEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// TestBadFlagsExitTwo: a bad numeric flag is a usage error — exit 2 and
-// one stderr line naming the flag. A panic exits 2 as well, so the stderr
-// line is what tells the two apart.
+// TestBadFlagsExitTwo sweeps every numeric flag at and past its bounds,
+// in serving mode so the at-bound runs drive serveDecode (-coalesce 0, its
+// own minimum, drives the direct Generate timing). -heads 1 divides every
+// -dim the sweep runs; the cross-flag rule is checked on its own.
 func TestBadFlagsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-vocab", "0"},
-		{"-heads", "3", "-dim", "32"},
-		{"-batch", "0", "-coalesce", "4"},
-		{"-shards", "0", "-coalesce", "4"},
-		{"-shards", "-1", "-coalesce", "4"},
-		{"-coalesce", "-1"},
-		{"-wait", "-1ms", "-coalesce", "4"},
-		{"-layers", "-1"},
-		{"-prompt", "-1"},
-		{"-prompt", "0"},
-		{"-gen", "-1"},
-	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-autotune", "off", "-vocab", "200", "-dim", "16", "-heads", "2", "-techniques", "scan"}, args...)...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%q: exit %v, want 2", args, err)
-		}
-		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
-		if len(lines) != 1 || strings.Contains(lines[0], "panic:") || !strings.HasPrefix(lines[0], args[0]) {
-			t.Errorf("%q: stderr %q, want one line naming %s", args, stderr.String(), args[0])
-		}
+	cli.Sweep(t, run, "-autotune", "off", "-vocab", "200", "-dim", "16", "-heads", "1",
+		"-techniques", "scan", "-coalesce", "4")
+
+	var stderr bytes.Buffer
+	code := run([]string{"-autotune", "off", "-heads", "3", "-dim", "32"}, io.Discard, &stderr)
+	if lines := strings.Split(strings.TrimSpace(stderr.String()), "\n"); code != 2 || len(lines) != 1 ||
+		!strings.HasPrefix(lines[0], "-heads") {
+		t.Errorf("-heads 3 -dim 32: exit %d, stderr %q; want 2 and one line naming -heads", code, stderr.String())
 	}
 }

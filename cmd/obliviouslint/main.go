@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 
 	"secemb/internal/analysis"
+	"secemb/internal/cli"
 )
 
 // fileReport is the JSON artifact schema, mirroring leakcheck's.
@@ -46,15 +47,14 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("obliviouslint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	moduleDir := fs.String("C", ".", "module directory to lint")
 	vet := fs.Bool("vet", false, "also run the strict-vet shadow analyzer")
 	verbose := fs.Bool("v", false, "print waived findings too")
 	out := fs.String("json", "", "JSON report path (empty: skip)")
 	sarifOut := fs.String("sarif", "", "SARIF 2.1.0 report path (empty: skip)")
 	summaries := fs.Bool("summaries", false, "dump the interprocedural taint summaries instead of linting")
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
 
 	analyzers := []*analysis.Analyzer{analysis.Obliviouslint()}

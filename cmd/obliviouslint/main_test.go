@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"secemb/internal/analysis"
+	"secemb/internal/cli"
 )
 
 // leakyArgs lints the deliberately leaky fixture, named by its explicit
@@ -215,4 +216,10 @@ func TestRealTreeClean(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
+}
+
+// TestBadFlagsExitTwo sweeps every numeric flag (none today) at and past
+// its bounds, linting this command's own package.
+func TestBadFlagsExitTwo(t *testing.T) {
+	cli.Sweep(t, run)
 }

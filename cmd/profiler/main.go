@@ -15,10 +15,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"secemb/internal/cli"
 	"secemb/internal/profile"
 )
 
@@ -36,40 +38,35 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// usageErr reports an operator input error on one line and exits 2.
-func usageErr(flagName string, err error) {
-	fmt.Fprintf(os.Stderr, "-%s: %v\n", flagName, err)
-	os.Exit(2)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	dim := flag.Int("dim", 16, "embedding dimension")
-	kindFlag := flag.String("kind", "varied", "DHE sizing policy: uniform|varied")
-	reps := flag.Int("reps", 5, "timing repetitions per point")
-	batches := flag.String("batches", "8,32,128", "batch sizes to profile")
-	threads := flag.String("threads", "1,4", "thread counts to profile")
-	seed := flag.Int64("seed", 1, "PRNG seed")
-	save := flag.String("save", "", "write the threshold DB to this JSON file")
-	load := flag.String("load", "", "print a previously saved threshold DB instead of profiling")
-	flag.Parse()
-
-	if *dim < 1 {
-		usageErr("dim", fmt.Errorf("must be at least 1, got %d", *dim))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("profiler", flag.ContinueOnError)
+	var dim, reps int
+	cli.Bounded(fs, &dim, "dim", 16, 1, "embedding dimension")
+	kindFlag := fs.String("kind", "varied", "DHE sizing policy: uniform|varied")
+	cli.Bounded(fs, &reps, "reps", 5, 1, "timing repetitions per point")
+	batches := fs.String("batches", "8,32,128", "batch sizes to profile")
+	threads := fs.String("threads", "1,4", "thread counts to profile")
+	seed := fs.Int64("seed", 1, "PRNG seed (any value)")
+	save := fs.String("save", "", "write the threshold DB to this JSON file")
+	load := fs.String("load", "", "print a previously saved threshold DB instead of profiling")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	if *reps < 1 {
-		usageErr("reps", fmt.Errorf("must be at least 1, got %d", *reps))
-	}
-
 	if *load != "" {
 		db, err := profile.LoadFile(*load)
 		if err != nil {
-			usageErr("load", err)
+			fmt.Fprintln(stderr, "-load:", err)
+			return 2
 		}
-		fmt.Printf("loaded threshold DB: dim=%d kind=%s\n", db.Dim, db.Kind)
+		fmt.Fprintf(stdout, "loaded threshold DB: dim=%d kind=%s\n", db.Dim, db.Kind)
 		for _, cfg := range db.SortedConfigs() {
-			fmt.Printf("%5d  %7d  %d\n", cfg.Batch, cfg.Threads, db.Thresholds[cfg])
+			fmt.Fprintf(stdout, "%5d  %7d  %d\n", cfg.Batch, cfg.Threads, db.Thresholds[cfg])
 		}
-		return
+		return 0
 	}
 
 	var kind profile.DHEKind
@@ -79,32 +76,36 @@ func main() {
 	case "varied":
 		kind = profile.Varied
 	default:
-		usageErr("kind", fmt.Errorf("must be uniform or varied, got %q", *kindFlag))
+		fmt.Fprintf(stderr, "-kind: must be uniform or varied, got %q\n", *kindFlag)
+		return 2
 	}
 	bs, err := parseInts(*batches)
 	if err != nil {
-		usageErr("batches", err)
+		fmt.Fprintln(stderr, "-batches:", err)
+		return 2
 	}
 	ts, err := parseInts(*threads)
 	if err != nil {
-		usageErr("threads", err)
+		fmt.Fprintln(stderr, "-threads:", err)
+		return 2
 	}
 	sizes := profile.DefaultSizes()
-	fmt.Printf("profiling dim=%d kind=%s over sizes %v\n\n", *dim, kind, sizes)
+	fmt.Fprintf(stdout, "profiling dim=%d kind=%s over sizes %v\n\n", dim, kind, sizes)
 
-	db := profile.BuildDB(*dim, kind, bs, ts, sizes, *reps, *seed)
-	fmt.Println("batch  threads  threshold (table size)")
+	db := profile.BuildDB(dim, kind, bs, ts, sizes, reps, *seed)
+	fmt.Fprintln(stdout, "batch  threads  threshold (table size)")
 	for _, cfg := range db.SortedConfigs() {
-		fmt.Printf("%5d  %7d  %d\n", cfg.Batch, cfg.Threads, db.Thresholds[cfg])
+		fmt.Fprintf(stdout, "%5d  %7d  %d\n", cfg.Batch, cfg.Threads, db.Thresholds[cfg])
 	}
 	lo, hi := db.HybridRange()
-	fmt.Printf("\nhybrid range on this host: [%d, %d]\n", lo, hi)
-	fmt.Println("tables below the range always use linear scan; above it, always DHE (Algorithm 3)")
+	fmt.Fprintf(stdout, "\nhybrid range on this host: [%d, %d]\n", lo, hi)
+	fmt.Fprintln(stdout, "tables below the range always use linear scan; above it, always DHE (Algorithm 3)")
 	if *save != "" {
 		if err := db.SaveFile(*save); err != nil {
-			fmt.Fprintln(os.Stderr, "-save:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "-save:", err)
+			return 1
 		}
-		fmt.Printf("threshold DB saved to %s (reload with -load)\n", *save)
+		fmt.Fprintf(stdout, "threshold DB saved to %s (reload with -load)\n", *save)
 	}
+	return 0
 }

@@ -37,11 +37,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/obs"
 	"secemb/internal/planner"
@@ -93,53 +95,50 @@ type config struct {
 	tlsInsecure bool
 }
 
-func parseFlags(args []string, stderr io.Writer) (*config, error) {
+// newFlags defines secembd's flags on a new set, storing into c. Each
+// numeric flag's bounds sit beside it; validate holds the cross-flag rules.
+func newFlags(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("secembd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := &config{}
 	fs.StringVar(&c.addr, "addr", ":9090", "serve: listen address")
 	fs.StringVar(&c.technique, "technique", "dual", "serve: dual or a core technique key (scan, scanb, path, circuit, dhe, lookup); under -plan the static dual hybrid is superseded, so dual maps to scanb as the starting technique and the planner re-fits from there")
-	fs.IntVar(&c.rows, "rows", 4096, "serve: embedding table cardinality")
-	fs.IntVar(&c.dim, "dim", 64, "serve: embedding dimension")
-	fs.IntVar(&c.threshold, "threshold", 4, "serve: dual-scheme batch threshold (≤ uses ORAM, > uses DHE)")
-	fs.IntVar(&c.nBackends, "backends", 4, "serve: backend replicas (one coalescing worker each)")
-	fs.IntVar(&c.shards, "shards", 0, "serve: replica groups (0 → one per backend)")
-	fs.IntVar(&c.maxBatch, "max-batch", 64, "serve: public per-request id cap (largest padding bucket)")
-	fs.IntVar(&c.queueDepth, "queue-depth", 0, "serve: per-shard queue depth (0 → derived)")
-	fs.DurationVar(&c.maxWait, "max-wait", 200*time.Microsecond, "serve: longest a partial batch is held for co-batching; the hold is armed only while arrivals on the shard are dense enough to fill it (smoothed gap under two max-waits; 0 → greedy)")
-	fs.DurationVar(&c.shedWait, "shed-wait", 2*time.Millisecond, "serve: grace before a saturated shard sheds with 429 (0 → block)")
-	fs.IntVar(&c.connStr, "conn-streams", 0, "serve: per-connection concurrent stream cap (0 → default)")
-	fs.DurationVar(&c.timeout, "timeout", 2*time.Second, "serve: per-request deadline in the serving stack")
-	fs.DurationVar(&c.drainGrace, "drain-grace", time.Second, "serve: 503 period before the listener closes on SIGTERM")
+	cli.Bounded(fs, &c.rows, "rows", 4096, 1, "serve: embedding table cardinality")
+	cli.Bounded(fs, &c.dim, "dim", 64, 1, "serve: embedding dimension (the wire dim field caps it at 65535)", math.MaxUint16)
+	cli.Bounded(fs, &c.threshold, "threshold", 4, 0, "serve: dual-scheme batch threshold (≤ uses ORAM, > uses DHE)")
+	cli.Bounded(fs, &c.nBackends, "backends", 4, 1, "serve: backend replicas (one coalescing worker each)")
+	cli.Bounded(fs, &c.shards, "shards", 0, 0, "serve: replica groups (0 → one per backend)")
+	cli.Bounded(fs, &c.maxBatch, "max-batch", 64, 1, "serve: public per-request id cap (largest padding bucket; the wire count field caps it at 65535)", wire.MaxBatch)
+	cli.Bounded(fs, &c.queueDepth, "queue-depth", 0, 0, "serve: per-shard queue depth (0 → derived)")
+	cli.Bounded(fs, &c.maxWait, "max-wait", 200*time.Microsecond, 0, "serve: longest a partial batch is held for co-batching; the hold is armed only while arrivals on the shard are dense enough to fill it (smoothed gap under two max-waits; 0 → greedy)")
+	cli.Bounded(fs, &c.shedWait, "shed-wait", 2*time.Millisecond, 0, "serve: grace before a saturated shard sheds with 429 (0 → block)")
+	cli.Bounded(fs, &c.connStr, "conn-streams", 0, 0, "serve: per-connection concurrent stream cap (0 → default)")
+	cli.Bounded(fs, &c.timeout, "timeout", 2*time.Second, 0, "serve: per-request deadline in the serving stack")
+	cli.Bounded(fs, &c.drainGrace, "drain-grace", time.Second, 0, "serve: 503 period before the listener closes on SIGTERM")
 	fs.StringVar(&c.tokenKey, "token-key", "", "hex HMAC key; serve: require tokens / soak: mint them (empty in serve mode → tokens optional)")
-	fs.Int64Var(&c.seed, "seed", 1, "serve: fixes the table rows and DHE weights; ORAM randomness comes from crypto/rand / soak: id stream seed")
+	fs.Int64Var(&c.seed, "seed", 1, "serve: fixes the table rows and DHE weights; ORAM randomness comes from crypto/rand / soak: id stream seed (any value)")
 	fs.StringVar(&c.tlsCert, "tls-cert", "", "serve: PEM certificate file; with -tls-key, terminate TLS on the listener")
 	fs.StringVar(&c.tlsKey, "tls-key", "", "serve: PEM private key file for -tls-cert")
 	fs.BoolVar(&c.int8, "int8", true, "serve: quantized int8 DHE decoder when the accuracy gate passes (dhe and dual techniques)")
 	fs.BoolVar(&c.plan, "plan", false, "serve: adaptive planner re-fits the technique choice online and hot-swaps tables (replaces the static dual hybrid)")
-	fs.DurationVar(&c.planEvery, "plan-interval", 10*time.Second, "serve: planner re-plan period (with -plan)")
+	cli.Bounded(fs, &c.planEvery, "plan-interval", 10*time.Second, 0, "serve: planner re-plan period (with -plan)")
 	fs.StringVar(&c.planFile, "plan-file", "", "serve: persist/reuse the planner's fitted cost model at this path (with -plan; skips the analytic-prior warmup when the recorded machine matches)")
 
 	fs.BoolVar(&c.soak, "soak", false, "run the load generator instead of serving")
 	fs.BoolVar(&c.useTLS, "tls", false, "soak: dial TLS (self-hosted runs mint an ephemeral self-signed cert)")
 	fs.BoolVar(&c.tlsInsecure, "tls-insecure", false, "soak: skip certificate verification against an external -target")
 	fs.StringVar(&c.target, "target", "", "soak: server address (empty → self-host an in-process server)")
-	fs.IntVar(&c.conns, "conns", 1000, "soak: concurrent connections")
-	fs.DurationVar(&c.duration, "duration", 60*time.Second, "soak: run length")
-	fs.IntVar(&c.batch, "batch", 2, "soak: ids per request")
-	fs.DurationVar(&c.maxP99, "max-p99", 250*time.Millisecond, "soak gate: fail when p99 exceeds this (0 → ungated)")
-	fs.Float64Var(&c.maxShed, "max-shed", 0.05, "soak gate: fail when the shed fraction exceeds this (negative → ungated)")
-	fs.Int64Var(&c.minRequests, "min-requests", 1, "soak gate: fail when fewer requests completed")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	return c, nil
+	cli.Bounded(fs, &c.conns, "conns", 1000, 1, "soak: concurrent connections")
+	cli.Bounded(fs, &c.duration, "duration", 60*time.Second, time.Nanosecond, "soak: run length")
+	cli.Bounded(fs, &c.batch, "batch", 2, 1, "soak: ids per request")
+	cli.Bounded(fs, &c.maxP99, "max-p99", 250*time.Millisecond, 0, "soak gate: fail when p99 exceeds this (0 → ungated)")
+	fs.Float64Var(&c.maxShed, "max-shed", 0.05, "soak gate: fail when the shed fraction exceeds this (any value; negative → ungated)")
+	cli.Bounded(fs, &c.minRequests, "min-requests", 1, 0, "soak gate: fail when fewer requests completed")
+	return fs
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	c, err := parseFlags(args, stderr)
-	if err != nil {
-		return 2
+	c := &config{}
+	if code, ok := cli.Parse(newFlags(c), args, stderr); !ok {
+		return code
 	}
 	if err := c.validate(); err != nil {
 		fmt.Fprintln(stderr, "secembd:", err)
@@ -151,50 +150,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runServe(c, stdout, stderr)
 }
 
-// validate rejects the flag values the serving and wire constructors treat
-// as programmer errors (they panic), negative durations and depths (which
-// the stack would silently read as "off" or "default"), and a soak that
-// cannot send a well-formed request, so an operator typo is a usage error.
-// An external -target's id cap is unknown here, so only a self-hosted
-// soak's -batch is checked against -max-batch.
-// Rows, dim and technique are checked by core.New, which returns an error.
+// validate holds the rules that join flags; each flag's own bounds are
+// declared beside it. Too many shards for the wire's one-byte shard field
+// would make the wire constructor panic, and a self-hosted soak whose
+// -batch exceeds its server's -max-batch could not send a well-formed
+// request; an external -target's id cap is unknown here. Rows, dim and
+// technique together are checked by core.New, which returns an error.
 func (c *config) validate() error {
 	shards := c.shards
 	if shards == 0 {
 		shards = c.nBackends
 	}
 	switch {
-	case c.nBackends < 1:
-		return fmt.Errorf("-backends must be at least 1, got %d", c.nBackends)
-	case c.shards < 0 || c.shards > c.nBackends:
-		return fmt.Errorf("-shards must be between 0 and -backends (%d), got %d", c.nBackends, c.shards)
+	case c.shards > c.nBackends:
+		return fmt.Errorf("-shards must be at most -backends (%d), got %d", c.nBackends, c.shards)
 	case shards > 256:
 		return fmt.Errorf("%d shards exceed the wire shard field's cap of 256; group the backends with -shards", shards)
-	case c.maxBatch < 1:
-		return fmt.Errorf("-max-batch must be at least 1, got %d", c.maxBatch)
-	case c.soak && (c.conns < 1 || c.duration <= 0 || c.rows < 1):
-		return fmt.Errorf("-soak needs -conns ≥1, -duration >0 and -rows ≥1")
-	case c.soak && c.batch < 1:
-		return fmt.Errorf("-batch must be at least 1, got %d", c.batch)
 	case c.soak && c.target == "" && c.batch > c.maxBatch:
 		// The self-hosted server would reject every request as malformed.
 		return fmt.Errorf("-batch %d exceeds the self-hosted server's -max-batch %d", c.batch, c.maxBatch)
-	}
-	for _, f := range []struct {
-		name string
-		neg  bool
-	}{
-		{"-max-wait", c.maxWait < 0},
-		{"-shed-wait", c.shedWait < 0},
-		{"-timeout", c.timeout < 0},
-		{"-drain-grace", c.drainGrace < 0},
-		{"-queue-depth", c.queueDepth < 0},
-		{"-conn-streams", c.connStr < 0},
-		{"-plan-interval", c.planEvery < 0},
-	} {
-		if f.neg {
-			return fmt.Errorf("%s must not be negative", f.name)
-		}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"secemb/internal/cli"
 	"secemb/internal/obs"
 	"secemb/internal/profile"
 	"secemb/internal/wire"
@@ -19,27 +20,24 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-// TestUsageErrorsExitTwo: every configuration mistake is caught before a
-// listener opens and exits 2.
+// TestUsageErrorsExitTwo: every configuration mistake the flag sweep does
+// not generate (unknown and paired flags, cross-flag rules, negative
+// durations in units above the sweep's -1ns) is caught before a listener
+// opens and exits 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-tls-cert", "cert.pem"},
-		{"-backends", "0"},
 		{"-shards", "9", "-backends", "2"},
 		{"-backends", "300"},
-		{"-max-batch", "0"},
 		{"-max-wait", "-1s"},
 		{"-timeout", "-1s"},
 		{"-drain-grace", "-1s"},
 		{"-shed-wait", "-1ms"},
-		{"-queue-depth", "-1"},
-		{"-conn-streams", "-1"},
 		// A self-hosted soak whose requests its own server must reject.
 		{"-soak", "-batch", "65"},
 		{"-soak", "-batch", "2", "-max-batch", "1"},
 		{"-soak", "-batch", "0", "-target", "127.0.0.1:1"},
-		{"-soak", "-conns", "0"},
 		// Short enough that a soak which wrongly starts still ends.
 		{"-soak", "-plan", "-plan-interval", "-1s", "-duration", "200ms", "-conns", "1",
 			"-rows", "256", "-dim", "8", "-backends", "1"},
@@ -54,6 +52,15 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExitTwo sweeps every numeric flag at and past its bounds,
+// each run a self-hosted soak of about 50 ms with every gate but the error
+// rate off. It covers -backends 0, -max-batch 0, -queue-depth -1,
+// -conn-streams -1 and -soak -conns 0, which TestUsageErrorsExitTwo listed.
+func TestBadFlagsExitTwo(t *testing.T) {
+	cli.Sweep(t, run, "-soak", "-rows", "256", "-dim", "8", "-backends", "2",
+		"-conns", "1", "-batch", "1", "-duration", "50ms", "-min-requests", "0", "-max-p99", "0", "-max-shed", "-1")
+}
+
 // soakArgs is a sub-second self-hosted soak: the full serve stack on a
 // loopback listener, 8 connections, gated on completing at all. The latency
 // and shed gates are off — this drives the assembly, not the host's speed.
@@ -64,11 +71,11 @@ var soakArgs = []string{"-soak", "-rows", "256", "-dim", "8", "-backends", "2", 
 // server: the run makes progress, a realistic gate passes it, and an
 // impossible p99 bound fails it.
 func TestSoakSmoke(t *testing.T) {
-	c, err := parseFlags([]string{"-soak", "-rows", "256", "-dim", "8", "-backends", "2", "-conns", "8",
+	c := &config{}
+	if _, ok := cli.Parse(newFlags(c), []string{"-soak", "-rows", "256", "-dim", "8", "-backends", "2", "-conns", "8",
 		"-duration", "300ms", "-batch", "4", "-seed", "1",
-		"-min-requests", "8", "-max-p99", "5s", "-max-shed", "0.5"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+		"-min-requests", "8", "-max-p99", "5s", "-max-shed", "0.5"}, io.Discard); !ok {
+		t.Fatal("soak flags did not parse")
 	}
 	if err := c.validate(); err != nil {
 		t.Fatal(err)

@@ -16,12 +16,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"slices"
 	"sync"
 	"time"
 
+	"secemb/internal/cli"
 	"secemb/internal/core"
 	"secemb/internal/data"
 	"secemb/internal/dhe"
@@ -33,23 +35,32 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 3, "replica groups (consistent key routing; ≤ replicas)")
-	coalesce := flag.Int("coalesce", 16, "max requests fused per backend execution")
-	wait := flag.Duration("wait", 2*time.Millisecond, "max coalesce wait before a partial batch flushes")
-	metrics := flag.Bool("metrics", false, "print an observability snapshot after serving")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and pprof on this address")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
 	const replicas, requests, batch = 3, 60, 8
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	var shards, coalesce int
+	var wait time.Duration
+	cli.Bounded(fs, &shards, "shards", 3, 1, "replica groups (consistent key routing; ≤ replicas, 3)", replicas)
+	cli.Bounded(fs, &coalesce, "coalesce", 16, 1, "max requests fused per backend execution")
+	cli.Bounded(fs, &wait, "wait", 2*time.Millisecond, 0, "max coalesce wait before a partial batch flushes")
+	metrics := fs.Bool("metrics", false, "print an observability snapshot after serving")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and pprof on this address")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
+	}
 
 	reg := obs.NewRegistry()
 	tensor.SetObserver(reg) // tensor_pool_* gauges: matmul worker-pool utilization
 	if *metricsAddr != "" {
 		addr, _, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics server:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "metrics server:", err)
+			return 1
 		}
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", addr)
 	}
 	cards := data.ScaleCardinalities(data.KaggleCardinalities, 2e-5)
 	cfg := dlrm.Config{
@@ -82,16 +93,16 @@ func main() {
 		}
 		return bes
 	}
-	fmt.Printf("serving mini-Kaggle DLRM: %d replicas, %d shard(s), hybrid protection\n\n",
-		replicas, *shards)
+	fmt.Fprintf(stdout, "serving mini-Kaggle DLRM: %d replicas, %d shard(s), hybrid protection\n\n",
+		replicas, shards)
 
-	// run is one pass of the stream, timed by the caller: each latency is
+	// pass is one run of the stream, timed by the caller: each latency is
 	// one Do end to end, queue wait included.
-	type run struct {
+	type pass struct {
 		lat  []time.Duration
 		rate float64 // requests per second over the whole pass
 	}
-	drive := func(do func(key uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response) run {
+	drive := func(do func(key uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response) pass {
 		lat := make([]time.Duration, requests)
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -112,20 +123,20 @@ func main() {
 				resp := do(uint64(seed), dense, sparse)
 				lat[seed] = time.Since(t0)
 				if resp.Err != nil {
-					fmt.Println("request failed:", resp.Err)
+					fmt.Fprintln(stdout, "request failed:", resp.Err)
 				}
 			}(int64(i))
 		}
 		wg.Wait()
-		return run{lat, float64(requests) / time.Since(start).Seconds()}
+		return pass{lat, float64(requests) / time.Since(start).Seconds()}
 	}
-	report := func(label string, r run, s serving.Stats) {
+	report := func(label string, r pass, s serving.Stats) {
 		const sla = 20 * time.Millisecond
 		slices.Sort(r.lat)
 		q := func(p float64) time.Duration { return r.lat[min(int(p*requests), requests-1)] }
-		fmt.Printf("%s: served %d at %.0f req/s (shed %d, abandoned %d)\n",
+		fmt.Fprintf(stdout, "%s: served %d at %.0f req/s (shed %d, abandoned %d)\n",
 			label, s.Served, r.rate, s.Shed, s.Abandoned)
-		fmt.Printf("  latency p50 %v, p95 %v, p99 %v, max %v — meets %v SLA: %v\n",
+		fmt.Fprintf(stdout, "  latency p50 %v, p95 %v, p99 %v, max %v — meets %v SLA: %v\n",
 			q(0.50), q(0.95), q(0.99), r.lat[requests-1], sla, q(0.95) <= sla)
 	}
 
@@ -138,19 +149,20 @@ func main() {
 	report("per-request", base, pool.Stats())
 
 	// Layered stack: sharded replica groups with cross-request coalescing.
-	group := serving.NewGroup(newBackends(60, *coalesce), serving.GroupConfig{
-		Shards:   *shards,
-		Coalesce: serving.CoalesceConfig{MaxWait: *wait},
+	group := serving.NewGroup(newBackends(60, coalesce), serving.GroupConfig{
+		Shards:   shards,
+		Coalesce: serving.CoalesceConfig{MaxWait: wait},
 	}, serving.WithObserver(reg))
 	coal := drive(func(key uint64, dense *tensor.Matrix, sparse [][]uint64) serving.Response {
 		return group.Do(context.Background(), key, &backends.DLRMRequest{Dense: dense, Sparse: sparse})
 	})
 	group.Close()
-	report(fmt.Sprintf("coalesced (≤%d/batch, %v wait)", *coalesce, *wait), coal, group.Stats())
-	fmt.Printf("\ncoalescing speedup: %.2fx requests/s\n", coal.rate/base.rate)
+	report(fmt.Sprintf("coalesced (≤%d/batch, %v wait)", coalesce, wait), coal, group.Stats())
+	fmt.Fprintf(stdout, "\ncoalescing speedup: %.2fx requests/s\n", coal.rate/base.rate)
 
 	if *metrics {
-		fmt.Println("\n--- observability snapshot ---")
-		reg.WriteText(os.Stdout)
+		fmt.Fprintln(stdout, "\n--- observability snapshot ---")
+		reg.WriteText(stdout)
 	}
+	return 0
 }

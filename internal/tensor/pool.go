@@ -78,13 +78,12 @@ func SetObserver(reg *obs.Registry) {
 	publishTune()
 }
 
-// PoolWorkers returns the size the worker pool has (or will have when
-// first used).
+// PoolWorkers returns the worker pool's size, starting the pool if no
+// kernel has yet: poolSize is read only after poolOnce, so a caller racing
+// a kernel's first dispatch sees it written.
 func PoolWorkers() int {
-	if poolTasks != nil {
-		return poolSize
-	}
-	return poolSizeFor()
+	poolOnce.Do(startPool)
+	return poolSize
 }
 
 func poolSizeFor() int {

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -105,6 +106,11 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.Dim < 1 {
 		panic("wire: ServerConfig.Dim is required")
+	}
+	if cfg.Dim > math.MaxUint16 {
+		// The response header's dim field is a u16; a wider dim would
+		// truncate and every response would decode as the wrong shape.
+		panic("wire: ServerConfig.Dim " + strconv.Itoa(cfg.Dim) + " exceeds the wire dim field's cap of 65535")
 	}
 	if n := cfg.Group.Shards(); n > 256 {
 		// The response frame's shard field is one byte; silently truncating

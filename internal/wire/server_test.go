@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -203,6 +204,19 @@ func TestShardCapRejected(t *testing.T) {
 		}
 	}()
 	NewServer(ServerConfig{Group: g, Dim: testDim})
+}
+
+// TestDimCapRejected: the response header's dim field is a u16, so a wider
+// dim is refused at construction instead of answering with the wrong shape.
+func TestDimCapRejected(t *testing.T) {
+	g := serving.NewGroup([]serving.Backend{&slowBackend{dim: testDim}}, serving.GroupConfig{QueueDepth: 1})
+	defer g.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewServer accepted dim 65536; the dim field would truncate")
+		}
+	}()
+	NewServer(ServerConfig{Group: g, Dim: math.MaxUint16 + 1})
 }
 
 func TestEmbedRejectsBadToken(t *testing.T) {

@@ -30,6 +30,7 @@ var surfaceAllow = map[string]string{
 	"memtrace.ChiSquareCritical999": "oram's leaf-uniformity tests",
 	"oram.Controller.TreeLevels":    "perf's tests check MemWords against it",
 	"analysis.ValidateSARIF":        "cmd/obliviouslint's tests validate the SARIF output with it",
+	"cli.Sweep":                     "every command's TestBadFlagsExitTwo sweeps its flags with it",
 }
 
 // TestExportedSurfaceIsReached: every package-level func, method, type,
