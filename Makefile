@@ -65,9 +65,9 @@ build:
 	$(GO) build ./...
 
 # cross-build compiles the module and bench/ for two other architectures:
-# arm64, where internal/oblivious has no assembly and the scalar loops of
-# OrTile and ScanBlock are the only paths, and 386, where int is 32 bits
-# wide.
+# arm64, where there is no assembly and the scalar loops of OrTile and
+# ScanBlock and the SWAR quantized kernel are the only paths, and 386,
+# where int is 32 bits wide.
 cross-build:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
@@ -77,10 +77,12 @@ test:
 	$(GO) test ./...
 
 # test-purego runs the packages with assembly kernels, and the packages
-# that call them, on their portable Go paths: the purego tag leaves
-# internal/oblivious's amd64 assembly out, as arm64 does.
+# that call them, on their portable Go paths: the purego tag leaves the
+# amd64 assembly of internal/oblivious and internal/tensor out, as arm64
+# does.
 test-purego:
-	$(GO) test -tags purego ./internal/oblivious ./internal/core ./internal/oram
+	$(GO) test -tags purego ./internal/oblivious ./internal/core ./internal/oram \
+		./internal/tensor ./internal/nn ./internal/dhe
 
 # bench-build compiles and tests the repo's benchmark against this tree.
 # bench/ is a nested module (own go.mod, replace secemb => ../), so the
@@ -107,6 +109,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzEqLt -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzCondCopy -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzQuantKernel -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzORAMOps -fuzztime=$(FUZZTIME) ./internal/oram
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode -fuzztime=$(FUZZTIME) ./internal/token
 	$(GO) test -run='^$$' -fuzz=FuzzParseCriteoLine -fuzztime=$(FUZZTIME) ./internal/data

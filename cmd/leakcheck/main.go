@@ -64,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	factories := leakcheck.StandardFactories(rows, dim, *seed)
-	// The quantized DHE hot path: identical dense sweep, packed int8 SWAR
-	// inner product. Audited separately from dhe because the kernels (and
+	// The quantized DHE hot path: identical dense sweep, int8 inner
+	// product. Audited separately from dhe because the kernels (and
 	// the activation-quantization step) are a different code path.
 	factories = append(factories, leakcheck.Int8DHEFactory(rows, dim, *seed))
 	// The hybrid dispatches on batch size; threshold = batch puts the

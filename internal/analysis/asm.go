@@ -25,7 +25,9 @@ import (
 //     register, and no vector register may move into a general-purpose
 //     one;
 //   - memory: every memory operand's base is a register loaded once from
-//     a pointer argument, and any index is a loop counter;
+//     a pointer argument, and any index is a loop counter or a cursor, a
+//     register no back-edge compares that is written only the ways a loop
+//     counter may be (a weight cursor walking a panel beside the counter);
 //   - register: a loop counter is written only by XORQ, MOVQ $c, ADDQ $c,
 //     ADDQ of a length register (a row cursor stepping by a public width)
 //     or MOVQ from another loop counter (a cursor reset to a column);
@@ -76,13 +78,15 @@ var asmImplicitWrites = map[string][]string{
 
 // asmVectorOps are the vector instructions a block that reads memory
 // behind a pointer argument may use: broadcasts, lane-wise compares and
-// logic, 64-bit lane arithmetic and plain moves. None sets flags or takes
-// an address from a vector; VMOVQ may load a vector from a general-purpose
+// logic, lane-wise adds, word shifts, the byte and word multiply-adds of
+// an integer dot product, and plain moves. None sets flags or takes an
+// address from a vector; VMOVQ may load a vector from a general-purpose
 // register, and the mask check rejects the other direction.
 var asmVectorOps = map[string]bool{
-	"VPBROADCASTQ": true, "VPCMPEQQ": true,
+	"VPBROADCASTQ": true, "VPBROADCASTD": true, "VPCMPEQQ": true,
 	"VPAND": true, "VPANDN": true, "VPOR": true, "VPXOR": true,
-	"VPADDQ": true, "VPSUBQ": true,
+	"VPADDQ": true, "VPSUBQ": true, "VPADDD": true, "VPSRLW": true,
+	"VPMADDUBSW": true, "VPMADDWD": true,
 	"VMOVDQU": true, "VMOVDQA": true, "VMOVQ": true,
 	"VZEROUPPER": true,
 }
@@ -213,17 +217,26 @@ func auditAsmBlock(pass *Pass, name string, text int, block []asmInstr, labels m
 		}
 		counters[prev.args[0]] = true
 	}
+	// counterWrite reports whether in writes r the way a loop counter may
+	// be written.
+	counterWrite := func(r string, in asmInstr) bool {
+		src := in.args[0]
+		return (in.op == "XORQ" && len(in.args) == 2 && src == r) ||
+			((in.op == "MOVQ" || in.op == "ADDQ") && strings.HasPrefix(src, "$")) ||
+			(in.op == "ADDQ" && isLength(src)) ||
+			(in.op == "MOVQ" && counters[src] && src != r)
+	}
 	for c := range counters {
 		for _, in := range writes[c] {
-			src := in.args[0]
-			counterWrite := (in.op == "XORQ" && len(in.args) == 2 && src == c) ||
-				((in.op == "MOVQ" || in.op == "ADDQ") && strings.HasPrefix(src, "$")) ||
-				(in.op == "ADDQ" && isLength(src)) ||
-				(in.op == "MOVQ" && counters[src] && src != c)
-			if !counterWrite {
+			if !counterWrite(c, in) {
 				finding(in.line, "register", "loop counter %s written by %s", c, in.op)
 			}
 		}
+	}
+	// An index register no back-edge compares is a cursor when every write
+	// to it is one a loop counter may make.
+	isCursor := func(r string) bool {
+		return len(writes[r]) > 0 && !slices.ContainsFunc(writes[r], func(in asmInstr) bool { return !counterWrite(r, in) })
 	}
 
 	readsPointer := slices.ContainsFunc(block, func(in asmInstr) bool {
@@ -255,8 +268,8 @@ func auditAsmBlock(pass *Pass, name string, text int, block []asmInstr, labels m
 			switch {
 			case m == nil || !isBase(m[1]):
 				finding(in.line, "memory", "operand %s is not based on a pointer argument", a)
-			case m[2] != "" && !counters[m[2]]:
-				finding(in.line, "memory", "operand %s is not indexed by the loop counter", a)
+			case m[2] != "" && !counters[m[2]] && !isCursor(m[2]):
+				finding(in.line, "memory", "operand %s is not indexed by a loop counter or cursor", a)
 			}
 		}
 	}

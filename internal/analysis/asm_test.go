@@ -9,34 +9,44 @@ import (
 	"testing"
 )
 
-// TestObliviouslintAsm runs obliviouslint over internal/oblivious, whose
-// ortile_amd64.s must pass, and over mutations of that file, each of which
-// must fail the named checks of obliviouslint/asm: broken kernels, one
-// broken instruction in each helper (so every TEXT block is shown to be
-// read), and the honest kernels under directives that mark a length
-// secret.
+// TestObliviouslintAsm runs obliviouslint over the two packages with
+// assembly, internal/oblivious (ortile_amd64.s) and internal/tensor
+// (quant_amd64.s), whose kernels must pass, and over mutations of those
+// files, each of which must fail the named checks of obliviouslint/asm:
+// broken kernels, one broken instruction in each helper (so every TEXT
+// block is shown to be read), the honest kernels under directives that
+// mark a length secret, and, for the quantized kernel's secret-data,
+// public-address shape, each way a secret sum could leave the vector
+// registers.
 func TestObliviouslintAsm(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the module has assembly only for amd64")
 	}
-	set, err := LoadModule("../..", "./internal/oblivious")
+	set, err := LoadModule("../..", "./internal/oblivious", "./internal/tensor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := set.Targets[0]
-	if len(pkg.asmFiles) != 1 || filepath.Base(pkg.asmFiles[0]) != "ortile_amd64.s" {
-		t.Fatalf("asmFiles = %v, want [.../ortile_amd64.s]", pkg.asmFiles)
+	pkgs := map[string]*Package{}
+	srcs := map[string]string{}
+	for _, pkg := range set.Targets {
+		if len(pkg.asmFiles) != 1 {
+			t.Fatalf("%s: asmFiles = %v, want one file", pkg.Path, pkg.asmFiles)
+		}
+		raw, err := os.ReadFile(pkg.asmFiles[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimPrefix(pkg.Path, "secemb/internal/")
+		pkgs[name], srcs[name] = pkg, string(raw)
 	}
-	raw, err := os.ReadFile(pkg.asmFiles[0])
-	if err != nil {
-		t.Fatal(err)
+	if filepath.Base(pkgs["oblivious"].asmFiles[0]) != "ortile_amd64.s" || filepath.Base(pkgs["tensor"].asmFiles[0]) != "quant_amd64.s" {
+		t.Fatalf("asm files %v, %v; want ortile_amd64.s and quant_amd64.s", pkgs["oblivious"].asmFiles, pkgs["tensor"].asmFiles)
 	}
-	src := string(raw)
 
 	// lint runs the whole analyzer over the package with src as its only
 	// assembly file and returns the asm findings' messages.
-	lint := func(t *testing.T, src string) (got []string) {
-		path := filepath.Join(t.TempDir(), "ortile_amd64.s")
+	lint := func(t *testing.T, pkg *Package, src string) (got []string) {
+		path := filepath.Join(t.TempDir(), filepath.Base(pkg.asmFiles[0]))
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +61,15 @@ func TestObliviouslintAsm(t *testing.T) {
 		}
 		return got
 	}
-	if got := lint(t, src); len(got) != 0 {
-		t.Errorf("real package: %q", got)
+	for name, pkg := range pkgs {
+		if got := lint(t, pkg, srcs[name]); len(got) != 0 {
+			t.Errorf("real %s package: %q", name, got)
+		}
 	}
 
 	cases := []struct {
 		name     string
-		old, new string // a replacement in the real file
+		old, new string // a replacement in the real file of the kernel's package
 		secret   string // "kernel param": a parameter to add to a kernel's directive
 		checks   []string
 	}{
@@ -93,21 +105,39 @@ func TestObliviouslintAsm(t *testing.T) {
 		{"scan string compare into the counter", "\tVPCMPEQQ Y8, Y9, Y7\n", "\tVPCMPEQQ Y8, Y9, Y7\n\tVPCMPESTRI $0, X7, X8\n", "",
 			[]string{"scanBlockAVX2: vector", "scanBlockAVX2: register"}},
 		{"scan secret width", "", "", "scanBlockAVX2 width", []string{"scanBlockAVX2: param", "scanBlockAVX2: register"}},
+		{"quant VPTEST of a sum and JNE", "\tVPADDD       Y5, Y0, Y0\n", "\tVPADDD       Y5, Y0, Y0\n\tVPTEST       Y0, Y0\n\tJNE          k32\n", "",
+			[]string{"quantDotsAVX2: vector", "quantDotsAVX2: jump"}},
+		{"quant VPMOVMSKB of a sum", "\tVPADDD       Y5, Y0, Y0\n", "\tVPADDD       Y5, Y0, Y0\n\tVPMOVMSKB    Y0, R13\n", "",
+			[]string{"quantDotsAVX2: vector", "quantDotsAVX2: mask"}},
+		{"quant VMOVD of a sum into a register", "\tVPADDD       Y5, Y0, Y0\n", "\tVPADDD       Y5, Y0, Y0\n\tVMOVD        X0, R13\n", "",
+			[]string{"quantDotsAVX2: vector", "quantDotsAVX2: mask"}},
+		{"quant VPEXTRD of a sum into a register", "\tVPADDD       Y5, Y0, Y0\n", "\tVPADDD       Y5, Y0, Y0\n\tVPEXTRD      $1, X0, R13\n", "",
+			[]string{"quantDotsAVX2: vector", "quantDotsAVX2: mask"}},
+		{"quant address from a sum", "\tVPMADDUBSW   (R8)(R12*1), Y4, Y5\n", "\tVMOVD        X0, R13\n\tVPMADDUBSW   (R8)(R13*1), Y4, Y5\n", "",
+			[]string{"quantDotsAVX2: mask", "quantDotsAVX2: memory"}},
+		{"quant cursor stepped by an activation", "\tADDQ         $128, R12\n", "\tMOVQ         (SI), R13\n\tADDQ         R13, R12\n", "",
+			[]string{"quantDotsAVX2: memory"}},
+		{"quant secret depth", "", "", "quantDotsAVX2 kb", []string{"quantDotsAVX2: param", "quantDotsAVX2: jump"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			pkg := "oblivious"
+			if strings.HasPrefix(tc.name, "quant ") {
+				pkg = "tensor"
+			}
+			src := srcs[pkg]
 			if !strings.Contains(src, tc.old) {
 				t.Fatalf("the kernel no longer contains %q", tc.old)
 			}
 			if fn, param, ok := strings.Cut(tc.secret, " "); ok {
-				kernel := set.Directives.funcs["secemb/internal/oblivious."+fn]
+				kernel := set.Directives.funcs["secemb/internal/"+pkg+"."+fn]
 				if kernel == nil {
 					t.Fatalf("%s carries no directive", fn)
 				}
 				kernel.Secret[param] = true
 				defer delete(kernel.Secret, param)
 			}
-			got := lint(t, strings.Replace(src, tc.old, tc.new, 1))
+			got := lint(t, pkgs[pkg], strings.Replace(src, tc.old, tc.new, 1))
 			for _, check := range tc.checks {
 				if !slices.ContainsFunc(got, func(m string) bool { return strings.Contains(m, RuleAsm+": "+check+": ") }) {
 					t.Errorf("no %q finding; got %q", check, got)

@@ -32,6 +32,7 @@ var ruleDescriptions = map[string]string{
 	RuleMapKey:    "map operation keyed by a secret-tainted value",
 	RuleChan:      "secret-tainted value crosses a channel or goroutine boundary",
 	RuleShift:     "shift amount depends on a secret-tainted value",
+	RuleDiv:       "integer division of a secret-tainted value by a non-constant divisor",
 	RuleDrift:     "exported function receives secret taint but carries no secemb:secret directive",
 	RuleShadow:    "shadowed variable whose outer binding is used after the inner scope",
 }

@@ -33,13 +33,14 @@ const (
 	RuleShift     = "obliviouslint/shift"
 	RuleDrift     = "obliviouslint/drift"
 	RuleAsm       = "obliviouslint/asm"
+	RuleDiv       = "obliviouslint/div"
 )
 
 // obliviouslintRules is every rule the taint analyzer can emit, used by the
 // stale-waiver pass to know which waivers this run could have consumed.
 var obliviouslintRules = []string{
 	RuleBranch, RuleIndex, RuleLoop, RuleCall, RuleDeclass, RuleDirective,
-	RuleAlloc, RuleMapKey, RuleChan, RuleShift, RuleDrift, RuleAsm,
+	RuleAlloc, RuleMapKey, RuleChan, RuleShift, RuleDrift, RuleAsm, RuleDiv,
 }
 
 // Obliviouslint returns the secret-independence taint analyzer. Audit roots
@@ -429,6 +430,9 @@ func (t *taintWalker) assign(s *ast.AssignStmt) {
 		if id, ok := l.(*ast.Ident); ok {
 			if taintIn || (compound && t.tainted[t.objOf(id)]) {
 				t.mark(t.objOf(id))
+				if compound { // one operand each side
+					t.checkDiv(s.TokPos, s.Tok, t.info.TypeOf(l), s.Rhs[0])
+				}
 			}
 			continue
 		}
@@ -438,6 +442,26 @@ func (t *taintWalker) assign(s *ast.AssignStmt) {
 		// re-enter the audit through annotated accessors (see DESIGN §10).
 		t.expr(l)
 	}
+}
+
+// checkDiv reports an integer /, %, /= or %= on a secret-tainted operand
+// whose divisor is not a compile-time constant; any other op passes. A
+// constant divisor compiles to a multiply and a shift; any other keeps a
+// DIV instruction, whose latency depends on its operands on many x86
+// cores.
+func (t *taintWalker) checkDiv(pos token.Pos, op token.Token, typ types.Type, divisor ast.Expr) {
+	switch op {
+	case token.QUO, token.REM, token.QUO_ASSIGN, token.REM_ASSIGN:
+	default:
+		return
+	}
+	if b, ok := typ.Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 {
+		return
+	}
+	if tv, ok := t.info.Types[divisor]; ok && tv.Value != nil {
+		return
+	}
+	t.reportf(pos, RuleDiv, "integer %s of a secret-tainted value by a non-constant divisor (division latency depends on the operands)", op)
 }
 
 func (t *taintWalker) declStmt(s *ast.DeclStmt) {
@@ -533,6 +557,9 @@ func (t *taintWalker) expr(e ast.Expr) bool {
 			// 1<<secret mask-building idiom both modulate observable state
 			// by the secret value.
 			t.reportf(e.Y.Pos(), RuleShift, "shift amount depends on secret-tainted value")
+		}
+		if xt || yt {
+			t.checkDiv(e.OpPos, e.Op, t.info.TypeOf(e), e.Y)
 		}
 		return xt || yt
 	case *ast.CallExpr:

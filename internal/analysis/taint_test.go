@@ -175,3 +175,20 @@ func TestLoadModuleRealPackage(t *testing.T) {
 		t.Error("type info incomplete: NewPath not in package scope")
 	}
 }
+
+// TestObliviouslintDiv holds obliviouslint/div to its fixture: each secret
+// division by a variable divisor, compound assignment included, is
+// reported, and a constant divisor, a float division and a public one are
+// not.
+func TestObliviouslintDiv(t *testing.T) {
+	res := RunFixture(t, "div", Obliviouslint())
+	n := 0
+	for _, d := range res.Findings {
+		if d.Rule == RuleDiv {
+			n++
+		}
+	}
+	if n != 3 {
+		t.Fatalf("got %d obliviouslint/div findings, want 3; the rule has lost its teeth", n)
+	}
+}

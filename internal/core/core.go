@@ -161,7 +161,7 @@ type Options struct {
 	// (default ArchVaried, Table IV's size-scaled design).
 	DHEArch DHEArch
 
-	// Int8 requests the quantized (int8 SWAR) decoder hot path for the DHE
+	// Int8 requests the quantized (int8) decoder hot path for the DHE
 	// technique. The swap is gated: construction quantizes the decoder,
 	// replays a fixed public eval batch through both paths, and keeps int8
 	// only when the max-abs output error stays within

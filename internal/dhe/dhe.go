@@ -91,7 +91,7 @@ func New(cfg Config, rng *rand.Rand) *DHE {
 		Dim:     cfg.Dim,
 	}
 	if cfg.Gaussian {
-		d.GEnc = hashenc.NewGaussian(cfg.K, 0, cfg.Seed)
+		d.GEnc = hashenc.NewGaussian(cfg.K, cfg.Seed)
 	} else {
 		d.Enc = hashenc.New(cfg.K, 0, cfg.Seed)
 	}

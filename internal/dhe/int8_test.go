@@ -1,6 +1,10 @@
 package dhe
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -105,5 +109,36 @@ func TestToTableReusesMaterializationClone(t *testing.T) {
 	d.ToTable(512)
 	if d.mat == first || !d.mat.Int8Active() {
 		t.Fatal("ToTable kept a stale float clone after EnableInt8")
+	}
+}
+
+// TestInt8GenerateGolden pins int8 Generate bit for bit at the 1M-row
+// varied architecture (K = 128, a 64-32 decoder, dim 64): the encoder and
+// the quantized decoder kernels may change speed, never a bit of output.
+func TestInt8GenerateGolden(t *testing.T) {
+	const want = "c5d88e997d3a9ef5ca36ecc9371a052a5c69c3e45fd77848a490d47c665bc3a8"
+	d := New(VariedConfig(64, 1_000_000, 1), rand.New(rand.NewSource(1)))
+	if rep := d.EnableInt8(Int8Gate{}); !rep.Enabled {
+		t.Fatalf("gate rejected: %+v", rep)
+	}
+	c := d.InferenceClone()
+	rng := rand.New(rand.NewSource(20250925))
+	h := sha256.New()
+	var b [4]byte
+	for batch := 0; batch < 16; batch++ {
+		ids := make([]uint64, 64)
+		for i := range ids {
+			ids[i] = uint64(rng.Int63n(1_000_000))
+		}
+		if batch == 0 {
+			copy(ids, []uint64{0, 1, 999_999})
+		}
+		for _, v := range c.Generate(ids).Data {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("int8 Generate digest %s, want %s", got, want)
 	}
 }

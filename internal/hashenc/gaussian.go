@@ -20,12 +20,12 @@ type GaussianEncoder struct {
 }
 
 // NewGaussian builds a k-output Gaussian encoder (2k hash functions
-// internally). m = 0 selects DefaultBuckets.
-func NewGaussian(k int, m uint64, seed int64) *GaussianEncoder {
+// internally).
+func NewGaussian(k int, seed int64) *GaussianEncoder {
 	return &GaussianEncoder{
 		K:  k,
-		u1: New(k, m, seed),
-		u2: New(k, m, seed+0x5bd1e995),
+		u1: New(k, 0, seed),
+		u2: New(k, 0, seed+0x5bd1e995),
 	}
 }
 
@@ -33,11 +33,12 @@ func NewGaussian(k int, m uint64, seed int64) *GaussianEncoder {
 //
 // secemb:secret x
 func (e *GaussianEncoder) Encode(x uint64, out []float32) {
-	m := float64(e.u1.M)
+	const m = float64(DefaultBuckets)
+	xr := mod61(x)
 	for i := 0; i < e.K; i++ {
 		// Map hashes into (0, 1]: u = (h+1)/m.
-		u1 := (float64(e.u1.Hash(i, x)) + 1) / m
-		u2 := (float64(e.u2.Hash(i, x)) + 1) / m
+		u1 := (float64(int64(hash61(e.u1.a[i], e.u1.b[i], xr))) + 1) / m
+		u2 := (float64(int64(hash61(e.u2.a[i], e.u2.b[i], xr))) + 1) / m
 		z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 		// Clamp the rare tail so float32 decoders stay well-conditioned —
 		// branchlessly, since whether x hashed into the tail is itself a

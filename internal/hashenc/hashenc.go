@@ -4,21 +4,23 @@
 // into [-1, 1] to form the decoder's input vector.
 //
 // The entire computation is straight-line arithmetic over the input value:
-// no table lookups, no data-dependent branches (the single conditional
-// reduction uses a branchless masked subtract). This is precisely why the
-// paper re-purposes DHE as a side-channel-safe embedding generator — the
-// memory access pattern of encoding is independent of the secret feature
-// value.
+// no table lookups, no data-dependent branches and no division by a
+// variable. The Mersenne reductions are a fold and a masked subtract; the
+// bucket reduction divides by the compile-time constant m, which the
+// compiler turns into a multiply and a shift; and each hash reaches float
+// through int64, whose conversion needs no sign test. This is precisely
+// why the paper re-purposes DHE as a side-channel-safe embedding generator
+// — the memory access pattern and the instruction stream of encoding are
+// independent of the secret feature value.
 package hashenc
 
 import (
 	"math/bits"
 	"math/rand"
-
-	"secemb/internal/oblivious"
 )
 
-// DefaultBuckets is the paper's hash bucket size m = 10^6.
+// DefaultBuckets is the paper's hash bucket size m = 10^6, the bucket
+// count of every encoder.
 const DefaultBuckets = 1_000_000
 
 // mersenne61 = 2^61 - 1, a Mersenne prime used as the universal-hash
@@ -30,23 +32,23 @@ const mersenne61 = (1 << 61) - 1
 // mod m and scales their outputs to [-1, 1].
 type Encoder struct {
 	K int
-	M uint64
 
 	a, b []uint64
 }
 
 // New draws k hash functions with a_i ∈ [1, p), b_i ∈ [0, p) from a
-// deterministic PRNG so models are reproducible. m is the bucket count
-// (0 → DefaultBuckets).
+// deterministic PRNG so models are reproducible. The bucket count is the
+// constant DefaultBuckets; m must be 0 or DefaultBuckets and is kept only
+// so existing callers compile.
 func New(k int, m uint64, seed int64) *Encoder {
 	if k <= 0 {
 		panic("hashenc: k must be positive")
 	}
-	if m == 0 {
-		m = DefaultBuckets
+	if m != 0 && m != DefaultBuckets {
+		panic("hashenc: the bucket count is fixed at DefaultBuckets")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	e := &Encoder{K: k, M: m, a: make([]uint64, k), b: make([]uint64, k)}
+	e := &Encoder{K: k, a: make([]uint64, k), b: make([]uint64, k)}
 	for i := 0; i < k; i++ {
 		e.a[i] = 1 + uint64(rng.Int63n(mersenne61-1))
 		e.b[i] = uint64(rng.Int63n(mersenne61))
@@ -54,43 +56,51 @@ func New(k int, m uint64, seed int64) *Encoder {
 	return e
 }
 
-// mod61 reduces v (< 2^62 + small) modulo 2^61-1 branchlessly.
+// mod61 reduces v modulo 2^61-1 branchlessly. The fold leaves v ≤ p+7,
+// which may still equal or exceed the modulus; (v+1)>>61 is then 1
+// exactly when v ≥ p, so p is subtracted under a mask, not a branch.
 //
 // secemb:secret v return
 func mod61(v uint64) uint64 {
 	v = (v & mersenne61) + (v >> 61)
-	// v may still equal or slightly exceed the modulus; subtract it under
-	// a mask rather than a branch.
-	ge := ^oblivious.Lt(v, mersenne61) // all-ones when v >= p
-	return v - (mersenne61 & ge)
+	return v - (mersenne61 & -((v + 1) >> 61))
 }
 
-// mulmod61 returns a·b mod 2^61-1 for a, b < 2^61, using the Mersenne
-// folding identity 2^64 ≡ 2^3 (mod p).
+// mulfold61 returns a value below 2^62 congruent to a·b mod 2^61-1, for
+// a, b < 2^61, using the Mersenne folding identity 2^64 ≡ 2^3 (mod p).
+// It leaves the last reduction to the caller: the hash adds b first and
+// reduces once.
 //
 // secemb:secret a b return
-func mulmod61(a, b uint64) uint64 {
+func mulfold61(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	// a,b < 2^61 ⇒ the true product < 2^122 ⇒ hi < 2^58, so hi<<3 < 2^61.
-	return mod61((lo & mersenne61) + (lo >> 61) + hi<<3)
+	return (lo & mersenne61) + (lo >> 61) + hi<<3
 }
 
-// Hash returns h_i(x) ∈ [0, M).
+// hash61 is one hash ((a·xr + b) mod p) mod m of an id already reduced
+// mod p. The sum of the folded product and b is below 2^63, which mod61
+// reduces exactly. The divisor m is a constant, so the compiler emits a
+// multiply and a shift: no division instruction, whose latency can depend
+// on the dividend, ever sees the secret.
 //
-// secemb:secret x return
-func (e *Encoder) Hash(i int, x uint64) uint64 {
-	y := mod61(mulmod61(e.a[i], mod61(x)) + e.b[i])
-	return y % e.M // constant divisor: compiled to mul/shift, data-independent
+// secemb:secret xr return
+func hash61(a, b, xr uint64) uint64 {
+	return mod61(mulfold61(a, xr)+b) % DefaultBuckets
 }
 
 // Encode writes the k scaled hash values for x into out (len ≥ K):
-// out[i] = 2·h_i(x)/(M-1) − 1 ∈ [-1, 1] (Algorithm 1, step 2).
+// out[i] = 2·h_i(x)/(m-1) − 1 ∈ [-1, 1] (Algorithm 1, step 2). x is
+// reduced mod p once for all k hashes.
 //
 // secemb:secret x
 func (e *Encoder) Encode(x uint64, out []float32) {
-	scale := 2 / float32(e.M-1)
-	for i := 0; i < e.K; i++ {
-		out[i] = float32(e.Hash(i, x))*scale - 1
+	const scale = 2 / float32(DefaultBuckets-1)
+	xr := mod61(x)
+	b := e.b[:len(e.a)]
+	out = out[:len(e.a)]
+	for i, a := range e.a {
+		out[i] = float32(int64(hash61(a, b[i], xr)))*scale - 1
 	}
 }
 

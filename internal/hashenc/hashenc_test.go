@@ -1,11 +1,21 @@
 package hashenc
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// hash returns h_i(x) ∈ [0, DefaultBuckets), the value Encode scales.
+func (e *Encoder) hash(i int, x uint64) uint64 {
+	return hash61(e.a[i], e.b[i], mod61(x))
+}
 
 func TestMod61MatchesBigInt(t *testing.T) {
 	p := big.NewInt(mersenne61)
@@ -25,8 +35,17 @@ func TestMod61MatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestMulmod61MatchesBigInt checks the multiply the hashes use: the folded
+// product stays below 2^62 and reduces to a·b mod p.
 func TestMulmod61MatchesBigInt(t *testing.T) {
 	p := big.NewInt(mersenne61)
+	mulmod61 := func(a, b uint64) uint64 {
+		v := mulfold61(a, b)
+		if v >= 1<<62 {
+			t.Fatalf("mulfold61(%d,%d)=%d, not below 2^62", a, b, v)
+		}
+		return mod61(v)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5000; trial++ {
 		a := uint64(rng.Int63n(mersenne61))
@@ -44,14 +63,14 @@ func TestMulmod61MatchesBigInt(t *testing.T) {
 }
 
 func TestHashRangeAndDeterminism(t *testing.T) {
-	e := New(8, 1000, 42)
+	e := New(8, 0, 42)
 	for x := uint64(0); x < 500; x++ {
 		for i := 0; i < 8; i++ {
-			h := e.Hash(i, x)
-			if h >= 1000 {
+			h := e.hash(i, x)
+			if h >= DefaultBuckets {
 				t.Fatalf("hash %d out of range", h)
 			}
-			if h != e.Hash(i, x) {
+			if h != e.hash(i, x) {
 				t.Fatal("hash not deterministic")
 			}
 		}
@@ -62,7 +81,7 @@ func TestSameSeedSameEncoder(t *testing.T) {
 	a, b := New(4, 0, 7), New(4, 0, 7)
 	for x := uint64(0); x < 100; x++ {
 		for i := 0; i < 4; i++ {
-			if a.Hash(i, x) != b.Hash(i, x) {
+			if a.hash(i, x) != b.hash(i, x) {
 				t.Fatal("same seed must give identical encoders")
 			}
 		}
@@ -70,7 +89,7 @@ func TestSameSeedSameEncoder(t *testing.T) {
 	c := New(4, 0, 8)
 	diff := 0
 	for x := uint64(0); x < 100; x++ {
-		if a.Hash(0, x) != c.Hash(0, x) {
+		if a.hash(0, x) != c.hash(0, x) {
 			diff++
 		}
 	}
@@ -121,12 +140,12 @@ func TestEncodeDistribution(t *testing.T) {
 func TestCollisionRateSane(t *testing.T) {
 	// Distinct inputs should rarely collide across all k hashes
 	// simultaneously: the k-vector should be unique for practical inputs.
-	e := New(4, 1000, 11)
+	e := New(4, 0, 11)
 	seen := map[[4]uint64]uint64{}
 	for x := uint64(0); x < 5000; x++ {
 		var key [4]uint64
 		for i := 0; i < 4; i++ {
-			key[i] = e.Hash(i, x)
+			key[i] = e.hash(i, x)
 		}
 		if prev, ok := seen[key]; ok {
 			t.Fatalf("full k-vector collision between %d and %d", prev, x)
@@ -174,7 +193,7 @@ func BenchmarkEncodeK1024(b *testing.B) {
 }
 
 func TestGaussianEncodeMoments(t *testing.T) {
-	e := NewGaussian(32, 0, 21)
+	e := NewGaussian(32, 21)
 	out := make([]float32, 32)
 	var sum, sumsq float64
 	n := 0
@@ -200,7 +219,7 @@ func TestGaussianEncodeMoments(t *testing.T) {
 }
 
 func TestGaussianEncodeDeterministic(t *testing.T) {
-	a, b := NewGaussian(8, 0, 5), NewGaussian(8, 0, 5)
+	a, b := NewGaussian(8, 5), NewGaussian(8, 5)
 	oa, ob := make([]float32, 8), make([]float32, 8)
 	for x := uint64(0); x < 50; x++ {
 		a.Encode(x, oa)
@@ -211,7 +230,7 @@ func TestGaussianEncodeDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := NewGaussian(8, 0, 6)
+	c := NewGaussian(8, 6)
 	c.Encode(1, ob)
 	a.Encode(1, oa)
 	same := true
@@ -226,7 +245,7 @@ func TestGaussianEncodeDeterministic(t *testing.T) {
 }
 
 func TestGaussianEncodeBatchAndBytes(t *testing.T) {
-	e := NewGaussian(4, 0, 7)
+	e := NewGaussian(4, 7)
 	b := e.EncodeBatch([]uint64{9, 9})
 	if len(b) != 8 {
 		t.Fatalf("batch len %d", len(b))
@@ -238,5 +257,52 @@ func TestGaussianEncodeBatchAndBytes(t *testing.T) {
 	}
 	if e.NumBytes() != 2*New(4, 0, 1).NumBytes() {
 		t.Fatal("NumBytes must count both families")
+	}
+}
+
+// goldenIDs are the ids the encoder digests pin: the edges of the Mersenne
+// reduction (0, p−1, p, p+1, 2⁶², 2⁶⁴−1) and 1000 seeded ids.
+func goldenIDs() []uint64 {
+	ids := []uint64{0, mersenne61 - 1, mersenne61, mersenne61 + 1, 1 << 62, ^uint64(0)}
+	rng := rand.New(rand.NewSource(20250925))
+	for range 1000 {
+		ids = append(ids, rng.Uint64())
+	}
+	return ids
+}
+
+// encodeDigest hashes the float32 bits of encode(id) over goldenIDs.
+func encodeDigest(k int, encode func(uint64, []float32)) string {
+	h := sha256.New()
+	out := make([]float32, k)
+	var b [4]byte
+	for _, id := range goldenIDs() {
+		encode(id, out)
+		for _, v := range out {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEncodeGolden pins the uniform and Gaussian encodings bit for bit:
+// a faster encoder must compute exactly the same floats. The Gaussian
+// digest holds on amd64 only, where math.Log is the assembly routine it
+// was taken with.
+func TestEncodeGolden(t *testing.T) {
+	for _, tc := range []struct {
+		k             int
+		uniform, gaus string
+	}{
+		{128, "70201683d68c90bd4df71ada9a5cab0b033d1f681c4088764c26c9133eb8e8c0", "fc79de6ec3519ff9a7e8ca2ae270654c801d18a098be54fbf1ad373c4e2ea12f"},
+		{1024, "d07706e40cb5d3b4a30efaefe2c53ffd48b7bef038b3a9a01121ff7e6f7ee30b", "d46884d76c730cb7e2f4aaf58b3c7d18dbc677c074877769c237a63f2b4582ce"},
+	} {
+		if got := encodeDigest(tc.k, New(tc.k, 0, 1).Encode); got != tc.uniform {
+			t.Errorf("K=%d uniform digest %s, want %s", tc.k, got, tc.uniform)
+		}
+		if got := encodeDigest(tc.k, NewGaussian(tc.k, 1).Encode); runtime.GOARCH == "amd64" && got != tc.gaus {
+			t.Errorf("K=%d Gaussian digest %s, want %s", tc.k, got, tc.gaus)
+		}
 	}
 }

@@ -29,8 +29,8 @@ func TechniqueFactory(tech core.Technique, rows, dim int, seed int64) Factory {
 }
 
 // Int8DHEFactory audits the quantized DHE hot path: same dense decoder
-// sweep as plain DHE, but the inner product runs the packed int8 SWAR
-// kernels. Construction fails loudly if the quantized path did not
+// sweep as plain DHE, but the inner product runs the int8 kernels (AVX2
+// where available, SWAR elsewhere). Construction fails loudly if the quantized path did not
 // actually engage (a silently-float "dhe-int8" target would audit nothing).
 func Int8DHEFactory(rows, dim int, seed int64) Factory {
 	return Factory{

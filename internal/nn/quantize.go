@@ -8,13 +8,15 @@ import (
 
 // Int8 weight quantization: the paper motivates CPU LLM inference with
 // "techniques such as quantization and SIMD vector units" (§II-A). A
-// QuantLinear holds 7-bit per-output-channel weights in tensor.QuantMat's
-// packed SWAR form and quantizes activations per row to 6 bits on the fly
-// (see internal/tensor/quant.go for the scheme), which makes the quantized
-// forward ~4× faster than the float32 kernel on scalar CPUs. Quantized
-// inference has the same deterministic control and data flow as the float
-// path — every lane is computed for every input regardless of values — so
-// the side-channel argument is unchanged.
+// QuantLinear holds 7-bit per-output-channel weights in tensor.QuantMat
+// and quantizes activations per row to 6 bits on the fly (see
+// internal/tensor/quant.go for the scheme). The product runs on an AVX2
+// byte kernel where the CPU has one and on the portable packed SWAR
+// kernel elsewhere, with bit-identical results; the SWAR kernel alone is
+// ~4× faster than the float32 kernel on scalar CPUs. Quantized inference
+// has the same deterministic control and data flow as the float path —
+// every lane is computed for every input regardless of values — so the
+// side-channel argument is unchanged.
 
 // QuantLinear is an inference-only, quantized fully-connected layer.
 type QuantLinear struct {
@@ -73,8 +75,8 @@ func (q *QuantLinear) ForwardIntoQuant(dst, x *tensor.Matrix, qa *tensor.QuantAc
 
 // NumBytes is the quantized footprint: packed 16-bit weight lanes plus
 // per-channel scale/offset-sum and the float bias — about half the float32
-// layer. (A flat int8 array would be 4× smaller but ~8× slower here: the
-// packing is what makes one integer multiply do four MACs.)
+// layer. Where the AVX2 kernel serves, its byte copy of the weights adds
+// half the packed lanes again (tensor.QuantMat.NumBytes).
 func (q *QuantLinear) NumBytes() int64 {
 	return q.Q.NumBytes() + int64(len(q.Bias))*4
 }

@@ -20,6 +20,12 @@ package oblivious
 
 import "math"
 
+// HasAVX2 reports whether this build runs AVX2 kernels: true on amd64,
+// without the purego tag, when the CPU and the OS support AVX2. Packages
+// with their own AVX2 kernels (internal/tensor's quantized matmul) gate on
+// it, so there is one CPUID check in the module.
+func HasAVX2() bool { return hasAVX2 }
+
 // Mask64 converts a boolean condition into an all-ones/all-zeros 64-bit
 // mask. The conversion from bool goes through a 0/1 integer; no secret-
 // dependent branch is introduced by the compiler for this pattern.

@@ -13,7 +13,8 @@ import (
 // granularity, and the batch size below which the pool is pure overhead —
 // and a value hand-picked on one box (the old blockSize = 64 constant) is
 // wrong on the next. Autotune measures candidate configs on this machine
-// with the serving-dominant shapes for ~100ms at startup and installs the
+// with the kernel and shapes that serve — the int8 DHE decoder at the
+// 1M-row varied architecture — for ~100ms at startup and installs the
 // winner process-wide.
 //
 // Tuning is side-channel-neutral by construction: the probe inputs are
@@ -83,27 +84,19 @@ func SetTune(c TuneConfig) {
 const tuneBudget = 100 * time.Millisecond
 
 // Autotune benchmarks candidate worker counts and block granularities on
-// the serving-dominant matmul shape, picks the inline-fallback threshold
-// by racing the pool against single-threaded dispatch on small batches,
+// the serving-dominant decoder, picks the inline-fallback threshold by
+// racing the pool against single-threaded dispatch on small batches,
 // installs the winner via SetTune, and returns it. Call once at startup
 // (cmd/secembd does) — repeated calls re-probe and overwrite.
 func Autotune() TuneConfig {
 	deadline := time.Now().Add(tuneBudget)
 	procs := runtime.GOMAXPROCS(0)
 
-	// Probe shape: one row-panel of the DHE Uniform decoder's first layer
-	// (the serving-dominant multiply), shrunk in depth to keep a full
-	// candidate sweep inside the budget on slow machines.
-	const pm, pk, pn = 64, 256, 128
-	a := New(pm, pk)
-	b := New(pk, pn)
-	for i := range a.Data {
-		a.Data[i] = float32(i%7) - 3
-	}
-	for i := range b.Data {
-		b.Data[i] = float32(i%5) - 2
-	}
-	dst := New(pm, pn)
+	// Probe: a 64-id batch through the quantized decoder that serves DHE
+	// by default (MatMulQuantInto, the AVX2 kernel where there is one).
+	// Its pool hand-offs are part of the price: a kernel fast enough to
+	// finish before a worker wakes should run on the caller.
+	run := quantProbe(64)
 
 	workerCands := dedupInts([]int{1, 2, procs / 2, procs}, procs)
 	blockCands := []int{8, 16, 32, 64, 128}
@@ -117,7 +110,7 @@ func Autotune() TuneConfig {
 				continue // block granularity is meaningless single-threaded
 			}
 			cand := TuneConfig{Workers: w, BlockRows: blk, InlineRows: 1, Autotuned: true}
-			ns := probeKernel(dst, a, b, cand, deadline)
+			ns := probeKernel(run, cand, deadline)
 			if ns >= 0 && (bestNs < 0 || ns < bestNs) {
 				bestNs, best = ns, cand
 			}
@@ -132,11 +125,9 @@ func Autotune() TuneConfig {
 		single := TuneConfig{Workers: 1, BlockRows: best.BlockRows, InlineRows: 1}
 		pooled := best
 		for _, rows := range []int{1, 2, 4, 8} {
-			sa := New(rows, pk)
-			copy(sa.Data, a.Data[:rows*pk])
-			sd := New(rows, pn)
-			sNs := probeKernel(sd, sa, b, single, deadline)
-			pNs := probeKernel(sd, sa, b, pooled, deadline)
+			small := quantProbe(rows)
+			sNs := probeKernel(small, single, deadline)
+			pNs := probeKernel(small, pooled, deadline)
 			if sNs < 0 || pNs < 0 || pNs < sNs {
 				break
 			}
@@ -151,9 +142,35 @@ func Autotune() TuneConfig {
 	return best
 }
 
-// probeKernel times MatMulInto under cand, best of a few reps; -1 when the
+// quantProbe returns a pass of rows synthetic activations through the
+// three quantized layers of the 1M-row varied DHE decoder (K = 128,
+// hidden 64 and 32, dim 64): its MatMulQuantInto calls, with the worker
+// count left to the installed config.
+func quantProbe(rows int) func() {
+	dims := [...]int{128, 64, 32, 64}
+	var layers []func()
+	for l := 0; l+1 < len(dims); l++ {
+		x, w := New(rows, dims[l]), New(dims[l], dims[l+1])
+		for i := range x.Data {
+			x.Data[i] = float32(i%7) - 3
+		}
+		for i := range w.Data {
+			w.Data[i] = float32(i%5) - 2
+		}
+		qa, qw, dst := &QuantActs{}, QuantizeMat(w), New(rows, dims[l+1])
+		qa.Quantize(x)
+		layers = append(layers, func() { MatMulQuantInto(dst, qa, qw, nil, 0) })
+	}
+	return func() {
+		for _, layer := range layers {
+			layer()
+		}
+	}
+}
+
+// probeKernel times run under cand, best of a few reps; -1 when the
 // deadline has passed.
-func probeKernel(dst, a, b *Matrix, cand TuneConfig, deadline time.Time) int64 {
+func probeKernel(run func(), cand TuneConfig, deadline time.Time) int64 {
 	if time.Now().After(deadline) {
 		return -1
 	}
@@ -163,9 +180,9 @@ func probeKernel(dst, a, b *Matrix, cand TuneConfig, deadline time.Time) int64 {
 	best := int64(-1)
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
-		// nthreads 0: the candidate config under test drives the worker
-		// count and granularity, exactly as it would in production.
-		MatMulInto(dst, a, b, 0)
+		// The candidate config under test drives the worker count and
+		// granularity, exactly as it would in production.
+		run()
 		ns := time.Since(start).Nanoseconds()
 		if best < 0 || ns < best {
 			best = ns

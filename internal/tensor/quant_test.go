@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"secemb/internal/oblivious"
 )
 
 // weightAt decodes the quantized weight at depth k of output column o —
@@ -17,6 +19,9 @@ func (q *QuantMat) weightAt(k, o int) float32 {
 // actAt decodes the quantized activation at row i, depth k — the value
 // the kernel effectively multiplies by.
 func (qa *QuantActs) actAt(i, k int) float32 {
+	if len(qa.vec) > 0 {
+		return float32(int32(qa.vec[i*qa.kw*laneK+k])-actOff) * qa.RowScale[i]
+	}
 	word := qa.Packed[i*qa.kw+k/laneK]
 	lane := (word >> (16 * (k % laneK))) & 0xFFFF
 	return float32(int32(lane)-actOff) * qa.RowScale[i]
@@ -181,4 +186,70 @@ func BenchmarkMatMulQuant256(b *testing.B) {
 		qa.Quantize(x)
 		MatMulQuantInto(out, &qa, q, nil, 0)
 	}
+}
+
+// quantProduct quantizes x and multiplies it by q on the AVX2 kernel or
+// on the SWAR kernel.
+func quantProduct(x *Matrix, q *QuantMat, bias []float32, avx2 bool, nthreads int) *Matrix {
+	defer func(prev bool) { quantAVX2 = prev }(quantAVX2)
+	quantAVX2 = avx2
+	var qa QuantActs
+	qa.Quantize(x)
+	dst := New(x.Rows, q.Out)
+	MatMulQuantInto(dst, &qa, q, bias, nthreads)
+	return dst
+}
+
+// checkKernelMatchesSWAR requires the AVX2 kernel's product to equal the
+// SWAR kernel's bit for bit at one shape.
+func checkKernelMatchesSWAR(t *testing.T, rng *rand.Rand, rows, in, out int, withBias bool) {
+	t.Helper()
+	x := randMatrix(rows, in, 1+9*rng.Float32(), rng)
+	if rows > 1 {
+		clear(x.Row(0)) // an all-zero row takes the epsilon scale
+	}
+	w := randMatrix(in, out, 0.1, rng)
+	var bias []float32
+	if withBias {
+		bias = randMatrix(1, out, 0.5, rng).Data
+	}
+	q := QuantizeMat(w)
+	want := quantProduct(x, q, bias, false, 1)
+	got := quantProduct(x, q, bias, true, 1+rng.Intn(2))
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%dx%d·%dx%d bias=%v: [%d] = %v, SWAR %v", rows, in, in, out, withBias, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestQuantKernelMatchesSWAR runs both quantized kernels over random
+// shapes, depths off multiples of 4 and 32 and widths off multiples of 8
+// and 32 included, plus the DHE decoder shapes.
+func TestQuantKernelMatchesSWAR(t *testing.T) {
+	if !oblivious.HasAVX2() {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	rng := rand.New(rand.NewSource(44))
+	// Past 512 columns a row takes several kernel calls.
+	for _, s := range [][3]int{{7, 5, 3}, {64, 128, 64}, {64, 64, 32}, {64, 32, 64}, {64, 1024, 512}, {1, 1, 1}, {3, 100, 1100}, {2, 37, 1061}} {
+		checkKernelMatchesSWAR(t, rng, s[0], s[1], s[2], true)
+	}
+	for trial := 0; trial < 200; trial++ {
+		checkKernelMatchesSWAR(t, rng, 1+rng.Intn(70), 1+rng.Intn(300), 1+rng.Intn(70), trial%2 == 0)
+	}
+}
+
+// FuzzQuantKernel is TestQuantKernelMatchesSWAR's fuzz leg: the fuzzer
+// picks the shape and the data seed.
+func FuzzQuantKernel(f *testing.F) {
+	if !oblivious.HasAVX2() {
+		f.Skip("no AVX2 kernel on this machine")
+	}
+	f.Add(int64(1), uint8(7), uint16(5), uint8(3), true)
+	f.Add(int64(2), uint8(64), uint16(128), uint8(64), false)
+	f.Fuzz(func(t *testing.T, seed int64, rows uint8, in uint16, out uint8, withBias bool) {
+		rng := rand.New(rand.NewSource(seed))
+		checkKernelMatchesSWAR(t, rng, 1+int(rows)%70, 1+int(in)%300, 1+int(out)%70, withBias)
+	})
 }
