@@ -94,7 +94,7 @@ bench-build:
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/obs ./internal/serving \
 		./internal/serving/backends ./internal/core ./internal/dhe ./internal/dlrm \
-		./internal/wire ./internal/leakcheck ./internal/planner ./internal/cli \
+		./internal/wire ./internal/leakcheck ./internal/planner ./internal/cli ./internal/profile \
 		./cmd/secembd ./cmd/dlrmbench ./cmd/llmbench
 
 # fmt-check fails (listing offenders) when any file needs gofmt.

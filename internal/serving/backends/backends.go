@@ -114,9 +114,8 @@ func (b *DLRM) Execute(payloads []any) ([]serving.Result, error) {
 	r0 := 0
 	for k, r := range reqs {
 		n := r.Dense.Rows
-		// Clone the slice: SliceRows views alias the fused matrix, which
-		// would pin the whole batch in every caller.
-		results[idx[k]].Value = tensor.SliceRows(probs, r0, r0+n).Clone()
+		// SliceRows copies, so no caller pins the fused batch.
+		results[idx[k]].Value = tensor.SliceRows(probs, r0, r0+n)
 		r0 += n
 	}
 	return results, nil
@@ -155,7 +154,13 @@ func (b *Embedding) Generator() core.Generator { return b.gen }
 // sent it: the requests fused with it are served, and learn nothing of it.
 func (b *Embedding) Execute(payloads []any) ([]serving.Result, error) {
 	results := make([]serving.Result, len(payloads))
-	ids := make([]uint64, 0, len(payloads))
+	total := 0
+	for _, p := range payloads {
+		if batch, ok := p.([]uint64); ok {
+			total += len(batch)
+		}
+	}
+	ids := make([]uint64, 0, total)
 	idx := make([]int, 0, len(payloads))
 	counts := make([]int, 0, len(payloads))
 	rows := b.gen.Rows()
@@ -180,11 +185,11 @@ func (b *Embedding) Execute(payloads []any) ([]serving.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Always clone: a generator's output is storage it owns, valid only
-	// until its next Generate.
+	// A generator's output is storage it owns, valid only until its next
+	// Generate; SliceRows copies each request's rows out of it, once.
 	r0 := 0
 	for k, i := range idx {
-		results[i].Value = tensor.SliceRows(emb, r0, r0+counts[k]).Clone()
+		results[i].Value = tensor.SliceRows(emb, r0, r0+counts[k])
 		r0 += counts[k]
 	}
 	return results, nil

@@ -90,7 +90,7 @@ func FuzzParseRequest(f *testing.F) {
 // FuzzParseResponse: arbitrary bytes never panic; a frame that parses
 // reports the length an observer saw, and — when it is one AppendResponse
 // can produce: whole bucket rows at its dim, zero padding — re-encodes to
-// the same bytes.
+// the same bytes, into a fresh buffer and into a dirty one alike.
 func FuzzParseResponse(f *testing.F) {
 	f.Add(goldenResponse)
 	f.Add(goldenResponse[:prefixLen+respHeaderLen])
@@ -119,6 +119,11 @@ func FuzzParseResponse(f *testing.F) {
 		again, err := AppendResponse(nil, r, bucket, bucket, dim)
 		if err != nil || !bytes.Equal(again, buf) {
 			t.Fatalf("re-encoded to\n% x\nfrom\n% x (err %v)", again, buf, err)
+		}
+		dirty := bytes.Repeat([]byte{0xff}, len(buf)+8)
+		again, err = AppendResponse(dirty[:0], r, bucket, bucket, dim)
+		if err != nil || !bytes.Equal(again, buf) {
+			t.Fatalf("re-encoded into a dirty buffer to\n% x\nfrom\n% x (err %v)", again, buf, err)
 		}
 	})
 }

@@ -212,8 +212,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // maxRequestLen bounds request reads: the exact frame size for the
 // configured public batch cap.
-func (s *Server) maxRequestLen() int64 {
-	return int64(prefixLen + reqHeaderLen + 8*s.cfg.MaxBatch)
+func (s *Server) maxRequestLen() int {
+	return prefixLen + reqHeaderLen + 8*s.cfg.MaxBatch
 }
 
 // handleEmbed is the v1 embed endpoint. Every outcome — success, shed,
@@ -233,13 +233,18 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	// Parse before any outcome decision: every rejection of a parseable
 	// request — draining, backpressure, auth — pads to the bucket of the
 	// request's real count, so no outcome shows up as a size change.
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxRequestLen()+1))
+	// The body is read into a pooled buffer, sized once by Content-Length;
+	// ParseRequest copies out everything it keeps.
+	bp := getFrame()
+	defer putFrame(bp)
+	body, err := readFrame(*bp, r.Body, r.ContentLength, s.maxRequestLen())
+	*bp = body
 	if err != nil {
 		s.reject(w, "malformed", serving.StatusInvalidArgument, 0, 1)
 		return
 	}
 	s.mBytesIn.Add(int64(len(body)))
-	if int64(len(body)) > s.maxRequestLen() {
+	if len(body) > s.maxRequestLen() {
 		s.reject(w, "malformed", serving.StatusInvalidArgument, 0, s.cfg.MaxBatch)
 		return
 	}
@@ -315,19 +320,27 @@ func (s *Server) writeFrame(w http.ResponseWriter, st serving.Status, shard, fla
 	if st.Retryable() {
 		hdr.RetryAfterMS = uint16(DefaultRetryAfter / time.Millisecond)
 	}
-	frame, err := AppendResponse(nil, hdr, count, s.cfg.MaxBatch, s.cfg.Dim)
+	bp := getFrame()
+	frame, err := AppendResponse((*bp)[:0], hdr, count, s.cfg.MaxBatch, s.cfg.Dim)
 	if err != nil {
 		// Unreachable without a programming error (dim/bucket mismatch);
 		// answer a constant-size internal frame rather than a variable one.
 		hdr.Status, hdr.Rows = uint8(serving.StatusInternal), nil
-		frame, _ = AppendResponse(nil, hdr, count, s.cfg.MaxBatch, s.cfg.Dim)
+		frame, _ = AppendResponse((*bp)[:0], hdr, count, s.cfg.MaxBatch, s.cfg.Dim)
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(frame)
+	n, err := w.Write(frame)
 	s.mBytesOut.Add(int64(n))
+	if err == nil {
+		// A Write that failed may return while the connection's writer
+		// still reads the frame (an HTTP/2 stream reset mid-write), so only
+		// a completed one gives the buffer back.
+		*bp = frame
+		putFrame(bp)
+	}
 }
 
 func saturateUS(d time.Duration) uint32 {
