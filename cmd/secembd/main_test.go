@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,16 @@ func TestSelfHostedSoak(t *testing.T) {
 			code, stdout, stderr := runCLI(append(append([]string{}, soakArgs...), extra...)...)
 			if code != 0 || !strings.Contains(stdout, "soak gate passed") {
 				t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+			}
+			// The clients close every connection they opened, so the drain
+			// does not wait out HTTP/2's one-second GOAWAY grace for a
+			// connection whose last stream the deadline canceled.
+			m := regexp.MustCompile(`drained in (\S+)`).FindStringSubmatch(stdout)
+			if m == nil {
+				t.Fatalf("no drain time in stdout: %s", stdout)
+			}
+			if d, err := time.ParseDuration(m[1]); err != nil || d >= 500*time.Millisecond {
+				t.Fatalf("drain took %s, want under 500ms (%v)", m[1], err)
 			}
 		})
 	}

@@ -211,7 +211,9 @@ func runSoak(c *config, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "secembd: soaking %s: %d conns × %v, batch %d\n", target, c.conns, c.duration, c.batch)
 	rep := soak(c, target, key, clientTLS)
 	if drain != nil {
+		t0 := time.Now()
 		_ = drain(0) // the load is over: a drain timeout changes no result the gate reads
+		fmt.Fprintf(stdout, "secembd: drained in %v\n", time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Fprintln(stdout, rep)
 	if err := c.checkGate(rep); err != nil {

@@ -6,6 +6,7 @@ import (
 	"crypto/tls"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"slices"
 	"sync"
@@ -55,6 +56,9 @@ type Client struct {
 
 	mu    sync.Mutex // guards token
 	token Token
+
+	connMu sync.Mutex // guards conns
+	conns  map[net.Conn]struct{}
 }
 
 // Result is one Embed outcome as observed on the wire.
@@ -98,15 +102,58 @@ func NewClient(cfg ClientConfig) *Client {
 		protos.SetUnencryptedHTTP2(true)
 	}
 	tr.Protocols = &protos
-	return &Client{
-		cfg: cfg,
-		hc:  &http.Client{Transport: tr, Timeout: cfg.Timeout},
-		url: scheme + cfg.Addr + "/v1/embed",
+	c := &Client{
+		cfg:   cfg,
+		hc:    &http.Client{Transport: tr, Timeout: cfg.Timeout},
+		url:   scheme + cfg.Addr + "/v1/embed",
+		conns: make(map[net.Conn]struct{}),
 	}
+	tr.DialContext = c.dial
+	return c
 }
 
-// Close releases the client's pooled connections.
-func (c *Client) Close() { c.hc.CloseIdleConnections() }
+// dial opens a TCP connection that Close can reach whether or not the
+// transport counts it idle.
+func (c *Client) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	c.connMu.Lock()
+	c.conns[conn] = struct{}{}
+	c.connMu.Unlock()
+	return &clientConn{Conn: conn, c: c}, nil
+}
+
+// clientConn forgets its connection in the client when the transport
+// closes it.
+type clientConn struct {
+	net.Conn
+	c *Client
+}
+
+func (cc *clientConn) Close() error {
+	cc.c.connMu.Lock()
+	delete(cc.c.conns, cc.Conn)
+	cc.c.connMu.Unlock()
+	return cc.Conn.Close()
+}
+
+// Close closes every connection the client opened; calls still in flight
+// fail. Closing only the idle ones is not enough: a connection whose last
+// stream was canceled can still count as busy, and a server draining it
+// then waits out HTTP/2's one-second GOAWAY grace for a client that never
+// comes back.
+func (c *Client) Close() {
+	c.hc.CloseIdleConnections()
+	c.connMu.Lock()
+	conns := c.conns
+	c.conns = make(map[net.Conn]struct{})
+	c.connMu.Unlock()
+	for conn := range conns {
+		_ = conn.Close()
+	}
+}
 
 // freshToken returns the cached token, reminting once less than half the
 // TTL remains.
@@ -145,8 +192,13 @@ func (c *Client) Embed(ctx context.Context, key uint64, ids []uint64) (*Result, 
 	defer httpResp.Body.Close()
 	// A hostile or buggy server must not be able to balloon this read:
 	// cap it before buffering, then let ParseResponse's length checks
-	// bound any decode allocation by what was actually received.
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, int64(c.cfg.MaxResponseBytes)+1))
+	// bound any decode allocation by what was actually received. The
+	// frame is read into a pooled buffer sized once by Content-Length;
+	// ParseResponse copies the rows out of it.
+	bp := getFrame()
+	defer putFrame(bp)
+	body, err := readFrame(*bp, httpResp.Body, httpResp.ContentLength, c.cfg.MaxResponseBytes)
+	*bp = body
 	if err != nil {
 		return nil, fmt.Errorf("wire: read response: %w", err)
 	}
