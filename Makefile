@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check ci ci-gate ci-heavy vet obliviouslint lint-sarif report-check \
-	build cross-build test test-purego bench-build race fmt-check \
+	build cross-build test test-purego test-amd64v3 bench-build race fmt-check \
 	fuzz-short fuzz-long leakcheck soak-short soak-long plan-sim bench bench-all
 
 check: vet obliviouslint build test race
@@ -21,7 +21,7 @@ check: vet obliviouslint build test race
 # must be compared against a fresh run before that target gets a chance
 # to paper over any drift.
 ci: ci-gate ci-heavy
-ci-gate: fmt-check vet report-check obliviouslint build cross-build test test-purego bench-build
+ci-gate: fmt-check vet report-check obliviouslint build cross-build test test-purego test-amd64v3 bench-build
 ci-heavy: race fuzz-short leakcheck soak-short plan-sim bench
 
 # vet runs the stock go vet suite, with unusedresult's function list
@@ -84,6 +84,13 @@ test-purego:
 	$(GO) test -tags purego ./internal/oblivious ./internal/core ./internal/oram \
 		./internal/tensor ./internal/nn ./internal/dhe
 
+# test-amd64v3 runs the float kernels' packages built for x86-64-v3, where
+# the compiler may use FMA. The AVX2 quantized kernel multiplies and adds
+# without fusing, so a compiler that fused its Go reference (or the SWAR
+# epilogue) would split the two paths apart; this leg catches that.
+test-amd64v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor ./internal/nn ./internal/dhe ./internal/hashenc
+
 # bench-build compiles and tests the repo's benchmark against this tree.
 # bench/ is a nested module (own go.mod, replace secemb => ../), so the
 # root build and test above never see it, and an API change here could
@@ -106,7 +113,7 @@ fmt-check:
 # campaign. One invocation per package because -fuzz takes a single target.
 FUZZTIME ?= 20s
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzEqLt -fuzztime=$(FUZZTIME) ./internal/oblivious
+	$(GO) test -run='^$$' -fuzz=FuzzEq -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzCondCopy -fuzztime=$(FUZZTIME) ./internal/oblivious
 	$(GO) test -run='^$$' -fuzz=FuzzScanKernel -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzQuantKernel -fuzztime=$(FUZZTIME) ./internal/tensor

@@ -103,6 +103,17 @@ func TestSoakSmoke(t *testing.T) {
 	}
 }
 
+// TestSoakGateNoRequests: a soak that completed no request fails the gate
+// even with -min-requests 0, and says that no request completed instead of
+// naming an error rate that no request measured.
+func TestSoakGateNoRequests(t *testing.T) {
+	c := &config{maxShed: 0.05}
+	err := c.checkGate(&soakReport{conns: 1, duration: time.Second})
+	if err == nil || !strings.Contains(err.Error(), "no request completed") || strings.Contains(err.Error(), "error rate") {
+		t.Fatalf("gate on a zero-request soak returned %v, want a no-request failure", err)
+	}
+}
+
 func TestSelfHostedSoak(t *testing.T) {
 	planFile := filepath.Join(t.TempDir(), "plan.json")
 	for name, extra := range map[string][]string{

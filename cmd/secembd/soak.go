@@ -48,10 +48,14 @@ func (r *soakReport) String() string {
 }
 
 // checkGate applies -min-requests, -max-p99 and -max-shed to r, and fails
-// any hard error; a non-nil error describes the first violated criterion.
+// a run that completed no request or any hard error; a non-nil error
+// describes the first violated criterion.
 func (c *config) checkGate(r *soakReport) error {
 	if c.minRequests > 0 && r.requests < c.minRequests {
 		return fmt.Errorf("soak gate: %d requests completed, need ≥%d", r.requests, c.minRequests)
+	}
+	if r.requests == 0 {
+		return fmt.Errorf("soak gate: no request completed")
 	}
 	if c.maxP99 > 0 && r.p99 > c.maxP99 {
 		return fmt.Errorf("soak gate: p99 %v exceeds %v", r.p99, c.maxP99)
@@ -59,11 +63,7 @@ func (c *config) checkGate(r *soakReport) error {
 	if c.maxShed >= 0 && r.perRequest(r.shed) > c.maxShed {
 		return fmt.Errorf("soak gate: shed rate %.2f%% exceeds %.2f%%", 100*r.perRequest(r.shed), 100*c.maxShed)
 	}
-	errRate := 1.0 // no requests at all is a failed run
-	if r.requests > 0 {
-		errRate = r.perRequest(r.errors)
-	}
-	if errRate > soakMaxErrorRate {
+	if errRate := r.perRequest(r.errors); errRate > soakMaxErrorRate {
 		return fmt.Errorf("soak gate: error rate %.2f%% exceeds %.2f%% (%d errors)",
 			100*errRate, 100*soakMaxErrorRate, r.errors)
 	}

@@ -78,15 +78,22 @@ var asmImplicitWrites = map[string][]string{
 
 // asmVectorOps are the vector instructions a block that reads memory
 // behind a pointer argument may use: broadcasts, lane-wise compares and
-// logic, lane-wise adds, word shifts, the byte and word multiply-adds of
-// an integer dot product, and plain moves. None sets flags or takes an
-// address from a vector; VMOVQ may load a vector from a general-purpose
-// register, and the mask check rejects the other direction.
+// logic, lane-wise integer adds, subtracts and unsigned max, word shifts,
+// the byte and word multiply-adds of an integer dot product, float
+// multiplies and adds, the int↔float conversions, the saturating packs,
+// a byte zero-extend, a dword permute, and plain moves. None sets flags or
+// takes an address from a vector, and none has an operand-dependent
+// latency (no divide or square root). VMOVQ may load a vector from a
+// general-purpose register, and the mask check rejects the other
+// direction.
 var asmVectorOps = map[string]bool{
 	"VPBROADCASTQ": true, "VPBROADCASTD": true, "VPCMPEQQ": true,
 	"VPAND": true, "VPANDN": true, "VPOR": true, "VPXOR": true,
-	"VPADDQ": true, "VPSUBQ": true, "VPADDD": true, "VPSRLW": true,
+	"VPADDQ": true, "VPSUBQ": true, "VPADDD": true, "VPSUBD": true,
+	"VPMAXUD": true, "VPSRLW": true,
 	"VPMADDUBSW": true, "VPMADDWD": true,
+	"VMULPS": true, "VADDPS": true, "VCVTDQ2PS": true, "VCVTTPS2DQ": true,
+	"VPACKUSDW": true, "VPACKUSWB": true, "VPMOVZXBD": true, "VPERMD": true,
 	"VMOVDQU": true, "VMOVDQA": true, "VMOVQ": true,
 	"VZEROUPPER": true,
 }

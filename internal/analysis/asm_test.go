@@ -15,9 +15,11 @@ import (
 // files, each of which must fail the named checks of obliviouslint/asm:
 // broken kernels, one broken instruction in each helper (so every TEXT
 // block is shown to be read), the honest kernels under directives that
-// mark a length secret, and, for the quantized kernel's secret-data,
-// public-address shape, each way a secret sum could leave the vector
-// registers.
+// mark a length secret, and, for the quantized kernels' secret-data,
+// public-address shape, each way a secret sum, maximum or converted
+// activation could leave the vector registers, an operand-dependent
+// divide, and the result of each opcode the epilogue and the quantizer use
+// moved into a general-purpose register.
 func TestObliviouslintAsm(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the module has assembly only for amd64")
@@ -67,12 +69,13 @@ func TestObliviouslintAsm(t *testing.T) {
 		}
 	}
 
-	cases := []struct {
+	type mutation struct {
 		name     string
 		old, new string // a replacement in the real file of the kernel's package
 		secret   string // "kernel param": a parameter to add to a kernel's directive
 		checks   []string
-	}{
+	}
+	cases := []mutation{
 		{"branch on a mask", "\tXORQ AX, AX\n", "\tMOVQ m0+48(FP), BX\n\tTESTQ BX, BX\n\tJNE loop\n\tXORQ AX, AX\n", "",
 			[]string{"orTileAVX2: mask", "orTileAVX2: jump"}},
 		{"mask as an index", "VPAND   (SI)(AX*8), Y4, Y0", "MOVQ m0+48(FP), BX\n\tVPAND   (SI)(BX*8), Y4, Y0", "",
@@ -118,6 +121,33 @@ func TestObliviouslintAsm(t *testing.T) {
 		{"quant cursor stepped by an activation", "\tADDQ         $128, R12\n", "\tMOVQ         (SI), R13\n\tADDQ         R13, R12\n", "",
 			[]string{"quantDotsAVX2: memory"}},
 		{"quant secret depth", "", "", "quantDotsAVX2 kb", []string{"quantDotsAVX2: param", "quantDotsAVX2: jump"}},
+		{"quant VMOVMSKPS of the max vector", "\tVPMAXUD Y1, Y0, Y0\n", "\tVPMAXUD Y1, Y0, Y0\n\tVMOVMSKPS Y0, R13\n", "",
+			[]string{"quantMaxAVX2: vector", "quantMaxAVX2: mask"}},
+		{"quant VDIVPS by the row max", "\tVPMAXUD Y1, Y0, Y0\n", "\tVPMAXUD Y1, Y0, Y0\n\tVDIVPS  Y0, Y1, Y1\n", "",
+			[]string{"quantMaxAVX2: vector"}},
+		{"quant VPTEST of a converted activation and JNE", "\tVCVTTPS2DQ Y0, Y0\n", "\tVCVTTPS2DQ Y0, Y0\n\tVPTEST     Y0, Y0\n\tJNE        b32\n", "",
+			[]string{"quantBytesAVX2: vector", "quantBytesAVX2: jump"}},
+		{"quant counter stepped by a converted byte", "\tADDQ       $8, CX\n", "\tMOVBQZX    (DI)(CX*1), R10\n\tADDQ       R10, CX\n", "",
+			[]string{"quantBytesAVX2: register"}},
+		{"quant secret quantizer length", "", "", "quantBytesAVX2 n8", []string{"quantBytesAVX2: param", "quantBytesAVX2: jump"}},
+	}
+	// Each opcode the fused epilogue and the quantizer added: its result
+	// moved into a general-purpose register right after its first use.
+	for _, site := range []struct{ kernel, line string }{
+		{"quantDotsAVX2", "\tVPSUBD    Y9, Y0, Y0\n"},
+		{"quantDotsAVX2", "\tVCVTDQ2PS Y0, Y0\n"},
+		{"quantDotsAVX2", "\tVMULPS    Y10, Y0, Y0\n"},
+		{"quantDotsAVX2", "\tVADDPS    (R14)(DX*4), Y0, Y0\n"},
+		{"quantMaxAVX2", "\tVPMAXUD Y1, Y0, Y0\n"},
+		{"quantBytesAVX2", "\tVPMOVZXBD    X12, Y12\n"},
+		{"quantBytesAVX2", "\tVCVTTPS2DQ Y0, Y0\n"},
+		{"quantBytesAVX2", "\tVPACKUSDW  Y1, Y0, Y0\n"},
+		{"quantBytesAVX2", "\tVPACKUSWB  Y2, Y0, Y0\n"},
+		{"quantBytesAVX2", "\tVPERMD     Y0, Y12, Y0\n"},
+	} {
+		f := strings.Fields(strings.ReplaceAll(site.line, ",", " "))
+		cases = append(cases, mutation{"quant " + f[0] + " result into a register", site.line, site.line + "\tVPMOVMSKB " + f[len(f)-1] + ", R15\n", "",
+			[]string{site.kernel + ": vector", site.kernel + ": mask"}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,13 +48,6 @@ func Eq(a, b uint64) uint64 {
 	return -(((x - 1) &^ x) >> 63)
 }
 
-// Lt returns an all-ones mask when a < b and zero otherwise. It is exact
-// for all uint64 inputs (Hacker's Delight §2-12 borrow formula).
-// secemb:secret a b return
-func Lt(a, b uint64) uint64 {
-	return -(((^a & b) | ((^(a ^ b)) & (a - b))) >> 63)
-}
-
 // Select64 returns a when mask is all-ones and b when mask is zero.
 // secemb:secret mask a b return
 func Select64(mask, a, b uint64) uint64 {

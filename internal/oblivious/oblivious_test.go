@@ -41,31 +41,6 @@ func TestEqMatchesOperator(t *testing.T) {
 	}
 }
 
-func TestLtMatchesOperator(t *testing.T) {
-	f := func(a, b uint64) bool {
-		want := uint64(0)
-		if a < b {
-			want = ^uint64(0)
-		}
-		return Lt(a, b) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range [][2]uint64{{0, 0}, {0, 1}, {1, 0}, {1 << 63, (1 << 63) - 1},
-		{(1 << 63) - 1, 1 << 63}, {math.MaxUint64, 0}, {0, math.MaxUint64},
-		{math.MaxUint64, math.MaxUint64}} {
-		got := Lt(c[0], c[1])
-		want := uint64(0)
-		if c[0] < c[1] {
-			want = ^uint64(0)
-		}
-		if got != want {
-			t.Fatalf("Lt(%d,%d)=%x want %x", c[0], c[1], got, want)
-		}
-	}
-}
-
 func TestSelect64(t *testing.T) {
 	if Select64(^uint64(0), 7, 9) != 7 {
 		t.Fatal("Select64 all-ones must pick a")

@@ -39,14 +39,17 @@ import (
 // row at activation-pack time, and K is the padded depth. Padding encodes
 // exact zeros (a' = 32, w' = 64), so padded lanes contribute nothing.
 //
-// AVX2. On amd64 with AVX2 (oblivious.HasAVX2) a second kernel,
-// quantDotsAVX2 in quant_amd64.s, computes the same integer Σ a'w' from a
-// byte layout: activations as u8 a' ∈ [1,63] and weights as s8 w' ∈
-// [1,127], over the same padded depth, so VPMADDUBSW's pair sums
-// (≤ 2·63·127 = 16 002 < 2^15) never saturate. Both kernels dequantize
-// that integer with the same arithmetic, so their floats are
-// bit-identical; SWAR stays the portable path (purego, arm64, 386) and the
-// tests' reference.
+// AVX2. On amd64 with AVX2 (oblivious.HasAVX2) the layer runs in vector
+// registers end to end (quant_amd64.s). quantMaxAVX2 and quantBytesAVX2
+// quantize each activation row to bytes a' ∈ [1,63] with the arithmetic
+// of the Go loops, leaving only the lane reductions, the one scalar
+// divide and a tail under eight elements to Go. quantDotsAVX2 then takes
+// the same integer Σ a'w' against weights stored as s8 w' ∈ [1,127], over
+// the same padded depth, so VPMADDUBSW's pair sums (≤ 2·63·127 = 16 002 <
+// 2^15) never saturate, and dequantizes it and adds the bias in registers,
+// in the Go epilogue's operation order and without FMA. Both kernels'
+// floats are therefore bit-identical; SWAR stays the portable path
+// (purego, arm64, 386) and the tests' reference.
 //
 // Obliviousness. Activations derive from secret feature ids, so
 // quantization and the kernel inner loops are branchless and annotated
@@ -86,8 +89,12 @@ type QuantMat struct {
 	// multiple of 8), each group of 8 columns stored four depths at a time
 	// (32 bytes: column-major within, depth-minor), and the groups of each
 	// full 32-column block interleaved per four depths (vecOffset).
-	vec    []byte
-	outPad int
+	vec []byte
+	// vecColOff (actOff·ColSum) and vecScale are the kernel's epilogue
+	// operands, padded with zeros to outPad beside vec.
+	vecColOff []int32
+	vecScale  []float32
+	outPad    int
 }
 
 // vecOffset is the index in QuantMat.vec of the weight at depth k of
@@ -126,6 +133,8 @@ func QuantizeMat(w *Matrix) *QuantMat {
 	n32 := out &^ 31
 	if quantAVX2 {
 		q.vec = make([]byte, q.outPad*kw*laneK)
+		q.vecColOff = make([]int32, q.outPad)
+		q.vecScale = make([]float32, q.outPad)
 	}
 	for o := 0; o < out; o++ {
 		var maxAbs float64
@@ -166,12 +175,20 @@ func QuantizeMat(w *Matrix) *QuantMat {
 			col[t] = word
 		}
 		q.ColSum[o] = sum
+		if q.vec != nil {
+			q.vecColOff[o] = actOff * sum
+			q.vecScale[o] = q.Scale[o]
+		}
 	}
 	return q
 }
 
 // NumBytes is the resident footprint of the packed representation, the
-// one every build holds (vec, where built, adds half as much again).
+// one every build holds. The byte layout the AVX2 kernel reads instead is
+// left out on purpose: it exists only on some hosts, and NumBytes sizes
+// the dhe-int8 trace sweeps, so counting it would make the leakcheck
+// report depend on the CPU it ran on (vec, where built, adds half as
+// much again).
 func (q *QuantMat) NumBytes() int64 {
 	return int64(len(q.Packed))*8 + int64(len(q.Scale))*4 + int64(len(q.ColSum))*4
 }
@@ -195,12 +212,17 @@ type QuantActs struct {
 	// (4·kw bytes a row, the padding lanes included) when that kernel
 	// serves.
 	vec []byte
+	// bias is MatMulQuantInto's bias padded to the weights' outPad for
+	// quantDotsAVX2, with −0 (which adds nothing to any float, −0
+	// included) where there is no bias.
+	bias []float32
 }
 
 // Quantize quantizes and packs x into the scratch, replacing its previous
 // contents. This wrapper touches only x's shape (public); the per-element
-// work on the secret-derived activation values happens in quantizeRow,
-// which carries the secemb:secret annotation and is branchless.
+// work on the secret-derived activation values happens in quantizeRow
+// and quantizeRowAVX2, which carry the secemb:secret annotation and are
+// branchless.
 func (qa *QuantActs) Quantize(x *Matrix) {
 	rows, cols := x.Rows, x.Cols
 	kw := packedWords(cols)
@@ -216,7 +238,7 @@ func (qa *QuantActs) Quantize(x *Matrix) {
 		qa.Packed = qa.Packed[:0]
 		qa.vec = grow(qa.vec, rows*kb)
 		for i := 0; i < rows; i++ {
-			quantizeRowBytes(qa.vec[i*kb:(i+1)*kb], x.Data[i*cols:(i+1)*cols], i, qa.RowScale, qa.RowSum)
+			quantizeRowAVX2(qa.vec[i*kb:(i+1)*kb], x.Data[i*cols:(i+1)*cols], i, qa.RowScale, qa.RowSum)
 		}
 		return
 	}
@@ -236,44 +258,52 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// rowQuantInv records the dequantization scale of one activation row at
-// rowScale[i] and returns its inverse. The max-abs reduction masks the
-// IEEE-754 sign bit and takes the max of the raw bit patterns — for
-// non-negative floats the bit pattern is monotone in the value, so no
-// comparison on secret data is ever taken — and the divide-by-zero guard
-// is an epsilon add instead of a branch.
+// maxAbsBits returns the largest of m and the magnitude bits of xRow's
+// elements. It masks the IEEE-754 sign bit and takes the max of the raw
+// bit patterns: for non-negative floats the bit pattern is monotone in
+// the value, so no comparison on secret data is ever taken.
 //
-// secemb:secret xRow return
-func rowQuantInv(xRow []float32, i int, rowScale []float32) float32 {
-	var m uint32
+// secemb:secret xRow m return
+func maxAbsBits(xRow []float32, m uint32) uint32 {
 	for _, v := range xRow {
 		m = max(m, math.Float32bits(v)&0x7FFFFFFF)
 	}
+	return m
+}
+
+// rowQuantInv records the dequantization scale of the activation row whose
+// max-abs bits are m at rowScale[i] and returns its inverse. The
+// divide-by-zero guard is an epsilon add instead of a branch.
+//
+// secemb:secret m return
+func rowQuantInv(m uint32, i int, rowScale []float32) float32 {
 	ma := math.Float32frombits(m)
 	rowScale[i] = (ma + 1e-30) / actMax
 	return actMax / (ma + 1e-30)
 }
 
-// quantizeRowBytes is quantizeRow for the byte layout: the same lanes, one
-// byte each, padding lanes encoding zero up to len(dst).
+// quantizeBytes writes xRow's lanes, quantized by inv, into dst one byte
+// each, padding lanes encoding zero up to len(dst), and returns their sum.
+// The float32 conversion rounds each product before the add, so no
+// compiler may fuse the two into the FMA that quantBytesAVX2 does not
+// take.
 //
-// secemb:secret xRow
-func quantizeRowBytes(dst []byte, xRow []float32, i int, rowScale []float32, rowSum []int32) {
-	inv := rowQuantInv(xRow, i, rowScale)
+// secemb:secret xRow inv return
+func quantizeBytes(dst []byte, xRow []float32, inv float32) int32 {
 	var sum int32
 	k := 0
 	for ; k+4 <= len(xRow); k += 4 {
 		x := xRow[k : k+4 : k+4]
-		q0 := int32(x[0]*inv + (actOff + 0.5))
-		q1 := int32(x[1]*inv + (actOff + 0.5))
-		q2 := int32(x[2]*inv + (actOff + 0.5))
-		q3 := int32(x[3]*inv + (actOff + 0.5))
+		q0 := int32(float32(x[0]*inv) + (actOff + 0.5))
+		q1 := int32(float32(x[1]*inv) + (actOff + 0.5))
+		q2 := int32(float32(x[2]*inv) + (actOff + 0.5))
+		q3 := int32(float32(x[3]*inv) + (actOff + 0.5))
 		sum += q0 + q1 + q2 + q3
 		d := dst[k : k+4 : k+4]
 		d[0], d[1], d[2], d[3] = byte(q0), byte(q1), byte(q2), byte(q3)
 	}
 	for ; k < len(xRow); k++ {
-		q := int32(xRow[k]*inv + (actOff + 0.5))
+		q := int32(float32(xRow[k]*inv) + (actOff + 0.5))
 		sum += q
 		dst[k] = byte(q)
 	}
@@ -281,23 +311,45 @@ func quantizeRowBytes(dst []byte, xRow []float32, i int, rowScale []float32, row
 		dst[k] = actOff
 		sum += actOff
 	}
-	rowSum[i] = sum
+	return sum
+}
+
+// quantizeRowAVX2 quantizes one activation row into the byte layout and
+// records its scale and offset-encoded sum at index i of the out slices.
+// quantMaxAVX2 and quantBytesAVX2 take the row's first len&^7 elements;
+// Go reduces their eight lanes, takes the one scalar divide and finishes
+// the last len%8 elements and the padding, so the bytes, scale and sum are
+// those of maxAbsBits, rowQuantInv and quantizeBytes over the whole row.
+//
+// secemb:secret xRow
+func quantizeRowAVX2(dst []byte, xRow []float32, i int, rowScale []float32, rowSum []int32) {
+	n8 := len(xRow) &^ 7
+	var m [8]uint32
+	var s [8]int32
+	if n8 > 0 {
+		quantMaxAVX2(&m[0], &xRow[0], n8)
+	}
+	inv := rowQuantInv(maxAbsBits(xRow[n8:], max(m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7])), i, rowScale)
+	if n8 > 0 {
+		quantBytesAVX2(&dst[0], &s[0], &xRow[0], &inv, n8&^31, n8)
+	}
+	rowSum[i] = s[0] + s[1] + s[2] + s[3] + s[4] + s[5] + s[6] + s[7] + quantizeBytes(dst[n8:], xRow[n8:], inv)
 }
 
 // quantizeRow quantizes one activation row into dst and records its scale
-// and offset-encoded sum at index i of the out slices (rowQuantInv).
+// and offset-encoded sum at index i of the out slices.
 //
 // secemb:secret xRow
 func quantizeRow(dst []uint64, xRow []float32, i int, rowScale []float32, rowSum []int32) {
-	inv := rowQuantInv(xRow, i, rowScale)
+	inv := rowQuantInv(maxAbsBits(xRow, 0), i, rowScale)
 	cols := len(xRow)
 	var sum int32
 	t := 0
 	for ; (t+1)*laneK <= cols; t++ {
-		q0 := int32(xRow[t*laneK]*inv + (actOff + 0.5))
-		q1 := int32(xRow[t*laneK+1]*inv + (actOff + 0.5))
-		q2 := int32(xRow[t*laneK+2]*inv + (actOff + 0.5))
-		q3 := int32(xRow[t*laneK+3]*inv + (actOff + 0.5))
+		q0 := int32(float32(xRow[t*laneK]*inv) + (actOff + 0.5))
+		q1 := int32(float32(xRow[t*laneK+1]*inv) + (actOff + 0.5))
+		q2 := int32(float32(xRow[t*laneK+2]*inv) + (actOff + 0.5))
+		q3 := int32(float32(xRow[t*laneK+3]*inv) + (actOff + 0.5))
 		sum += q0 + q1 + q2 + q3
 		dst[t] = uint64(q0) | uint64(q1)<<16 | uint64(q2)<<32 | uint64(q3)<<48
 	}
@@ -308,7 +360,7 @@ func quantizeRow(dst []uint64, xRow []float32, i int, rowScale []float32, rowSum
 			k := t*laneK + lane
 			enc := int32(actOff)
 			if k < cols { // public: depends on the shape, not the data
-				enc = int32(xRow[k]*inv + (actOff + 0.5))
+				enc = int32(float32(xRow[k]*inv) + (actOff + 0.5))
 			}
 			sum += enc
 			word |= uint64(enc) << (16 * lane)
@@ -334,8 +386,15 @@ func MatMulQuantInto(dst *Matrix, qa *QuantActs, w *QuantMat, bias []float32, nt
 	if bias != nil && len(bias) != w.Out {
 		panic(fmt.Sprintf("tensor: MatMulQuantInto bias len %d, want %d", len(bias), w.Out))
 	}
-	if len(qa.vec) > 0 && w.vec == nil {
-		panic("tensor: MatMulQuantInto activations in the AVX2 layout, weights quantized without it")
+	if len(qa.vec) > 0 {
+		if w.vec == nil {
+			panic("tensor: MatMulQuantInto activations in the AVX2 layout, weights quantized without it")
+		}
+		qa.bias = grow(qa.bias, w.outPad)
+		for o := copy(qa.bias, bias); o < len(qa.bias); o++ {
+			qa.bias[o] = negZero
+		}
+		bias = qa.bias
 	}
 	if clampWorkers(nthreads, qa.Rows) <= 1 {
 		matMulQuantRange(dst, qa, w, bias, 0, qa.Rows)
@@ -346,11 +405,15 @@ func MatMulQuantInto(dst *Matrix, qa *QuantActs, w *QuantMat, bias []float32, nt
 	})
 }
 
+// negZero pads the AVX2 kernel's bias: x + (−0) is x for every float x.
+var negZero = float32(math.Copysign(0, -1))
+
 // matMulQuantRange computes rows [lo,hi) of the quantized product, each
 // row on the kernel whose layout qa holds: quantRowAVX2 for the byte
 // layout, quantRowSWAR for the packed words. Both produce the row's exact
 // integer dot products and dequantize them with the same arithmetic, so
-// their floats are bit-identical.
+// their floats are bit-identical. The AVX2 kernel adds bias itself (padded
+// to w.outPad); the SWAR rows get it here.
 //
 // secemb:secret qa
 func matMulQuantRange(dst *Matrix, qa *QuantActs, w *QuantMat, bias []float32, lo, hi int) {
@@ -361,10 +424,10 @@ func matMulQuantRange(dst *Matrix, qa *QuantActs, w *QuantMat, bias []float32, l
 		corrA := wOff*qa.RowSum[i] - corrK
 		outRow := dst.Data[i*n : (i+1)*n : (i+1)*n]
 		if len(qa.vec) > 0 {
-			quantRowAVX2(outRow, qa, w, i, corrA)
-		} else {
-			quantRowSWAR(outRow, qa.Packed[i*kw:(i+1)*kw:(i+1)*kw], w, corrA, qa.RowScale[i])
+			quantRowAVX2(outRow, qa, w, bias, i, corrA)
+			continue
 		}
+		quantRowSWAR(outRow, qa.Packed[i*kw:(i+1)*kw:(i+1)*kw], w, corrA, qa.RowScale[i])
 		if bias != nil {
 			b := bias[:n]
 			for o := range outRow {
@@ -374,25 +437,32 @@ func matMulQuantRange(dst *Matrix, qa *QuantActs, w *QuantMat, bias []float32, l
 	}
 }
 
-// quantRowAVX2 computes row i of the product from the byte layout:
-// quantDotsAVX2 writes the row's integer dot products into a stack
-// buffer, 512 columns per call (a multiple of 32, so each call starts at
-// a block of vec), and they are then offset-corrected and dequantized.
+// quantRowEpi is one row's share of quantDotsAVX2's epilogue, which the
+// kernel reads from memory: the row scale and the offset correction.
+type quantRowEpi struct {
+	rs    float32
+	corrA int32
+}
+
+// quantRowAVX2 computes row i of the product from the byte layout, plus
+// bias (padded to w.outPad): one quantDotsAVX2 call writes the row's full
+// groups of 8 columns into outRow, and a second writes the group of the
+// last Out%8 columns into a stack array, whose real columns are copied
+// out.
 //
 // secemb:secret qa corrA
-func quantRowAVX2(outRow []float32, qa *QuantActs, w *QuantMat, i int, corrA int32) {
-	kb, np, n := w.kw*laneK, w.outPad, w.Out
-	rs := qa.RowScale[i]
-	var sums [512]int32
-	for c0 := 0; c0 < np; c0 += len(sums) {
-		c1 := min(c0+len(sums), np)
-		quantDotsAVX2(&sums[0], &qa.vec[i*kb], &w.vec[c0*kb], kb, min(n&^31, c1)-c0, c1-c0)
-		hi := min(c1, n)
-		colSum, scale, out := w.ColSum[c0:hi], w.Scale[c0:hi], outRow[c0:hi]
-		for o, s := range sums[:hi-c0] {
-			q := s - actOff*colSum[o] - corrA
-			out[o] = float32(q) * rs * scale[o]
-		}
+func quantRowAVX2(outRow []float32, qa *QuantActs, w *QuantMat, bias []float32, i int, corrA int32) {
+	kb, n := w.kw*laneK, w.Out
+	n8 := n &^ 7
+	a := &qa.vec[i*kb]
+	row := quantRowEpi{rs: qa.RowScale[i], corrA: corrA}
+	if n8 > 0 {
+		quantDotsAVX2(&outRow[0], a, &w.vec[0], &w.vecColOff[0], &w.vecScale[0], &bias[0], &row, kb, n&^31, n8)
+	}
+	if n8 < n {
+		var tail [8]float32
+		quantDotsAVX2(&tail[0], a, &w.vec[n8*kb], &w.vecColOff[n8], &w.vecScale[n8], &bias[n8], &row, kb, 0, 8)
+		copy(outRow[n8:], tail[:])
 	}
 }
 
@@ -458,10 +528,13 @@ func quantRowSWAR(outRow []float32, aRow []uint64, w *QuantMat, corrA int32, rs 
 		q1 := int32(s1) - actOff*w.ColSum[o+1] - corrA
 		q2 := int32(s2) - actOff*w.ColSum[o+2] - corrA
 		q3 := int32(s3) - actOff*w.ColSum[o+3] - corrA
-		outRow[o] = float32(q0) * rs * w.Scale[o]
-		outRow[o+1] = float32(q1) * rs * w.Scale[o+1]
-		outRow[o+2] = float32(q2) * rs * w.Scale[o+2]
-		outRow[o+3] = float32(q3) * rs * w.Scale[o+3]
+		// The outer float32() rounds each product before matMulQuantRange
+		// adds the bias, so no compiler may fuse the two into the FMA that
+		// quantDotsAVX2 does not take.
+		outRow[o] = float32(float32(q0) * rs * w.Scale[o])
+		outRow[o+1] = float32(float32(q1) * rs * w.Scale[o+1])
+		outRow[o+2] = float32(float32(q2) * rs * w.Scale[o+2])
+		outRow[o+3] = float32(float32(q3) * rs * w.Scale[o+3])
 	}
 	for ; o < n; o++ {
 		w0 := w.Packed[o*kw : (o+1)*kw : (o+1)*kw]
@@ -475,6 +548,6 @@ func quantRowSWAR(outRow []float32, aRow []uint64, w *QuantMat, corrA int32, rs 
 			s0 += aRow[k] * w0[k] >> 48
 		}
 		q0 := int32(s0) - actOff*w.ColSum[o] - corrA
-		outRow[o] = float32(q0) * rs * w.Scale[o]
+		outRow[o] = float32(float32(q0) * rs * w.Scale[o])
 	}
 }

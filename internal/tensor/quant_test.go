@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"secemb/internal/oblivious"
@@ -252,4 +254,114 @@ func FuzzQuantKernel(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		checkKernelMatchesSWAR(t, rng, 1+int(rows)%70, 1+int(in)%300, 1+int(out)%70, withBias)
 	})
+}
+
+// quantizeRowBytes is the Go reference for quantizeRowAVX2: the same
+// bytes, scale and sum from the scalar loops alone.
+func quantizeRowBytes(dst []byte, xRow []float32, i int, rowScale []float32, rowSum []int32) {
+	rowSum[i] = quantizeBytes(dst, xRow, rowQuantInv(maxAbsBits(xRow, 0), i, rowScale))
+}
+
+// TestQuantizeRowAVX2MatchesGo: the vector quantizer's bytes, row scale and
+// row sum equal the Go path's bit for bit at every width from 1 to 300
+// (every tail past the 32- and 8-element passes), on rows built where
+// rounding and truncation have edges: signed zeros, denormals, a negative
+// max-abs element, products landing exactly on an integer after the +32.5,
+// an all-zero row, ±MaxFloat32, and the non-finite values whose integer
+// indefinite both paths must narrow to the same byte.
+func TestQuantizeRowAVX2MatchesGo(t *testing.T) {
+	if !quantAVX2 {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	rng := rand.New(rand.NewSource(47))
+	denormal := func() float32 {
+		v := math.Float32frombits(1 + rng.Uint32()%0x7FFFFF)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	edges := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		0.5, -0.5, 1.5, -30.5, 30.5, 31, -31, math.MaxFloat32, -math.MaxFloat32,
+		math.Nextafter32(0.5, 1), math.Nextafter32(-0.5, -1)}
+	kinds := map[string]func(k, width int) float32{
+		"zero":     func(int, int) float32 { return 0 },
+		"negzero":  func(int, int) float32 { return negZero },
+		"denormal": func(int, int) float32 { return denormal() },
+		"negmax": func(k, width int) float32 {
+			if k == width/2 {
+				return -2
+			}
+			return rng.Float32()*2 - 1
+		},
+		// With 31 as the max-abs, inv is exactly 1 and every k+0.5 lands
+		// on an integer after the +32.5.
+		"halves": func(k, _ int) float32 {
+			if k == 0 {
+				return 31
+			}
+			return float32(rng.Intn(62)-31) + 0.5
+		},
+		"maxfloat": func(k, _ int) float32 {
+			if k%3 == 0 {
+				return math.MaxFloat32 * float32(1-2*(k/3%2))
+			}
+			return rng.Float32()*2 - 1
+		},
+		"edges":  func(int, int) float32 { return edges[rng.Intn(len(edges))] },
+		"mixed":  func(int, int) float32 { return (rng.Float32()*2 - 1) * float32(math.Pow(10, float64(rng.Intn(80)-40))) },
+		"inf":    func(k, _ int) float32 { return []float32{float32(math.Inf(1)), 1, -2}[k%3] },
+		"nan":    func(k, _ int) float32 { return []float32{float32(math.NaN()), 1, -2}[k%3] },
+		"neginf": func(k, _ int) float32 { return []float32{-3, float32(math.Inf(-1))}[k%2] },
+	}
+	for width := 1; width <= 300; width++ {
+		kb := packedWords(width) * laneK
+		for _, name := range slices.Sorted(maps.Keys(kinds)) { // a fixed order keeps rng's draws reproducible
+			gen := kinds[name]
+			x := make([]float32, width)
+			for k := range x {
+				x[k] = gen(k, width)
+			}
+			want, got := make([]byte, kb), make([]byte, kb)
+			for k := range got {
+				want[k], got[k] = 0xA5, 0x5A // every byte must be written
+			}
+			var wantScale, gotScale [2]float32
+			var wantSum, gotSum [2]int32
+			quantizeRowBytes(want, x, 1, wantScale[:], wantSum[:])
+			quantizeRowAVX2(got, x, 1, gotScale[:], gotSum[:])
+			if string(got) != string(want) {
+				t.Fatalf("width %d %s: bytes\n got %v\nwant %v", width, name, got, want)
+			}
+			if math.Float32bits(gotScale[1]) != math.Float32bits(wantScale[1]) || gotSum[1] != wantSum[1] {
+				t.Fatalf("width %d %s: scale %v sum %d, want %v %d", width, name, gotScale[1], gotSum[1], wantScale[1], wantSum[1])
+			}
+		}
+	}
+}
+
+// TestQuantKernelNilBiasKeepsNegativeZero: without a bias the AVX2 kernel
+// still adds its padded bias, so the padding must be −0, which leaves a
+// product that underflowed to −0 as the SWAR kernel leaves it.
+func TestQuantKernelNilBiasKeepsNegativeZero(t *testing.T) {
+	if !oblivious.HasAVX2() {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	rng := rand.New(rand.NewSource(48))
+	x := randMatrix(4, 40, 1e-30, rng)
+	q := QuantizeMat(randMatrix(40, 13, 1e-20, rng))
+	want := quantProduct(x, q, nil, false, 1)
+	got := quantProduct(x, q, nil, true, 1)
+	negZeros := 0
+	for i, v := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("[%d] = %v (%#x), SWAR %v (%#x)", i, got.Data[i], math.Float32bits(got.Data[i]), v, math.Float32bits(v))
+		}
+		if math.Float32bits(v) == math.Float32bits(negZero) {
+			negZeros++
+		}
+	}
+	if negZeros == 0 {
+		t.Fatal("no product underflowed to −0; the test shape no longer exercises the padding")
+	}
 }

@@ -90,6 +90,8 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 		return dst, fmt.Errorf("%w: %d ids (want 1..%d)", ErrBadFrame, len(r.IDs), MaxBatch)
 	}
 	body := reqHeaderLen + 8*len(r.IDs)
+	// One growth to the frame's size, then plain appends into it.
+	dst = slices.Grow(dst, prefixLen+body)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	dst = append(dst, Version, r.Op)
 	dst = append(dst, r.Token.MAC[:]...)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,25 @@ func TestAppendResponseWarmAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendResponse(buf[:0], r, 64, 64, 64) }); allocs != 0 {
 		t.Fatalf("AppendResponse into a warm buffer allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestAppendRequestAllocs: encoding a request into a warm buffer allocates
+// nothing, and into nil allocates what one slices.Grow to the frame's size
+// does (one object, two under the race detector), not once per growth.
+func TestAppendRequestAllocs(t *testing.T) {
+	r := &Request{Op: OpEmbed, Key: 3, IDs: make([]uint64, 64)}
+	buf, err := AppendRequest(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendRequest(buf[:0], r) }); allocs != 0 {
+		t.Fatalf("AppendRequest into a warm buffer allocates %.0f objects per call, want 0", allocs)
+	}
+	n := len(buf)
+	once := testing.AllocsPerRun(100, func() { buf = slices.Grow(buf[:0:0], n) })
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendRequest(nil, r) }); allocs != once {
+		t.Fatalf("AppendRequest into nil allocates %.0f objects per call, want %.0f (one slices.Grow)", allocs, once)
 	}
 }
 

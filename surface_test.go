@@ -31,8 +31,6 @@ var surfaceAllow = map[string]string{
 	"oram.Controller.TreeLevels":    "perf's tests check MemWords against it",
 	"analysis.ValidateSARIF":        "cmd/obliviouslint's tests validate the SARIF output with it",
 	"cli.Sweep":                     "every command's TestBadFlagsExitTwo sweeps its flags with it",
-	// A primitive whose last caller went.
-	"oblivious.Lt": "the branchless unsigned compare FuzzEqLt pins beside Eq; hashenc's reduction now uses a shorter masked subtract valid for its range",
 }
 
 // TestExportedSurfaceIsReached: every package-level func, method, type,
