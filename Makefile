@@ -101,8 +101,8 @@ bench-build:
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/obs ./internal/serving \
 		./internal/serving/backends ./internal/core ./internal/dhe ./internal/dlrm \
-		./internal/wire ./internal/leakcheck ./internal/planner ./internal/cli ./internal/profile \
-		./cmd/secembd ./cmd/dlrmbench ./cmd/llmbench
+		./internal/wire ./internal/frontdoor ./internal/leakcheck ./internal/planner ./internal/cli \
+		./internal/profile ./cmd/secembd ./cmd/dlrmbench ./cmd/llmbench
 
 # fmt-check fails (listing offenders) when any file needs gofmt.
 fmt-check:

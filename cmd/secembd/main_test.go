@@ -10,9 +10,8 @@ import (
 	"time"
 
 	"secemb/internal/cli"
-	"secemb/internal/obs"
+	"secemb/internal/frontdoor"
 	"secemb/internal/profile"
-	"secemb/internal/wire"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -81,15 +80,14 @@ func TestSoakSmoke(t *testing.T) {
 	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
-	var key wire.Key
-	addr, _, drain, err := startServer(c, obs.NewRegistry(), "127.0.0.1:0",
-		wire.ServerConfig{Key: key, RequireToken: true}, io.Discard, io.Discard)
+	c.RequireToken = true
+	st, err := frontdoor.Start(c.Config, "127.0.0.1:0", nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = drain(0) }()
+	defer func() { _ = st.Drain(0, io.Discard) }()
 
-	rep := soak(c, addr, key, nil)
+	rep := soak(c, st.Addr, nil)
 	if rep.requests == 0 || rep.ok == 0 {
 		t.Fatalf("soak made no progress: %s", rep)
 	}
@@ -156,8 +154,8 @@ func TestSelfHostedSoak(t *testing.T) {
 		t.Fatal("planner-managed soak observed no traffic: cost model has no fitted stream")
 	}
 	for _, e := range m.Entries {
-		if e.Tech != "scanb" || !strings.HasPrefix(e.Shard, planTable+"/") {
-			t.Fatalf("unexpected stream %+v, want scanb on an %s shard", e, planTable)
+		if e.Tech != "scanb" || !strings.HasPrefix(e.Shard, "embed/") {
+			t.Fatalf("unexpected stream %+v, want scanb on an embed shard", e)
 		}
 	}
 }

@@ -10,8 +10,10 @@ import (
 	"sync"
 	"time"
 
+	"secemb/internal/frontdoor"
 	"secemb/internal/obs"
 	"secemb/internal/serving"
+	"secemb/internal/tensor"
 	"secemb/internal/wire"
 )
 
@@ -93,8 +95,8 @@ func (w *soakWorker) observe(d time.Duration) {
 // soak holds -conns concurrent connections against target for -duration,
 // each worker issuing back-to-back Embed requests of -batch random ids in
 // [0, -rows) with its own wire.Client (own transport, own TCP connection).
-// It returns the merged report.
-func soak(c *config, target string, key wire.Key, clientTLS *tls.Config) *soakReport {
+// Tokens are minted under c.Key. It returns the merged report.
+func soak(c *config, target string, clientTLS *tls.Config) *soakReport {
 	ctx, cancel := context.WithTimeout(context.Background(), c.duration)
 	defer cancel()
 
@@ -102,18 +104,18 @@ func soak(c *config, target string, key wire.Key, clientTLS *tls.Config) *soakRe
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := range workers {
-		w := &soakWorker{rng: rand.New(rand.NewSource(c.seed + int64(i)))}
+		w := &soakWorker{rng: rand.New(rand.NewSource(c.Core.Seed + int64(i)))}
 		workers[i] = w
 		wg.Add(1)
 		go func(i int, w *soakWorker) {
 			defer wg.Done()
-			client := wire.NewClient(wire.ClientConfig{Addr: target, Key: key, Timeout: c.timeout + 5*time.Second, TLS: clientTLS})
+			client := wire.NewClient(wire.ClientConfig{Addr: target, Key: c.Key, Timeout: c.Timeout + 5*time.Second, TLS: clientTLS})
 			defer client.Close()
 			ids := make([]uint64, c.batch)
 			shardKey := uint64(i)
 			for ctx.Err() == nil {
 				for j := range ids {
-					ids[j] = uint64(w.rng.Intn(c.rows))
+					ids[j] = uint64(w.rng.Intn(c.Rows))
 				}
 				t0 := time.Now()
 				res, err := client.Embed(ctx, shardKey, ids)
@@ -169,50 +171,38 @@ func soak(c *config, target string, key wire.Key, clientTLS *tls.Config) *soakRe
 // runSoak is -soak: it self-hosts the serve stack in-process when no
 // -target is given, runs the load, prints the report and applies the gate.
 func runSoak(c *config, stdout, stderr io.Writer) int {
-	var key wire.Key
-	if c.tokenKey != "" {
-		k, err := wire.ParseKey(c.tokenKey)
-		if err != nil {
-			fmt.Fprintln(stderr, "secembd:", err)
-			return 2
-		}
-		key = k
-	}
-
 	target := c.target
 	var clientTLS *tls.Config
 	if c.useTLS && target != "" {
 		clientTLS = &tls.Config{InsecureSkipVerify: c.tlsInsecure}
 	}
-	var drain func(time.Duration) error
+	var st *frontdoor.Stack
 	if target == "" {
 		// Self-hosted soak: spin the full serve stack in-process so the
 		// run exercises the real network path end to end; with -tls that
 		// includes TLS termination via an ephemeral self-signed cert.
-		var serverTLS *tls.Config
+		var err error
 		if c.useTLS {
-			var err error
-			serverTLS, clientTLS, err = wire.SelfSignedTLS()
-			if err != nil {
-				fmt.Fprintln(stderr, "secembd:", err)
-				return 2
-			}
+			c.TLS, clientTLS, err = wire.SelfSignedTLS()
 		}
-		addr, _, d, err := startServer(c, obs.NewRegistry(), "127.0.0.1:0",
-			wire.ServerConfig{Key: key, RequireToken: c.tokenKey != "", TLS: serverTLS}, stdout, stderr)
+		if err == nil {
+			reg := obs.NewRegistry()
+			tensor.SetObserver(reg) // as in serve
+			st, err = frontdoor.Start(c.Config, "127.0.0.1:0", reg, stdout)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "secembd:", err)
 			return 2
 		}
-		target, drain = addr, d
-		fmt.Fprintf(stdout, "secembd: self-hosted %s %dx%d on %s\n", c.technique, c.rows, c.dim, addr)
+		target = st.Addr
+		fmt.Fprintf(stdout, "secembd: self-hosted %s %dx%d on %s\n", st.Technique, c.Rows, c.Dim, target)
 	}
 
 	fmt.Fprintf(stdout, "secembd: soaking %s: %d conns × %v, batch %d\n", target, c.conns, c.duration, c.batch)
-	rep := soak(c, target, key, clientTLS)
-	if drain != nil {
+	rep := soak(c, target, clientTLS)
+	if st != nil {
 		t0 := time.Now()
-		_ = drain(0) // the load is over: a drain timeout changes no result the gate reads
+		_ = st.Drain(0, stderr) // the load is over: a drain timeout changes no result the gate reads
 		fmt.Fprintf(stdout, "secembd: drained in %v\n", time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Fprintln(stdout, rep)

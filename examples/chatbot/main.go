@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	"secemb/internal/core"
@@ -19,8 +21,12 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Stdout))
+}
+
+func run(stdout io.Writer) int {
 	cfg := llm.Config{Vocab: 101, Dim: 24, Heads: 2, Layers: 2, MaxSeq: 24, Seed: 31}
-	fmt.Printf("mini-LLM: vocab %d, dim %d, %d layers — token embedding: DHE\n", cfg.Vocab, cfg.Dim, cfg.Layers)
+	fmt.Fprintf(stdout, "mini-LLM: vocab %d, dim %d, %d layers — token embedding: DHE\n", cfg.Vocab, cfg.Dim, cfg.Layers)
 
 	corpus := data.NewCorpus(cfg.Vocab, 32)
 	rng := rand.New(rand.NewSource(33))
@@ -30,9 +36,9 @@ func main() {
 	tins, ttgts := data.Batches(test, 12)
 
 	model := llm.New(cfg, llm.DHETok)
-	fmt.Printf("perplexity before finetuning: %.1f\n", model.Perplexity(tins, ttgts))
+	fmt.Fprintf(stdout, "perplexity before finetuning: %.1f\n", model.Perplexity(tins, ttgts))
 
-	fmt.Print("finetuning... ")
+	fmt.Fprint(stdout, "finetuning... ")
 	start := time.Now()
 	opt := nn.NewAdam(3e-3)
 	idx := 0
@@ -44,8 +50,8 @@ func main() {
 		}
 		opt.Step(model.Params())
 	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("perplexity after finetuning:  %.1f\n\n", model.Perplexity(tins, ttgts))
+	fmt.Fprintf(stdout, "done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "perplexity after finetuning:  %.1f\n\n", model.Perplexity(tins, ttgts))
 
 	// Deploy: the trained DHE serves token embeddings in the pipeline.
 	d, _ := core.RepDHE(model.Tok)
@@ -54,12 +60,12 @@ func main() {
 	prompt := corpus.Generate(8, rand.New(rand.NewSource(34)))
 	session, outs, err := pipeline.Generate([][]int{prompt}, 10)
 	if err != nil {
-		fmt.Println("generate:", err)
-		return
+		fmt.Fprintln(stdout, "generate:", err)
+		return 1
 	}
-	fmt.Printf("prompt tokens:    %v\n", prompt)
-	fmt.Printf("generated tokens: %v\n", outs[0])
-	fmt.Printf("TTFT %v, mean TBT %v\n", session.PrefillTime, session.MeanDecodeTime())
+	fmt.Fprintf(stdout, "prompt tokens:    %v\n", prompt)
+	fmt.Fprintf(stdout, "generated tokens: %v\n", outs[0])
+	fmt.Fprintf(stdout, "TTFT %v, mean TBT %v\n", session.PrefillTime, session.MeanDecodeTime())
 
 	// How well did it learn the corpus's hidden successor function?
 	hits := 0
@@ -69,7 +75,7 @@ func main() {
 			hits++
 		}
 	}
-	fmt.Printf("generated continuations following the corpus's hidden dynamics: %d/%d\n\n", hits, len(outs[0]))
+	fmt.Fprintf(stdout, "generated continuations following the corpus's hidden dynamics: %d/%d\n\n", hits, len(outs[0]))
 
 	// Client-side tokenization (the paper's threat model, §III): the
 	// tokenizer runs on the trusted device; only token IDs — the secrets
@@ -77,15 +83,16 @@ func main() {
 	tk := token.Build(lexicon, cfg.Vocab)
 	userText := "the quick brown fox jumps over the lazy dog"
 	ids := tk.Encode(userText)
-	fmt.Printf("user text:        %q\n", userText)
-	fmt.Printf("token ids sent:   %v (tokenized client-side)\n", ids)
-	session2, reply, err := pipeline.Generate([][]int{clamp(ids, cfg.Vocab)}, 6)
+	fmt.Fprintf(stdout, "user text:        %q\n", userText)
+	fmt.Fprintf(stdout, "token ids sent:   %v (tokenized client-side)\n", ids)
+	session2, reply, err := pipeline.Generate([][]int{ids}, 6)
 	if err != nil {
-		fmt.Println("generate:", err)
-		return
+		fmt.Fprintln(stdout, "generate:", err)
+		return 1
 	}
-	fmt.Printf("model reply ids:  %v\n", reply[0])
-	fmt.Printf("decoded locally:  %q (TTFT %v)\n", tk.Decode(reply[0]), session2.PrefillTime)
+	fmt.Fprintf(stdout, "model reply ids:  %v\n", reply[0])
+	fmt.Fprintf(stdout, "decoded locally:  %q (TTFT %v)\n", tk.Decode(reply[0]), session2.PrefillTime)
+	return 0
 }
 
 // lexicon seeds the demo vocabulary; in the paper's setting the tokenizer
@@ -93,12 +100,3 @@ func main() {
 const lexicon = `the quick brown fox jumps over the lazy dog a cat sat on
 a mat and the dog ran after the fox while the cat watched the quick brown
 birds fly over the lazy river near the old mill town`
-
-// clamp maps ids into the model's vocabulary range.
-func clamp(ids []int, vocab int) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = id % vocab
-	}
-	return out
-}

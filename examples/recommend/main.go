@@ -8,7 +8,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"slices"
 	"time"
 
 	"secemb/internal/core"
@@ -20,6 +23,10 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Stdout))
+}
+
+func run(stdout io.Writer) int {
 	// Miniature Kaggle layout: same 26-feature shape, scaled cardinalities.
 	cards := data.ScaleCardinalities(data.KaggleCardinalities, 5e-5)
 	cfg := dlrm.Config{
@@ -27,7 +34,7 @@ func main() {
 		BottomHidden: []int{64, 32}, TopHidden: []int{64},
 		Cardinalities: cards, Seed: 11,
 	}
-	fmt.Printf("mini-Kaggle DLRM: %d sparse features (2..%d rows)\n", len(cards), maxOf(cards))
+	fmt.Fprintf(stdout, "mini-Kaggle DLRM: %d sparse features (2..%d rows)\n", len(cards), slices.Max(cards))
 
 	// Train with small DHE embeddings everywhere (the paper's offline
 	// stage: an all-DHE model can later materialize tables for scanning).
@@ -39,11 +46,11 @@ func main() {
 	model := dlrm.NewWithReps(cfg, reps)
 	ds := data.NewCTR(cfg.DenseDim, cards, 13)
 
-	fmt.Print("training on planted-truth CTR traffic... ")
+	fmt.Fprint(stdout, "training on planted-truth CTR traffic... ")
 	start := time.Now()
 	loss := model.Train(ds, 150, 64, nn.NewAdam(0.005), 14)
-	fmt.Printf("done in %v (final loss %.3f)\n", time.Since(start).Round(time.Millisecond), loss)
-	fmt.Printf("test accuracy: %.1f%%\n\n", 100*model.Accuracy(ds, 8, 128, 15))
+	fmt.Fprintf(stdout, "done in %v (final loss %.3f)\n", time.Since(start).Round(time.Millisecond), loss)
+	fmt.Fprintf(stdout, "test accuracy: %.1f%%\n\n", 100*model.Accuracy(ds, 8, 128, 15))
 
 	// Deploy: profile this host, allocate per Algorithm 3, build hybrid.
 	db := profile.BuildDB(cfg.EmbDim, profile.Varied, []int{32}, []int{1}, []int{32, 256, 2048}, 3, 16)
@@ -55,32 +62,23 @@ func main() {
 			scanCount++
 		}
 	}
-	fmt.Printf("hybrid allocation at %v (host threshold %d): %d features scan, %d DHE\n",
+	fmt.Fprintf(stdout, "hybrid allocation at %v (host threshold %d): %d features scan, %d DHE\n",
 		execCfg, db.Threshold(execCfg), scanCount, len(techs)-scanCount)
 
 	pipeline := dlrm.BuildHybrid(model, techs, core.Options{Seed: 17})
-	fmt.Printf("deployed model footprint: %.2f MB (all side-channel protected)\n\n",
+	fmt.Fprintf(stdout, "deployed model footprint: %.2f MB (all side-channel protected)\n\n",
 		float64(pipeline.NumBytes())/1e6)
 
 	// Serve a few requests.
 	b := ds.Sample(4, rand.New(rand.NewSource(18)))
 	probs, err := pipeline.Predict(b.Dense, b.Sparse)
 	if err != nil {
-		fmt.Println("predict:", err)
-		return
+		fmt.Fprintln(stdout, "predict:", err)
+		return 1
 	}
 	for r := 0; r < 4; r++ {
-		fmt.Printf("request %d: click probability %.3f (actual click: %v)\n",
+		fmt.Fprintf(stdout, "request %d: click probability %.3f (actual click: %v)\n",
 			r, probs.At(r, 0), b.Labels[r] == 1)
 	}
-}
-
-func maxOf(xs []int) int {
-	best := xs[0]
-	for _, v := range xs {
-		if v > best {
-			best = v
-		}
-	}
-	return best
+	return 0
 }

@@ -3,19 +3,17 @@ package leakcheck
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"secemb/internal/core"
+	"secemb/internal/frontdoor"
 	"secemb/internal/memtrace"
 	"secemb/internal/serving"
 	"secemb/internal/serving/backends"
 	"secemb/internal/tensor"
 	"secemb/internal/wire"
 )
-
-// wireMaxBatch is the front door's public id cap in the audit stack; the
-// panel batch (8) buckets to 8, so every response is one fixed frame size.
-const wireMaxBatch = 16
 
 // WireFactory audits the network front door end to end: panel ids travel
 // the real path — wire codec, h2c loopback server, serving group, traced
@@ -25,26 +23,36 @@ const wireMaxBatch = 16
 // backend's memory accesses stay id-independent through the full network
 // stack, and the on-the-wire response size (the padding-bucket policy)
 // partitions only by the public batch count, never by the ids.
+//
+// The stack is secembd's own: frontdoor.Defaults, hold and shedding armed,
+// with only the technique, shape, backend count and traced generator
+// options changed. The panel batch (8) pads to bucket 8 of max-batch 64.
 func WireFactory(rows, dim int, seed int64) Factory {
 	return Factory{
 		Name:   "wire",
 		Rows:   rows,
 		Secure: true,
 		New: func(tr *memtrace.Tracer) (core.Generator, error) {
-			gen, err := core.New(core.LinearScan, rows, dim, core.Options{Seed: seed, Tracer: tr, Threads: 1})
+			cfg := frontdoor.Defaults()
+			cfg.Technique, cfg.Rows, cfg.Dim = core.LinearScan.Key(), rows, dim
+			cfg.Backends = 1
+			cfg.Core = core.Options{Seed: seed, Tracer: tr, Threads: 1}
+			st, err := frontdoor.Start(cfg, "127.0.0.1:0", nil, io.Discard)
 			if err != nil {
 				return nil, err
 			}
-			return &wireGen{Generator: gen, tracer: tr}, nil
+			gen := st.Group.ShardBackends(0)[0].(*backends.Embedding).Generator()
+			return &wireGen{Generator: gen, stack: st, tracer: tr}, nil
 		},
 	}
 }
 
 // wireGen routes Generate through a fresh in-process front door. It is
-// single-shot, like the coalesce target: the server and group are torn
-// down after the one panel batch so each input gets a pristine stack.
+// single-shot, like the coalesce target: the stack is drained after the
+// one panel batch so each input gets a pristine one.
 type wireGen struct {
 	core.Generator // the traced scan behind the front door
+	stack          *frontdoor.Stack
 	tracer         *memtrace.Tracer
 }
 
@@ -53,27 +61,8 @@ type wireGen struct {
 //
 // secemb:audit wire
 func (w *wireGen) Generate(ids []uint64) (*tensor.Matrix, error) {
-	group := serving.NewGroup(
-		[]serving.Backend{backends.NewEmbedding(w.Generator, wireMaxBatch)},
-		serving.GroupConfig{QueueDepth: 16},
-	)
-	srv := wire.NewServer(wire.ServerConfig{
-		Group:    group,
-		Dim:      w.Dim(),
-		MaxBatch: wireMaxBatch,
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		group.Close()
-		return nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.DrainAll(ctx)
-	}()
-
-	client := wire.NewClient(wire.ClientConfig{Addr: addr, Timeout: 30 * time.Second})
+	defer func() { _ = w.stack.Drain(0, io.Discard) }()
+	client := wire.NewClient(wire.ClientConfig{Addr: w.stack.Addr, Timeout: 30 * time.Second})
 	defer client.Close()
 	res, err := client.Embed(context.Background(), 0, ids)
 	if err != nil {
